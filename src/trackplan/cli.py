@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,12 @@ class ExperimentSpec:
             raise ConfigError("sweep lists must be non-empty")
         if self.n_maps < 1:
             raise ConfigError("n_maps must be >= 1")
+        if any(h < 1 for h in self.horizons):
+            raise ConfigError("horizons must all be >= 1")
+        if not all(math.isfinite(v) and v >= 0 for v in self.lambdas):
+            raise ConfigError(f"lambdas must be finite and >= 0, got {self.lambdas}")
+        if not all(math.isfinite(v) and v > 0 for v in self.radii):
+            raise ConfigError(f"radii must be finite and > 0, got {self.radii}")
         for p in self.planners:
             if p not in PLANNERS:
                 raise ConfigError(f"unknown planner {p!r}; choose from {PLANNERS}")
@@ -100,6 +108,9 @@ _EXPERIMENT_KEYS = {
     "mcr_samples": int,
     "workers": int,
 }
+
+# Config keys that are not plain attributes of their section's object.
+_KEY_ATTRS = {"aoi_width": "aoi.width", "aoi_height": "aoi.height", "lambda": "lam"}
 
 
 def _line_of(path: str, key: str) -> int:
@@ -168,13 +179,12 @@ def parse_config(path: str) -> ExperimentSpec:
 
 def build_spec(scenario_kwargs: dict, exp_kwargs: dict) -> ExperimentSpec:
     """Assemble and validate an ExperimentSpec from parsed key/value maps."""
-    aoi = Aoi(
-        scenario_kwargs.pop("aoi_width", 150.0), scenario_kwargs.pop("aoi_height", 100.0)
-    )
+    width = scenario_kwargs.pop("aoi_width", 150.0)
+    height = scenario_kwargs.pop("aoi_height", 100.0)
     if "lambda" in scenario_kwargs:
         scenario_kwargs["lam"] = scenario_kwargs.pop("lambda")
     try:
-        base = ScenarioConfig(aoi=aoi, **scenario_kwargs)
+        base = ScenarioConfig(aoi=Aoi(width, height), **scenario_kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
     exp_kwargs.setdefault("horizons", (base.horizon,))
@@ -183,44 +193,29 @@ def build_spec(scenario_kwargs: dict, exp_kwargs: dict) -> ExperimentSpec:
     return ExperimentSpec(base=base, **exp_kwargs)
 
 
+def _format(kind, value) -> str:
+    if kind is float:
+        return repr(value)
+    if kind == "floats":
+        return ",".join(repr(v) for v in value)
+    if kind in ("ints", "strs"):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
 def write_effective_config(spec: ExperimentSpec, path: str) -> None:
     """Emit every effective key so the file re-parses to an equal spec."""
-    base = spec.base
-    lines = ["[scenario]"]
-    lines.append(f"seed = {base.seed}")
-    lines.append(f"aoi_width = {base.aoi.width!r}")
-    lines.append(f"aoi_height = {base.aoi.height!r}")
-    lines.append(f"lambda = {base.lam!r}")
-    lines.append(f"tree_radius = {base.tree_radius!r}")
-    lines.append(f"n_agents = {base.n_agents}")
-    lines.append(f"fov_edges = {','.join(repr(v) for v in base.fov_edges)}")
-    lines.append(f"alphas = {','.join(repr(v) for v in base.alphas)}")
-    lines.append(f"v_max = {base.v_max!r}")
-    lines.append(f"dt_sense = {base.dt_sense!r}")
-    lines.append(f"dt_plan = {base.dt_plan!r}")
-    lines.append(f"horizon = {base.horizon}")
-    lines.append(f"sigma_a = {base.sigma_a!r}")
-    lines.append(f"r0 = {base.r0!r}")
-    lines.append(f"beta = {base.beta!r}")
-    lines.append(f"ospa_c = {base.ospa_c!r}")
-    lines.append(f"ospa_p = {base.ospa_p!r}")
-    lines.append(f"duration = {base.duration!r}")
-    lines.append(f"n_targets = {base.n_targets}")
-    lines.append(f"speed_min = {base.speed_min!r}")
-    lines.append(f"speed_max = {base.speed_max!r}")
-    lines.append(f"n_headings = {base.n_headings}")
-    lines.append(f"n_speeds = {base.n_speeds}")
-    lines.append("")
-    lines.append("[experiment]")
-    lines.append(f"planners = {','.join(spec.planners)}")
-    lines.append(f"horizons = {','.join(str(h) for h in spec.horizons)}")
-    lines.append(f"lambdas = {','.join(repr(v) for v in spec.lambdas)}")
-    lines.append(f"radii = {','.join(repr(v) for v in spec.radii)}")
-    lines.append(f"n_maps = {spec.n_maps}")
-    lines.append(f"out_dir = {spec.out_dir}")
-    lines.append(f"mcr_samples = {spec.mcr_samples}")
-    lines.append(f"workers = {spec.workers}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sections = []
+    for name, keys, owner in (
+        ("scenario", _SCENARIO_KEYS, spec.base),
+        ("experiment", _EXPERIMENT_KEYS, spec),
+    ):
+        lines = [f"[{name}]"]
+        for key, kind in keys.items():
+            value = attrgetter(_KEY_ATTRS.get(key, key))(owner)
+            lines.append(f"{key} = {_format(kind, value)}")
+        sections.append("\n".join(lines))
+    Path(path).write_text("\n\n".join(sections) + "\n", encoding="utf-8")
 
 
 def _fmt(x: float) -> str:
@@ -298,13 +293,28 @@ def _cells(spec: ExperimentSpec) -> list[tuple[float, float]]:
     return [(lam, radius) for lam in spec.lambdas for radius in spec.radii]
 
 
-def _run_job(job: tuple) -> tuple[tuple, TrialLog]:
+def _run_job(job: tuple) -> TrialLog:
     key, config, forest, planner, trial_ss, mcr_samples = job
     try:
-        return key, run_trial(config, forest, planner, trial_ss, mcr_samples=mcr_samples)
+        return run_trial(config, forest, planner, trial_ss, mcr_samples=mcr_samples)
     except BudgetExceededError as exc:
         cell = _cell_name(config.lam, config.tree_radius)
         raise BudgetExceededError(f"cell {cell}, map {key[3]}: {exc}") from exc
+
+
+def _trial_outcomes(jobs: list[tuple], workers: int):
+    """Yield (key, TrialLog or the exception it raised) as each trial ends."""
+    if workers == 1:
+        for job in jobs:
+            try:
+                yield job[0], _run_job(job)
+            except Exception as exc:
+                yield job[0], exc
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_run_job, job): job[0] for job in jobs}
+        for future in as_completed(futures):
+            yield futures[future], future.exception() or future.result()
 
 
 def run_experiment(spec: ExperimentSpec) -> Path:
@@ -332,27 +342,35 @@ def run_experiment(spec: ExperimentSpec) -> Path:
             save_map(forest, str(cell_dir / f"map{mi:03d}.txt"))
             forests[(ci, mi)] = load_map(str(cell_dir / f"map{mi:03d}.txt"))
 
-    jobs = _trial_jobs(spec, forests)
-    if spec.workers == 1:
-        results = dict(_run_job(job) for job in jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = dict(pool.map(_run_job, jobs))
-
+    # Each trial's CSVs are written as it finishes, so a failing trial
+    # loses no finished ones; the first failure in job order is re-raised.
     cells = _cells(spec)
+    jobs = _trial_jobs(spec, forests)
+    results: dict[tuple, TrialLog] = {}
+    failures: dict[tuple, Exception] = {}
+    for key, outcome in _trial_outcomes(jobs, spec.workers):
+        if isinstance(outcome, Exception):
+            failures[key] = outcome
+            continue
+        results[key] = outcome
+        ci, planner, h, mi = key
+        cell_dir = trials_dir / _cell_name(*cells[ci])
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        stem = f"{planner}_H{h}_map{mi:03d}"
+        write_trial_csv(outcome, cell_dir / f"{stem}.csv")
+        write_epoch_csv(outcome, cell_dir / f"{stem}_epochs.csv")
+    for job in jobs:
+        if job[0] in failures:
+            raise failures[job[0]]
+
     summary_rows = ["trial,planner,H,lambda,radius,mean_ospa,median_ospa,frac_below_1m"]
     timing_rows = ["trial,planner,H,lambda,radius,mean_plan_ms,total_plan_s"]
     series_pool: dict[tuple, list[np.ndarray]] = {}
-    for key in sorted(results, key=lambda k: (k[0], k[1], k[2], k[3])):
+    for key in sorted(results):
         ci, planner, h, mi = key
         lam, radius = cells[ci]
         log = results[key]
         cell = _cell_name(lam, radius)
-        cell_dir = trials_dir / cell
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        stem = f"{planner}_H{h}_map{mi:03d}"
-        write_trial_csv(log, cell_dir / f"{stem}.csv")
-        write_epoch_csv(log, cell_dir / f"{stem}_epochs.csv")
         trial_id = f"{cell}_map{mi:03d}"
         summary_rows.append(
             ",".join(
@@ -466,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             spec = build_spec({}, {})
         spec = _apply_overrides(spec, args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a flag that breaks ScenarioConfig
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -128,15 +128,11 @@ def fuse(
     per_agent_observations: list[list[Observation]],
     belief: FleetBelief,
     model: NcvModel,
-    consensus_steps: int | None = None,
 ) -> FleetBelief:
     """One predict per track, then apply every agent's observations.
 
-    The default realizes converged information fusion directly by
-    sequential Joseph-form updates. With ``consensus_steps`` set, local
-    information contributions are instead averaged over a complete agent
-    graph for that many rounds and recombined in information form; both
-    paths agree to numerical precision.
+    Sequential Joseph-form updates realize centralized (converged
+    information) fusion directly.
     """
     index = belief.track_index()
     tracks = [predict(t, model) for t in belief.tracks]
@@ -146,52 +142,10 @@ def fuse(
                 raise TrackAssociationError(
                     f"observation of unknown target id {obs.target_id}"
                 )
-    if consensus_steps is None:
-        for agent_obs in per_agent_observations:
-            for obs in agent_obs:
-                i = index[obs.target_id]
-                tracks[i] = update(tracks[i], obs)
-    else:
-        tracks = _consensus_fuse(per_agent_observations, tracks, index, consensus_steps)
+    for agent_obs in per_agent_observations:
+        for obs in agent_obs:
+            i = index[obs.target_id]
+            tracks[i] = update(tracks[i], obs)
     return FleetBelief(
         tracks=tuple(tracks), agents=belief.agents, timestamp=belief.timestamp + model.dt
     )
-
-
-def _consensus_fuse(
-    per_agent_observations: list[list[Observation]],
-    predicted: list[TargetTrack],
-    index: dict[int, int],
-    steps: int,
-) -> list[TargetTrack]:
-    """Average-consensus on information tuples over a complete graph.
-
-    Each agent holds the information-form contribution of its own
-    observations; uniform averaging over the complete graph reaches the
-    fleet mean, and scaling by the number of agents recovers the exact
-    centralized sum.
-    """
-    if steps < 1:
-        raise ValueError("consensus_steps must be >= 1")
-    n_agents = len(per_agent_observations)
-    n_tracks = len(predicted)
-    omega = np.zeros((n_agents, n_tracks, 4, 4))
-    q = np.zeros((n_agents, n_tracks, 4))
-    for a, agent_obs in enumerate(per_agent_observations):
-        for obs in agent_obs:
-            i = index[obs.target_id]
-            r_inv = np.linalg.inv(obs.R)
-            omega[a, i] += H_POS.T @ r_inv @ H_POS
-            q[a, i] += H_POS.T @ r_inv @ obs.z
-    for _ in range(steps):
-        omega = np.broadcast_to(omega.mean(axis=0), omega.shape).copy()
-        q = np.broadcast_to(q.mean(axis=0), q.shape).copy()
-    fused: list[TargetTrack] = []
-    for i, track in enumerate(predicted):
-        omega_prior = np.linalg.inv(track.P)
-        q_prior = omega_prior @ track.xi
-        omega_post = omega_prior + n_agents * omega[0, i]
-        p_post = _symmetrize(np.linalg.inv(omega_post))
-        xi_post = p_post @ (q_prior + n_agents * q[0, i])
-        fused.append(replace(track, xi=xi_post, P=p_post))
-    return fused

@@ -22,8 +22,8 @@ outcome is identical to evaluating candidates one by one in order.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +33,12 @@ from .sensing import AgentState, Observation, in_fov, is_observable, observation
 from .worldgen import OcclusionForest
 
 _EYE4 = np.eye(4)
+
+# Candidates scored per kernel call by the exhaustive scan.
+SCAN_CHUNK = 4096
+
+# Largest joint sequence space dec_pomdp_plan will enumerate.
+DEC_POMDP_BUDGET = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -63,16 +69,6 @@ class PolicySeq:
 
 
 @dataclass(frozen=True)
-class IntentSet:
-    """Per-agent policies of intent (previous plans shifted and extended)."""
-
-    policies: tuple[PolicySeq, ...]
-
-    def __len__(self) -> int:
-        return len(self.policies)
-
-
-@dataclass(frozen=True)
 class RolloutResult:
     cost: float
     end_belief: FleetBelief
@@ -90,7 +86,6 @@ class SearchConfig:
 
     exhaustive_limit: int = 100_000
     beam_width: int = 8
-    chunk_size: int = 4096
 
 
 @dataclass(frozen=True)
@@ -463,10 +458,36 @@ def _batched_rollout_costs(
     return costs
 
 
-def _enumerate_sequences(n_actions: int, h: int) -> np.ndarray:
-    """All action-index sequences of length h, lexicographic, as (C, h)."""
-    grids = np.meshgrid(*([np.arange(n_actions)] * h), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _exhaustive_scan(
+    n_actions: int,
+    length: int,
+    score: Callable[[np.ndarray], np.ndarray],
+    watch: int | None = None,
+) -> tuple[tuple[int, ...] | None, float, float]:
+    """First strict minimum of ``score`` over every action-index sequence.
+
+    Sequences of ``length`` digits in ``range(n_actions)`` are visited in
+    lexicographic order, SCAN_CHUNK at a time; ``score`` maps a (C, length)
+    block to C costs. Returns the best sequence (None if no cost beat
+    infinity), its cost, and the cost at flat index ``watch`` (NaN if
+    unwatched).
+    """
+    shape = (n_actions,) * length
+    total = n_actions**length
+    best_cost = math.inf
+    best_seq: tuple[int, ...] | None = None
+    watched = math.nan
+    for lo in range(0, total, SCAN_CHUNK):
+        flat = np.arange(lo, min(lo + SCAN_CHUNK, total))
+        rows = np.stack(np.unravel_index(flat, shape), axis=1)
+        costs = score(rows)
+        j = int(np.argmin(costs))
+        if costs[j] < best_cost:
+            best_cost = float(costs[j])
+            best_seq = tuple(int(v) for v in rows[j])
+        if watch is not None and lo <= watch < lo + len(flat):
+            watched = float(costs[watch - lo])
+    return best_seq, best_cost, watched
 
 
 class _StageEvaluator:
@@ -543,31 +564,21 @@ def _search_stage(
     fixed_pos = ev.fixed_positions(joint)
     index_of = {(a.ux, a.uy): i for i, a in enumerate(actions)}
     inc_idx_seq = tuple(index_of.get((a.ux, a.uy)) for a in incumbent.actions)
-    inc_in_space = None not in inc_idx_seq
-
-    best_cost = math.inf
-    best_seq: tuple[int, ...] | None = None
-    evaluations = 0
-    incumbent_cost = math.nan
 
     if n_actions**h <= search.exhaustive_limit:
-        seqs = _enumerate_sequences(n_actions, h)
         inc_flat = None
-        if inc_in_space:
-            inc_flat = 0
-            for a in inc_idx_seq:
-                inc_flat = inc_flat * n_actions + a
-        for lo in range(0, len(seqs), search.chunk_size):
-            chunk = seqs[lo : lo + search.chunk_size]
-            costs = ev.candidate_costs(agent_index, action_xy[chunk], fixed_pos)
-            evaluations += len(chunk)
-            j = int(np.argmin(costs))
-            if costs[j] < best_cost:
-                best_cost = float(costs[j])
-                best_seq = tuple(int(v) for v in chunk[j])
-            if inc_flat is not None and lo <= inc_flat < lo + len(chunk):
-                incumbent_cost = float(costs[inc_flat - lo])
+        if None not in inc_idx_seq:
+            inc_flat = int(np.ravel_multi_index(inc_idx_seq, (n_actions,) * h))
+        best_seq, best_cost, incumbent_cost = _exhaustive_scan(
+            n_actions,
+            h,
+            lambda rows: ev.candidate_costs(agent_index, action_xy[rows], fixed_pos),
+            inc_flat,
+        )
+        evaluations = n_actions**h
     else:
+        evaluations = 0
+        incumbent_cost = math.nan
         beam: list[tuple[int, ...]] = [()]
         for level in range(1, h + 1):
             expanded = [seq + (a,) for seq in beam for a in range(n_actions)]
@@ -630,37 +641,29 @@ def optimize_single(
 
 
 def extend_intent(
-    previous: list[PolicySeq] | None,
-    h: int,
-    n_agents: int,
-    base_policy: str = "repeat_last",
-) -> IntentSet:
-    """Shift last epoch's policies by one step and extend with a base action.
+    previous: list[PolicySeq] | None, h: int, n_agents: int
+) -> tuple[PolicySeq, ...]:
+    """Per-agent policies of intent: last epoch's policies shifted by one
+    step and extended by repeating their last action.
 
     With no previous plan (first epoch) every intent is all-hover.
     """
-    if base_policy not in ("repeat_last", "hover"):
-        raise ValueError(f"unknown base policy {base_policy!r}")
-    hover = Action(0.0, 0.0)
     if previous is None:
-        return IntentSet(
-            policies=tuple(PolicySeq(agent_id=i, actions=(hover,) * h) for i in range(n_agents))
-        )
+        hover = Action(0.0, 0.0)
+        return tuple(PolicySeq(agent_id=i, actions=(hover,) * h) for i in range(n_agents))
     if len(previous) != n_agents:
         raise ValueError("previous joint policy must cover every agent")
-    policies = []
-    for i, seq in enumerate(previous):
-        if len(seq) != h:
-            raise ValueError("previous policies must have length h")
-        rest = seq.actions[1:]
-        tail = seq.actions[-1] if base_policy == "repeat_last" else hover
-        policies.append(PolicySeq(agent_id=i, actions=rest + (tail,)))
-    return IntentSet(policies=tuple(policies))
+    if any(len(seq) != h for seq in previous):
+        raise ValueError("previous policies must have length h")
+    return tuple(
+        PolicySeq(agent_id=i, actions=seq.actions[1:] + seq.actions[-1:])
+        for i, seq in enumerate(previous)
+    )
 
 
 def _sweep(
     belief: FleetBelief,
-    intents: IntentSet,
+    intents: tuple[PolicySeq, ...],
     order: list[int] | None,
     h: int,
     actions: list[Action],
@@ -675,13 +678,13 @@ def _sweep(
     n_agents = len(belief.agents)
     if len(intents) != n_agents:
         raise ValueError("intents must cover every agent")
-    if any(len(p) != h for p in intents.policies):
+    if any(len(p) != h for p in intents):
         raise ValueError("intent policies must have length h")
     sweep_order = list(range(n_agents)) if order is None else list(order)
     if sorted(sweep_order) != list(range(n_agents)):
         raise ValueError("order must be a permutation of agent indices")
     ev = _StageEvaluator(belief, model, forest, h, planning_dt, target_paths, hectg, beta)
-    joint = list(intents.policies)
+    joint = list(intents)
     per_agent: list[int] = []
     inc_costs: list[float] = []
     best_costs: list[float] = []
@@ -702,7 +705,7 @@ def _sweep(
 
 def sma_nbo_plan(
     belief: FleetBelief,
-    intents: IntentSet,
+    intents: tuple[PolicySeq, ...],
     order: list[int] | None,
     h: int,
     actions: list[Action],
@@ -741,7 +744,7 @@ def mcr_plan(
     h: int,
     n_samples: int,
     rng: np.random.Generator,
-    intents: IntentSet,
+    intents: tuple[PolicySeq, ...],
     order: list[int] | None,
     actions: list[Action],
     forest: OcclusionForest,
@@ -772,61 +775,42 @@ def dec_pomdp_plan(
     model: NcvModel,
     hectg: str = "none",
     beta: float = 1.0,
-    budget: int = 1_000_000,
-    chunk_size: int = 4096,
     planning_dt: float | None = None,
 ) -> tuple[list[PolicySeq], PlanStats]:
-    """Joint exhaustive optimization solved independently by every agent.
+    """Joint exhaustive optimization that every agent solves on its own.
 
-    Each agent enumerates the full joint sequence space on the shared
-    belief; identical beliefs and first-minimum tie-breaking guarantee all
-    agents reach the same joint plan without exchanging decisions.
+    In this architecture each agent enumerates the full joint sequence
+    space on the shared belief, with no decision exchange. The beliefs
+    are identical and the scan keeps the first minimum, so every agent's
+    solve returns the same joint plan by construction: one solve stands
+    for all of them. PlanStats still counts the modelled work, |A|^(nH)
+    rollouts per agent.
     """
     n_agents = len(belief.agents)
     n_actions = len(actions)
     joint_count = n_actions ** (n_agents * h)
-    if joint_count > budget:
+    if joint_count > DEC_POMDP_BUDGET:
         raise BudgetExceededError(
             f"joint optimization needs {joint_count} rollouts per agent "
-            f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {budget}"
+            f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {DEC_POMDP_BUDGET}"
         )
     dt = model.dt if planning_dt is None else planning_dt
     action_xy = np.array([[a.ux, a.uy] for a in actions])
     target_paths = _nominal_paths(belief, model, h)
     free = _free_of_occlusion(target_paths, forest)
-    starts = [a.position for a in belief.agents]
 
-    seq_space = list(itertools.product(range(n_actions), repeat=h))
+    def score(rows: np.ndarray) -> np.ndarray:
+        seqs = rows.reshape(len(rows), n_agents, h)
+        pos = [
+            _positions_from_velocities(agent.position, action_xy[seqs[:, i, :]], dt)
+            for i, agent in enumerate(belief.agents)
+        ]
+        return _batched_rollout_costs(belief, model, pos, target_paths, free, hectg, beta)
 
-    def solve_once() -> tuple[tuple[tuple[int, ...], ...], float]:
-        best_cost = math.inf
-        best: tuple[tuple[int, ...], ...] | None = None
-        joint_iter = itertools.product(*([seq_space] * n_agents))
-        while True:
-            block = list(itertools.islice(joint_iter, chunk_size))
-            if not block:
-                break
-            arr = np.array(block)  # (c, n_agents, h)
-            pos = [
-                _positions_from_velocities(starts[i], action_xy[arr[:, i, :]], dt)
-                for i in range(n_agents)
-            ]
-            costs = _batched_rollout_costs(
-                belief, model, pos, target_paths, free, hectg, beta
-            )
-            j = int(np.argmin(costs))
-            if costs[j] < best_cost:
-                best_cost = float(costs[j])
-                best = tuple(tuple(int(v) for v in row) for row in arr[j])
-        assert best is not None
-        return best, best_cost
-
-    solutions = [solve_once() for _ in range(n_agents)]
-    if any(sol != solutions[0] for sol in solutions[1:]):
-        raise RuntimeError("agents disagreed on the joint plan; tie-breaking is broken")
-    best_seqs, best_cost = solutions[0]
+    best, best_cost, _ = _exhaustive_scan(n_actions, n_agents * h, score)
+    assert best is not None
     joint = [
-        PolicySeq(agent_id=i, actions=tuple(actions[a] for a in best_seqs[i]))
+        PolicySeq(agent_id=i, actions=tuple(actions[a] for a in best[i * h : (i + 1) * h]))
         for i in range(n_agents)
     ]
     stats = PlanStats(

@@ -53,14 +53,6 @@ class Observation:
     R: np.ndarray = field(repr=False)  # (2, 2)
 
 
-def fov_region(agent: AgentState) -> tuple[tuple[float, float], float]:
-    """Axis-aligned square footprint as (center, half_width).
-
-    The square is centered on the agent and does not rotate with yaw.
-    """
-    return (agent.px, agent.py), agent.half_width
-
-
 def in_fov(point: tuple[float, float], agent: AgentState) -> bool:
     """Closed-boundary membership test of the square footprint."""
     hw = agent.half_width

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import FleetBelief, initialize_track, fuse, ncv_model
+from .estimation import FleetBelief, NcvModel, initialize_track, fuse, ncv_model
 from .metrics import OspaParams, TimingRecord, ospa
 from .planning import (
-    IntentSet,
-    PlanStats,
+    Action,
     PolicySeq,
     SearchConfig,
     action_set,
@@ -29,7 +28,40 @@ from .planning import (
 from .sensing import AgentState, sense
 from .worldgen import OcclusionForest, ScenarioConfig, TargetTrajectory, generate_levy_trajectory
 
-PLANNERS = ("sma-nbo", "sma-nbo-mwtp", "dec-pomdp", "mcr")
+
+@dataclass(frozen=True)
+class _PlanInputs:
+    """Planner inputs that stay fixed for a whole trial."""
+
+    h: int
+    actions: list[Action]
+    forest: OcclusionForest
+    model: NcvModel
+    beta: float
+    search: SearchConfig
+    mcr_samples: int
+    rng: np.random.Generator
+
+
+# One epoch's planning call per planner. The planner functions are looked
+# up in this module when called, so rebinding them here takes effect.
+_EPOCH_CALLS = {
+    "sma-nbo": lambda belief, intents, p: sma_nbo_plan(
+        belief, intents, None, p.h, p.actions, p.forest, p.model, beta=p.beta, search=p.search
+    ),
+    "sma-nbo-mwtp": lambda belief, intents, p: sma_nbo_plan(
+        belief, intents, None, p.h, p.actions, p.forest, p.model,
+        hectg="mwtp", beta=p.beta, search=p.search,
+    ),
+    "dec-pomdp": lambda belief, intents, p: dec_pomdp_plan(
+        belief, p.h, p.actions, p.forest, p.model, beta=p.beta
+    ),
+    "mcr": lambda belief, intents, p: mcr_plan(
+        belief, p.h, p.mcr_samples, p.rng, intents, None, p.actions, p.forest, p.model,
+        search=p.search,
+    ),
+}
+PLANNERS = tuple(_EPOCH_CALLS)
 
 
 @dataclass
@@ -125,7 +157,6 @@ def run_trial(
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     traj_ss, noise_ss, mcr_ss = ss.spawn(3)
     rng_noise = np.random.default_rng(noise_ss)
-    rng_mcr = np.random.default_rng(mcr_ss)
 
     n_steps = round(config.duration / config.dt_sense)
     n_epochs = round(config.duration / config.dt_plan)
@@ -156,10 +187,12 @@ def run_trial(
 
     agents = initial_agents(config)
     model_fine = ncv_model(config.dt_sense, config.sigma_a)
-    model_plan = ncv_model(config.dt_plan, config.sigma_a)
-    actions = action_set(config.v_max, config.n_headings, config.n_speeds)
     params = OspaParams(c=config.ospa_c, p=config.ospa_p)
-    hectg = "mwtp" if planner == "sma-nbo-mwtp" else "none"
+    plan_inputs = _PlanInputs(
+        h=h, actions=action_set(config.v_max, config.n_headings, config.n_speeds),
+        forest=forest, model=ncv_model(config.dt_plan, config.sigma_a), beta=config.beta,
+        search=search, mcr_samples=mcr_samples, rng=np.random.default_rng(mcr_ss),
+    )
 
     tracks = tuple(
         initialize_track(traj.target_id, traj.samples[0, :2]) for traj in trajectories
@@ -185,10 +218,9 @@ def run_trial(
     previous: list[PolicySeq] | None = None
     for m in range(n_epochs):
         intents = extend_intent(previous, h, config.n_agents)
-        joint, stats = _plan_epoch(
-            planner, belief, intents, h, actions, forest, model_plan, config.beta,
-            hectg, search, mcr_samples, rng_mcr, log.epoch_plan_seconds, m,
-        )
+        start = time.perf_counter()
+        joint, stats = _EPOCH_CALLS[planner](belief, intents, plan_inputs)
+        log.epoch_plan_seconds[m] = time.perf_counter() - start
         previous = joint
         log.epoch_times[m] = m * config.dt_plan
         log.epoch_rollout_evals[m] = stats.rollout_evals
@@ -218,39 +250,3 @@ def run_trial(
             log.ospa[k] = ospa(est_pos, true_pos, params)
             log.agent_states[k] = [[a.px, a.py, a.psi, a.vx, a.vy] for a in agents]
     return log
-
-
-def _plan_epoch(
-    planner: str,
-    belief: FleetBelief,
-    intents: IntentSet,
-    h: int,
-    actions,
-    forest: OcclusionForest,
-    model_plan,
-    beta: float,
-    hectg: str,
-    search: SearchConfig,
-    mcr_samples: int,
-    rng_mcr: np.random.Generator,
-    plan_seconds: np.ndarray,
-    epoch: int,
-) -> tuple[list[PolicySeq], PlanStats]:
-    start = time.perf_counter()
-    if planner in ("sma-nbo", "sma-nbo-mwtp"):
-        joint, stats = sma_nbo_plan(
-            belief, intents, None, h, actions, forest, model_plan,
-            hectg=hectg, beta=beta, search=search,
-        )
-    elif planner == "dec-pomdp":
-        joint, stats = dec_pomdp_plan(
-            belief, h, actions, forest, model_plan, hectg=hectg, beta=beta,
-            chunk_size=search.chunk_size,
-        )
-    else:
-        joint, stats = mcr_plan(
-            belief, h, mcr_samples, rng_mcr, intents, None, actions, forest,
-            model_plan, search=search,
-        )
-    plan_seconds[epoch] = time.perf_counter() - start
-    return joint, stats

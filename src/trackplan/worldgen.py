@@ -42,8 +42,10 @@ class Aoi:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"AOI sides must be positive, got {self.width}x{self.height}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(
+                f"AOI sides must be finite and positive, got {self.width}x{self.height}"
+            )
 
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height
@@ -88,8 +90,19 @@ class TargetTrajectory:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def state_at(self, index: int) -> np.ndarray:
-        return self.samples[index]
+
+# Lower bounds on ScenarioConfig fields as (names, bound, strict); every
+# entry, and every entry of a tuple field, must also be finite.
+_SCENARIO_BOUNDS = (
+    (
+        ("dt_sense", "dt_plan", "duration", "v_max", "r0", "ospa_c", "tree_radius",
+         "fov_edges", "alphas"),
+        0,
+        True,
+    ),
+    (("lam", "sigma_a", "beta", "speed_min", "speed_max"), 0, False),
+    (("ospa_p", "horizon", "n_agents", "n_targets", "n_headings", "n_speeds"), 1, False),
+)
 
 
 @dataclass(frozen=True)
@@ -120,26 +133,27 @@ class ScenarioConfig:
     n_speeds: int = 1
 
     def __post_init__(self) -> None:
+        for names, bound, strict in _SCENARIO_BOUNDS:
+            for name in names:
+                value = getattr(self, name)
+                for v in value if isinstance(value, tuple) else (value,):
+                    if not (math.isfinite(v) and (v > bound if strict else v >= bound)):
+                        op = ">" if strict else ">="
+                        raise ValueError(f"{name} must be finite and {op} {bound}, got {v!r}")
         ratio = self.dt_plan / self.dt_sense
-        if abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
                 f"dt_plan={self.dt_plan} must be an integer multiple of dt_sense={self.dt_sense}"
             )
         epochs = self.duration / self.dt_plan
-        if abs(epochs - round(epochs)) > 1e-9 or epochs < 1:
+        if not math.isfinite(epochs) or abs(epochs - round(epochs)) > 1e-9 or epochs < 1:
             raise ValueError(
                 f"duration={self.duration} must be a whole positive number of "
                 f"dt_plan={self.dt_plan} epochs"
             )
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.v_max <= 0:
-            raise ValueError("v_max must be positive")
-        if self.ospa_p < 1:
-            raise ValueError("ospa_p must be >= 1")
         if len(self.fov_edges) != self.n_agents or len(self.alphas) != self.n_agents:
             raise ValueError("fov_edges and alphas must have one entry per agent")
-        if self.speed_min < 0 or self.speed_max < self.speed_min:
+        if self.speed_max < self.speed_min:
             raise ValueError("speed interval must satisfy 0 <= min <= max")
 
     @property

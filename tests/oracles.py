@@ -42,3 +42,20 @@ def kalman_update_cov(p, r):
     info = np.linalg.inv(p) + h.T @ np.linalg.inv(r) @ h
     p_new = np.linalg.inv(info)
     return (p_new + p_new.T) / 2.0
+
+
+def information_fusion(xi, p, observations):
+    """Centralized fusion of position measurements (z, R) in information form.
+
+    Every measurement adds H^T R^-1 H to the information matrix P^-1 and
+    H^T R^-1 z to the information vector P^-1 xi.
+    """
+    h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    info = np.linalg.inv(p)
+    vec = info @ xi
+    for z, r in observations:
+        r_inv = np.linalg.inv(r)
+        info = info + h.T @ r_inv @ h
+        vec = vec + h.T @ r_inv @ z
+    p_new = np.linalg.inv(info)
+    return p_new @ vec, (p_new + p_new.T) / 2.0

@@ -161,3 +161,54 @@ class TestMain:
         assert code == 0
         trials = list((tmp_path / "out" / "trials").rglob("*.csv"))
         assert trials and all("sma-nbo-mwtp" in p.name for p in trials)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_trial_keeps_finished_trials(self, tmp_path, capsys, workers):
+        # dec-pomdp at H3 with 3 agents exceeds the budget; the other three run
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[scenario]\nseed = 1\nduration = 2\nlambda = 5\n"
+            "[experiment]\nplanners = sma-nbo,dec-pomdp\nhorizons = 1,3\n"
+            f"out_dir = {tmp_path / 'out'}\nworkers = {workers}\n"
+        )
+        assert main(["--config", str(cfg)]) == 2
+        assert "runtime error" in capsys.readouterr().err
+        cell = tmp_path / "out" / "trials" / "lam5_r5"
+        for stem in ("sma-nbo_H1_map000", "sma-nbo_H3_map000", "dec-pomdp_H1_map000"):
+            assert (cell / f"{stem}.csv").exists()
+            assert (cell / f"{stem}_epochs.csv").exists()
+        assert not (cell / "dec-pomdp_H3_map000.csv").exists()
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "dt_sense = 0",
+            "lambda = inf",
+            "n_agents = 0\nfov_edges =\nalphas =",
+            "n_targets = 0",
+            "v_max = nan",
+            "sigma_a = -1",
+            "tree_radius = nan",
+            "aoi_width = 0",
+            "aoi_height = inf",
+            "[experiment]\nhorizons = 0",
+        ],
+    )
+    def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[scenario]\nduration = 2\n{line}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        self._assert_one_config_error(capsys, tmp_path)
+
+    def test_bad_flag_value_exits_before_any_trial(self, tmp_path, capsys):
+        assert main(["--duration", "0", "--out", str(tmp_path / "out")]) == 1
+        self._assert_one_config_error(capsys, tmp_path)
+
+    @staticmethod
+    def _assert_one_config_error(capsys, tmp_path):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()

@@ -466,17 +466,12 @@ class TestExtendIntent:
         a, b, c = Action(1.0, 0.0), Action(0.0, 1.0), Action(-1.0, 0.0)
         previous = [PolicySeq(0, (a, b, c))]
         intents = extend_intent(previous, 3, 1)
-        assert intents.policies[0].actions == (b, c, c)
+        assert intents[0].actions == (b, c, c)
 
     def test_first_epoch_is_hover(self):
         intents = extend_intent(None, 3, 2)
-        for seq in intents.policies:
+        for seq in intents:
             assert seq.actions == (Action(0.0, 0.0),) * 3
-
-    def test_hover_base_policy(self):
-        a, b = Action(1.0, 0.0), Action(0.0, 1.0)
-        intents = extend_intent([PolicySeq(0, (a, b))], 2, 1, base_policy="hover")
-        assert intents.policies[0].actions == (b, Action(0.0, 0.0))
 
     def test_length_always_h(self):
         rng = np.random.default_rng(8)
@@ -487,7 +482,7 @@ class TestExtendIntent:
                 PolicySeq(1, tuple(actions[rng.integers(9)] for _ in range(h))),
             ]
             intents = extend_intent(prev, h, 2)
-            assert all(len(p) == h for p in intents.policies)
+            assert all(len(p) == h for p in intents)
 
 
 class TestSmaNbo:
@@ -499,7 +494,7 @@ class TestSmaNbo:
         intents = extend_intent(None, 2, 1)
         joint, stats = sma_nbo_plan(belief, intents, None, 2, actions, forest, model)
         res = optimize_single(
-            belief, 0, list(intents.policies), intents.policies[0], 2, actions, forest, model
+            belief, 0, list(intents), intents[0], 2, actions, forest, model
         )
         assert joint[0] == res.policy
         assert stats.rollout_evals == res.evaluations
@@ -541,7 +536,7 @@ class TestSmaNbo:
             belief, forest, prev = random_instance(rng, 2, 3, 2)
             intents = extend_intent(prev, 2, 2)
             joint, stats = sma_nbo_plan(belief, intents, None, 2, actions, forest, model)
-            j_intents = rollout_cost(belief, list(intents.policies), forest, model, 2).cost
+            j_intents = rollout_cost(belief, list(intents), forest, model, 2).cost
             j_plan = rollout_cost(belief, joint, forest, model, 2).cost
             assert j_plan <= j_intents + 1e-9
             # stage chain: objective never increases within the sweep
@@ -628,12 +623,27 @@ class TestDecPomdp:
             j_sma = rollout_cost(belief, joint_sma, forest, model, 1).cost
             assert j_dec <= j_sma + 1e-9
 
+    def test_joint_problem_is_solved_once(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        belief, forest, _ = random_instance(rng, 3, 2, 1)
+        actions = action_set(5.0, 8, 1)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _batched_rollout_costs(*args, **kwargs)
+
+        monkeypatch.setattr("trackplan.planning._batched_rollout_costs", counting)
+        _, stats = dec_pomdp_plan(belief, 1, actions, forest, ncv_model(1.0, 1.0))
+        assert len(calls) == 1
+        assert stats.per_agent_evals == (9**3,) * 3
+
     def test_budget_guard_names_required_count(self):
         rng = np.random.default_rng(17)
         belief, forest, _ = random_instance(rng, 3, 2, 1)
         actions = action_set(5.0, 8, 1)
         with pytest.raises(BudgetExceededError, match=str(9**9)):
-            dec_pomdp_plan(belief, 3, actions, forest, ncv_model(1.0, 1.0), budget=1000)
+            dec_pomdp_plan(belief, 3, actions, forest, ncv_model(1.0, 1.0))
 
 
 class TestMcr:

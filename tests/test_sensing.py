@@ -5,7 +5,6 @@ import numpy as np
 from trackplan import (
     AgentState,
     OcclusionForest,
-    fov_region,
     in_fov,
     is_observable,
     observation_covariance,
@@ -21,12 +20,20 @@ def agent_at(x, y, fov_edge=20.0, alpha=0.1, r0=1.0):
 
 class TestFov:
     def test_square_centered_on_agent(self):
-        center, hw = fov_region(agent_at(0.0, 0.0, fov_edge=20.0))
-        assert center == (0.0, 0.0) and hw == 10.0
+        agent = agent_at(0.0, 0.0, fov_edge=20.0)
+        assert agent.half_width == 10.0
+        for corner in ((10.0, 10.0), (-10.0, 10.0), (-10.0, -10.0), (10.0, -10.0)):
+            assert in_fov(corner, agent)
+        assert not in_fov((10.0, 10.0 + 1e-9), agent)
+        assert not in_fov((-10.0 - 1e-9, 0.0), agent)
 
     def test_translated_square(self):
-        center, hw = fov_region(agent_at(5.0, -3.0, fov_edge=2.0))
-        assert center == (5.0, -3.0) and hw == 1.0
+        agent = agent_at(5.0, -3.0, fov_edge=2.0)
+        assert agent.half_width == 1.0
+        for corner in ((6.0, -2.0), (4.0, -2.0), (4.0, -4.0), (6.0, -4.0)):
+            assert in_fov(corner, agent)
+        assert not in_fov((0.0, 0.0), agent)
+        assert not in_fov((6.0 + 1e-9, -3.0), agent)
 
     def test_boundary_counts_as_inside(self):
         assert in_fov((10.0, 0.0), agent_at(0.0, 0.0, fov_edge=20.0))
