@@ -5,7 +5,9 @@ planner, reuses one batch of random maps per parameter cell across all
 planners, and emits CSV artifacts: per-trial logs, a deterministic
 summary, wall-clock timings and per-cell OSPA ECDFs.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime or budget error.
+Exit codes: 0 success, 1 configuration error (a bad key or value, or a
+dec-pomdp joint search over its budget), 2 runtime error (a forest that
+cannot be placed, or a failing trial or write).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import ecdf
-from .planning import BudgetExceededError
+from .planning import BudgetExceededError, action_set, dec_pomdp_joint_count
 from .sim import PLANNERS, TrialLog, run_trial
 from .worldgen import (
     Aoi,
@@ -70,6 +72,14 @@ class ExperimentSpec:
             raise ConfigError("mcr_samples must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if "dec-pomdp" in self.planners:
+            b = self.base
+            n_actions = len(action_set(b.v_max, b.n_headings, b.n_speeds))
+            for h in self.horizons:
+                try:
+                    dec_pomdp_joint_count(n_actions, b.n_agents, h)
+                except BudgetExceededError as exc:
+                    raise ConfigError(f"dec-pomdp at horizon {h}: {exc}") from exc
 
 
 _SCENARIO_KEYS = {
@@ -109,6 +119,10 @@ _EXPERIMENT_KEYS = {
     "workers": int,
 }
 
+# Config sections in the order they are checked and written, as (name, key
+# table, path from an ExperimentSpec to the object holding the values).
+_SECTIONS = (("scenario", _SCENARIO_KEYS, "base."), ("experiment", _EXPERIMENT_KEYS, ""))
+
 # Config keys that are not plain attributes of their section's object.
 _KEY_ATTRS = {"aoi_width": "aoi.width", "aoi_height": "aoi.height", "lambda": "lam"}
 
@@ -146,35 +160,24 @@ def parse_config(path: str) -> ExperimentSpec:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in parser.sections():
-        if section not in ("scenario", "experiment"):
+        if section not in (name for name, _, _ in _SECTIONS):
             raise ConfigError(f"{path}: unknown section [{section}]")
-    scenario_kwargs = {}
-    if parser.has_section("scenario"):
-        for key, raw in parser.items("scenario"):
-            if key not in _SCENARIO_KEYS:
+    values: dict[str, dict] = {name: {} for name, _, _ in _SECTIONS}
+    for name, keys, _ in _SECTIONS:
+        if not parser.has_section(name):
+            continue
+        for key, raw in parser.items(name):
+            if key not in keys:
                 raise ConfigError(
-                    f"{path}: line {_line_of(path, key)}: unknown scenario key {key!r}"
+                    f"{path}: line {_line_of(path, key)}: unknown {name} key {key!r}"
                 )
             try:
-                scenario_kwargs[key] = _convert(_SCENARIO_KEYS[key], raw)
+                values[name][key] = _convert(keys[key], raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: line {_line_of(path, key)}: bad value for {key!r}: {exc}"
                 ) from exc
-    exp_kwargs = {}
-    if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key not in _EXPERIMENT_KEYS:
-                raise ConfigError(
-                    f"{path}: line {_line_of(path, key)}: unknown experiment key {key!r}"
-                )
-            try:
-                exp_kwargs[key] = _convert(_EXPERIMENT_KEYS[key], raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: line {_line_of(path, key)}: bad value for {key!r}: {exc}"
-                ) from exc
-    return build_spec(scenario_kwargs, exp_kwargs)
+    return build_spec(values["scenario"], values["experiment"])
 
 
 def build_spec(scenario_kwargs: dict, exp_kwargs: dict) -> ExperimentSpec:
@@ -206,13 +209,10 @@ def _format(kind, value) -> str:
 def write_effective_config(spec: ExperimentSpec, path: str) -> None:
     """Emit every effective key so the file re-parses to an equal spec."""
     sections = []
-    for name, keys, owner in (
-        ("scenario", _SCENARIO_KEYS, spec.base),
-        ("experiment", _EXPERIMENT_KEYS, spec),
-    ):
+    for name, keys, owner in _SECTIONS:
         lines = [f"[{name}]"]
         for key, kind in keys.items():
-            value = attrgetter(_KEY_ATTRS.get(key, key))(owner)
+            value = attrgetter(owner + _KEY_ATTRS.get(key, key))(spec)
             lines.append(f"{key} = {_format(kind, value)}")
         sections.append("\n".join(lines))
     Path(path).write_text("\n\n".join(sections) + "\n", encoding="utf-8")
@@ -294,12 +294,8 @@ def _cells(spec: ExperimentSpec) -> list[tuple[float, float]]:
 
 
 def _run_job(job: tuple) -> TrialLog:
-    key, config, forest, planner, trial_ss, mcr_samples = job
-    try:
-        return run_trial(config, forest, planner, trial_ss, mcr_samples=mcr_samples)
-    except BudgetExceededError as exc:
-        cell = _cell_name(config.lam, config.tree_radius)
-        raise BudgetExceededError(f"cell {cell}, map {key[3]}: {exc}") from exc
+    _, config, forest, planner, trial_ss, mcr_samples = job
+    return run_trial(config, forest, planner, trial_ss, mcr_samples=mcr_samples)
 
 
 def _trial_outcomes(jobs: list[tuple], workers: int):
@@ -489,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         out = run_experiment(spec)
-    except (BudgetExceededError, ForestPlacementError, OSError) as exc:
+    except (ForestPlacementError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote artifacts to {out}")

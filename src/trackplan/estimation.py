@@ -118,10 +118,10 @@ def update(track: TargetTrack, obs: Observation) -> TargetTrack:
     return replace(track, xi=xi, P=p_new)
 
 
-def initialize_track(target_id: int, position: np.ndarray, p0_diag=DEFAULT_P0) -> TargetTrack:
+def initialize_track(target_id: int, position: np.ndarray) -> TargetTrack:
     """New track at a known position with zero velocity prior."""
     xi = np.array([position[0], position[1], 0.0, 0.0])
-    return TargetTrack(target_id=target_id, xi=xi, P=np.diag(p0_diag).astype(float))
+    return TargetTrack(target_id=target_id, xi=xi, P=np.diag(DEFAULT_P0).astype(float))
 
 
 def fuse(

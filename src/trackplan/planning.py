@@ -40,6 +40,12 @@ SCAN_CHUNK = 4096
 # Largest joint sequence space dec_pomdp_plan will enumerate.
 DEC_POMDP_BUDGET = 1_000_000
 
+# A sweep stage enumerates all |A|^h sequences while that count is at most
+# EXHAUSTIVE_LIMIT (h <= 5 with |A| = 9); beyond it, it runs a greedy
+# by-step beam search that keeps the BEAM_WIDTH best prefixes per level.
+EXHAUSTIVE_LIMIT = 100_000
+BEAM_WIDTH = 8
+
 
 class BudgetExceededError(RuntimeError):
     """A joint optimization would exceed the configured rollout budget."""
@@ -71,21 +77,8 @@ class PolicySeq:
 @dataclass(frozen=True)
 class RolloutResult:
     cost: float
-    end_belief: FleetBelief
     step_traces: tuple[float, ...]
     hectg_value: float
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Candidate search parameters for one optimization stage.
-
-    Sequence spaces up to exhaustive_limit are enumerated fully;
-    larger ones fall back to greedy-by-step beam search.
-    """
-
-    exhaustive_limit: int = 100_000
-    beam_width: int = 8
 
 
 @dataclass(frozen=True)
@@ -159,7 +152,6 @@ def rollout_cost(
     h: int,
     hectg: str = "none",
     beta: float = 1.0,
-    planning_dt: float | None = None,
 ) -> RolloutResult:
     """Accumulated covariance trace of the nominal-trajectory rollout.
 
@@ -173,12 +165,11 @@ def rollout_cost(
         raise ValueError("joint policy must cover every agent")
     if any(len(p) != h for p in joint):
         raise ValueError("every policy must have exactly h actions")
-    dt = model.dt if planning_dt is None else planning_dt
     agents = list(belief.agents)
     tracks = list(belief.tracks)
     step_traces = []
     for l in range(h):
-        agents = [propagate_agent(a, joint[i].actions[l], dt) for i, a in enumerate(agents)]
+        agents = [propagate_agent(a, joint[i].actions[l], model.dt) for i, a in enumerate(agents)]
         tracks = [predict(t, model) for t in tracks]
         for j, track in enumerate(tracks):
             pos = (float(track.xi[0]), float(track.xi[1]))
@@ -197,12 +188,8 @@ def rollout_cost(
             if not any(in_fov(pos, agent) for agent in agents):
                 uncovered.append((pos, track.trace))
         hectg_value = mwtp(agents, uncovered, beta)
-    end = FleetBelief(
-        tracks=tuple(tracks), agents=tuple(agents), timestamp=belief.timestamp + h * dt
-    )
     return RolloutResult(
         cost=float(sum(step_traces) + hectg_value),
-        end_belief=end,
         step_traces=tuple(float(v) for v in step_traces),
         hectg_value=float(hectg_value),
     )
@@ -499,7 +486,6 @@ class _StageEvaluator:
         model: NcvModel,
         forest: OcclusionForest,
         h: int,
-        planning_dt: float,
         target_paths: np.ndarray,
         hectg: str,
         beta: float,
@@ -507,7 +493,6 @@ class _StageEvaluator:
         self.belief = belief
         self.model = model
         self.h = h
-        self.dt = planning_dt
         self.target_paths = target_paths
         self.free = _free_of_occlusion(target_paths, forest)
         self.hectg = hectg
@@ -516,7 +501,7 @@ class _StageEvaluator:
     def fixed_positions(self, joint: list[PolicySeq]) -> list[np.ndarray]:
         return [
             _positions_from_velocities(
-                agent.position, _policy_velocities(joint[i])[None, :, :], self.dt
+                agent.position, _policy_velocities(joint[i])[None, :, :], self.model.dt
             )
             for i, agent in enumerate(self.belief.agents)
         ]
@@ -532,7 +517,9 @@ class _StageEvaluator:
         h_eff = cand_vel.shape[1] if prefix is None else prefix
         start = self.belief.agents[agent_index].position
         pos = [a[:, :h_eff, :] for a in fixed_pos]
-        pos[agent_index] = _positions_from_velocities(start, cand_vel[:, :h_eff, :], self.dt)
+        pos[agent_index] = _positions_from_velocities(
+            start, cand_vel[:, :h_eff, :], self.model.dt
+        )
         hectg = self.hectg if h_eff == self.h else "none"
         return _batched_rollout_costs(
             self.belief,
@@ -549,15 +536,15 @@ def _search_stage(
     ev: _StageEvaluator,
     agent_index: int,
     joint: list[PolicySeq],
-    incumbent: PolicySeq,
     actions: list[Action],
-    search: SearchConfig,
 ) -> OptimizeResult:
     """Best sequence for one agent: exhaustive enumeration or beam search.
 
-    The incumbent is always scored so the returned cost never exceeds it;
-    ties go to the earliest candidate in enumeration order.
+    The agent's entry in ``joint`` is its incumbent. It is always scored
+    so the returned cost never exceeds it; ties go to the earliest
+    candidate in enumeration order.
     """
+    incumbent = joint[agent_index]
     n_actions = len(actions)
     h = ev.h
     action_xy = np.array([[a.ux, a.uy] for a in actions])
@@ -565,7 +552,7 @@ def _search_stage(
     index_of = {(a.ux, a.uy): i for i, a in enumerate(actions)}
     inc_idx_seq = tuple(index_of.get((a.ux, a.uy)) for a in incumbent.actions)
 
-    if n_actions**h <= search.exhaustive_limit:
+    if n_actions**h <= EXHAUSTIVE_LIMIT:
         inc_flat = None
         if None not in inc_idx_seq:
             inc_flat = int(np.ravel_multi_index(inc_idx_seq, (n_actions,) * h))
@@ -593,7 +580,7 @@ def _search_stage(
                 best_cost = float(costs[j])
                 best_seq = tuple(expanded[j])
             else:
-                beam = [expanded[i] for i in ranked[: search.beam_width]]
+                beam = [expanded[i] for i in ranked[:BEAM_WIDTH]]
 
     if math.isnan(incumbent_cost):
         inc_vel = _policy_velocities(incumbent)[None, :, :]
@@ -609,35 +596,6 @@ def _search_stage(
     return OptimizeResult(
         policy=policy, cost=best_cost, incumbent_cost=incumbent_cost, evaluations=evaluations
     )
-
-
-def optimize_single(
-    belief: FleetBelief,
-    agent_index: int,
-    fixed: list[PolicySeq],
-    incumbent: PolicySeq,
-    h: int,
-    actions: list[Action],
-    forest: OcclusionForest,
-    model: NcvModel,
-    hectg: str = "none",
-    beta: float = 1.0,
-    search: SearchConfig = SearchConfig(),
-    planning_dt: float | None = None,
-) -> OptimizeResult:
-    """Minimize the rollout cost over one agent's sequences, others fixed.
-
-    ``fixed`` supplies every other agent's policy (the entry at
-    agent_index is ignored); ``incumbent`` is this agent's current intent
-    and is always among the scored candidates.
-    """
-    dt = model.dt if planning_dt is None else planning_dt
-    joint = list(fixed)
-    joint[agent_index] = incumbent
-    ev = _StageEvaluator(
-        belief, model, forest, h, dt, _nominal_paths(belief, model, h), hectg, beta
-    )
-    return _search_stage(ev, agent_index, joint, incumbent, actions, search)
 
 
 def extend_intent(
@@ -664,7 +622,6 @@ def extend_intent(
 def _sweep(
     belief: FleetBelief,
     intents: tuple[PolicySeq, ...],
-    order: list[int] | None,
     h: int,
     actions: list[Action],
     forest: OcclusionForest,
@@ -672,33 +629,23 @@ def _sweep(
     target_paths: np.ndarray,
     hectg: str,
     beta: float,
-    search: SearchConfig,
-    planning_dt: float,
 ) -> tuple[list[PolicySeq], PlanStats]:
     n_agents = len(belief.agents)
     if len(intents) != n_agents:
         raise ValueError("intents must cover every agent")
     if any(len(p) != h for p in intents):
         raise ValueError("intent policies must have length h")
-    sweep_order = list(range(n_agents)) if order is None else list(order)
-    if sorted(sweep_order) != list(range(n_agents)):
-        raise ValueError("order must be a permutation of agent indices")
-    ev = _StageEvaluator(belief, model, forest, h, planning_dt, target_paths, hectg, beta)
+    ev = _StageEvaluator(belief, model, forest, h, target_paths, hectg, beta)
     joint = list(intents)
-    per_agent: list[int] = []
-    inc_costs: list[float] = []
-    best_costs: list[float] = []
-    for i in sweep_order:
-        res = _search_stage(ev, i, joint, joint[i], actions, search)
-        joint[i] = res.policy
-        per_agent.append(res.evaluations)
-        inc_costs.append(res.incumbent_cost)
-        best_costs.append(res.cost)
+    stages = []
+    for i in range(n_agents):
+        stages.append(_search_stage(ev, i, joint, actions))
+        joint[i] = stages[-1].policy
     stats = PlanStats(
-        rollout_evals=sum(per_agent),
-        per_agent_evals=tuple(per_agent),
-        stage_incumbent_costs=tuple(inc_costs),
-        stage_best_costs=tuple(best_costs),
+        rollout_evals=sum(r.evaluations for r in stages),
+        per_agent_evals=tuple(r.evaluations for r in stages),
+        stage_incumbent_costs=tuple(r.incumbent_cost for r in stages),
+        stage_best_costs=tuple(r.cost for r in stages),
     )
     return joint, stats
 
@@ -706,37 +653,21 @@ def _sweep(
 def sma_nbo_plan(
     belief: FleetBelief,
     intents: tuple[PolicySeq, ...],
-    order: list[int] | None,
     h: int,
     actions: list[Action],
     forest: OcclusionForest,
     model: NcvModel,
     hectg: str = "none",
     beta: float = 1.0,
-    search: SearchConfig = SearchConfig(),
-    planning_dt: float | None = None,
 ) -> tuple[list[PolicySeq], PlanStats]:
-    """Sequential sweep: each agent optimizes against predecessors' fresh
-    plans and successors' intents.
+    """Sequential sweep: agents optimize in index order, each against its
+    predecessors' fresh plans and its successors' intents.
 
     Incumbent inclusion makes the joint objective non-increasing stage by
     stage, so the result is never worse than executing the intents.
     """
-    dt = model.dt if planning_dt is None else planning_dt
-    return _sweep(
-        belief,
-        intents,
-        order,
-        h,
-        actions,
-        forest,
-        model,
-        _nominal_paths(belief, model, h),
-        hectg,
-        beta,
-        search,
-        dt,
-    )
+    paths = _nominal_paths(belief, model, h)
+    return _sweep(belief, intents, h, actions, forest, model, paths, hectg, beta)
 
 
 def mcr_plan(
@@ -745,12 +676,9 @@ def mcr_plan(
     n_samples: int,
     rng: np.random.Generator,
     intents: tuple[PolicySeq, ...],
-    order: list[int] | None,
     actions: list[Action],
     forest: OcclusionForest,
     model: NcvModel,
-    search: SearchConfig = SearchConfig(),
-    planning_dt: float | None = None,
 ) -> tuple[list[PolicySeq], PlanStats]:
     """Monte-Carlo rollout: the sequential sweep scored on sampled targets.
 
@@ -760,11 +688,22 @@ def mcr_plan(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    dt = model.dt if planning_dt is None else planning_dt
     paths = _sample_target_paths(belief, model, h, n_samples, rng)
-    return _sweep(
-        belief, intents, order, h, actions, forest, model, paths, "none", 1.0, search, dt
-    )
+    return _sweep(belief, intents, h, actions, forest, model, paths, "none", 1.0)
+
+
+def dec_pomdp_joint_count(n_actions: int, n_agents: int, h: int) -> int:
+    """Joint sequences each dec-pomdp agent enumerates, |A|^(n*h).
+
+    Raises BudgetExceededError when the count exceeds DEC_POMDP_BUDGET.
+    """
+    joint_count = n_actions ** (n_agents * h)
+    if joint_count > DEC_POMDP_BUDGET:
+        raise BudgetExceededError(
+            f"joint optimization needs {joint_count} rollouts per agent "
+            f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {DEC_POMDP_BUDGET}"
+        )
+    return joint_count
 
 
 def dec_pomdp_plan(
@@ -773,9 +712,6 @@ def dec_pomdp_plan(
     actions: list[Action],
     forest: OcclusionForest,
     model: NcvModel,
-    hectg: str = "none",
-    beta: float = 1.0,
-    planning_dt: float | None = None,
 ) -> tuple[list[PolicySeq], PlanStats]:
     """Joint exhaustive optimization that every agent solves on its own.
 
@@ -788,13 +724,7 @@ def dec_pomdp_plan(
     """
     n_agents = len(belief.agents)
     n_actions = len(actions)
-    joint_count = n_actions ** (n_agents * h)
-    if joint_count > DEC_POMDP_BUDGET:
-        raise BudgetExceededError(
-            f"joint optimization needs {joint_count} rollouts per agent "
-            f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {DEC_POMDP_BUDGET}"
-        )
-    dt = model.dt if planning_dt is None else planning_dt
+    joint_count = dec_pomdp_joint_count(n_actions, n_agents, h)
     action_xy = np.array([[a.ux, a.uy] for a in actions])
     target_paths = _nominal_paths(belief, model, h)
     free = _free_of_occlusion(target_paths, forest)
@@ -802,10 +732,10 @@ def dec_pomdp_plan(
     def score(rows: np.ndarray) -> np.ndarray:
         seqs = rows.reshape(len(rows), n_agents, h)
         pos = [
-            _positions_from_velocities(agent.position, action_xy[seqs[:, i, :]], dt)
+            _positions_from_velocities(agent.position, action_xy[seqs[:, i, :]], model.dt)
             for i, agent in enumerate(belief.agents)
         ]
-        return _batched_rollout_costs(belief, model, pos, target_paths, free, hectg, beta)
+        return _batched_rollout_costs(belief, model, pos, target_paths, free, "none", 1.0)
 
     best, best_cost, _ = _exhaustive_scan(n_actions, n_agents * h, score)
     assert best is not None

@@ -17,7 +17,6 @@ from .metrics import OspaParams, TimingRecord, ospa
 from .planning import (
     Action,
     PolicySeq,
-    SearchConfig,
     action_set,
     dec_pomdp_plan,
     extend_intent,
@@ -38,7 +37,6 @@ class _PlanInputs:
     forest: OcclusionForest
     model: NcvModel
     beta: float
-    search: SearchConfig
     mcr_samples: int
     rng: np.random.Generator
 
@@ -47,18 +45,16 @@ class _PlanInputs:
 # up in this module when called, so rebinding them here takes effect.
 _EPOCH_CALLS = {
     "sma-nbo": lambda belief, intents, p: sma_nbo_plan(
-        belief, intents, None, p.h, p.actions, p.forest, p.model, beta=p.beta, search=p.search
+        belief, intents, p.h, p.actions, p.forest, p.model
     ),
     "sma-nbo-mwtp": lambda belief, intents, p: sma_nbo_plan(
-        belief, intents, None, p.h, p.actions, p.forest, p.model,
-        hectg="mwtp", beta=p.beta, search=p.search,
+        belief, intents, p.h, p.actions, p.forest, p.model, hectg="mwtp", beta=p.beta
     ),
     "dec-pomdp": lambda belief, intents, p: dec_pomdp_plan(
-        belief, p.h, p.actions, p.forest, p.model, beta=p.beta
+        belief, p.h, p.actions, p.forest, p.model
     ),
     "mcr": lambda belief, intents, p: mcr_plan(
-        belief, p.h, p.mcr_samples, p.rng, intents, None, p.actions, p.forest, p.model,
-        search=p.search,
+        belief, p.h, p.mcr_samples, p.rng, intents, p.actions, p.forest, p.model
     ),
 }
 PLANNERS = tuple(_EPOCH_CALLS)
@@ -141,7 +137,6 @@ def run_trial(
     seed,
     trajectories: list[TargetTrajectory] | None = None,
     mcr_samples: int = 50,
-    search: SearchConfig = SearchConfig(),
     noise_scale: float = 1.0,
 ) -> TrialLog:
     """Run one deterministic closed-loop trial and log everything.
@@ -191,7 +186,7 @@ def run_trial(
     plan_inputs = _PlanInputs(
         h=h, actions=action_set(config.v_max, config.n_headings, config.n_speeds),
         forest=forest, model=ncv_model(config.dt_plan, config.sigma_a), beta=config.beta,
-        search=search, mcr_samples=mcr_samples, rng=np.random.default_rng(mcr_ss),
+        mcr_samples=mcr_samples, rng=np.random.default_rng(mcr_ss),
     )
 
     tracks = tuple(

@@ -96,11 +96,11 @@ class TargetTrajectory:
 _SCENARIO_BOUNDS = (
     (
         ("dt_sense", "dt_plan", "duration", "v_max", "r0", "ospa_c", "tree_radius",
-         "fov_edges", "alphas"),
+         "fov_edges", "alphas", "speed_max"),
         0,
         True,
     ),
-    (("lam", "sigma_a", "beta", "speed_min", "speed_max"), 0, False),
+    (("lam", "sigma_a", "beta", "speed_min"), 0, False),
     (("ospa_p", "horizon", "n_agents", "n_targets", "n_headings", "n_speeds"), 1, False),
 )
 
@@ -220,8 +220,8 @@ def generate_levy_trajectory(
     if duration <= 0:
         raise ValueError("duration must be positive")
     smin, smax = speed_range
-    if smin < 0 or smax < smin:
-        raise ValueError("speed_range must satisfy 0 <= min <= max")
+    if smin < 0 or smax < smin or smax <= 0:
+        raise ValueError("speed_range must satisfy 0 <= min <= max and max > 0")
     n_ticks = round(duration / dt)
     if n_ticks < 1:
         raise ValueError("duration must cover at least one sampling period")

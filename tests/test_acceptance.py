@@ -252,7 +252,7 @@ def test_criterion_5_sweep_objective_is_monotone():
         h = int(rng.integers(1, 3))
         belief, forest, intents, actions = _random_epoch(rng, n_agents, 3, h)
         hectg = "mwtp" if rng.random() < 0.5 else "none"
-        _, stats = sma_nbo_plan(belief, intents, None, h, actions, forest, model, hectg=hectg)
+        _, stats = sma_nbo_plan(belief, intents, h, actions, forest, model, hectg=hectg)
         chain = [stats.stage_incumbent_costs[0]]
         for inc, best in zip(stats.stage_incumbent_costs, stats.stage_best_costs):
             ok &= best <= inc + 1e-9
@@ -276,9 +276,7 @@ def test_criterion_6_rollout_counts_exact():
                     rng, n_agents, 2, h, n_headings=n_headings
                 )
                 n_act = len(actions)
-                _, sweep_stats = sma_nbo_plan(
-                    belief, intents, None, h, actions, forest, model
-                )
+                _, sweep_stats = sma_nbo_plan(belief, intents, h, actions, forest, model)
                 sweep_ok = sweep_stats.rollout_evals == n_agents * n_act**h
                 _, joint_stats = dec_pomdp_plan(belief, h, actions, forest, model)
                 joint_ok = joint_stats.per_agent_evals == (n_act ** (n_agents * h),) * n_agents
@@ -326,10 +324,10 @@ def test_criterion_7_sampled_planner_degenerates_to_nominal():
         ]
         intents = extend_intent(prev, h, n_agents)
         joint_mcr, _ = mcr_plan(
-            belief, h, 10, np.random.default_rng(rng.integers(1 << 31)), intents, None,
+            belief, h, 10, np.random.default_rng(rng.integers(1 << 31)), intents,
             actions, forest, model,
         )
-        joint_nom, _ = sma_nbo_plan(belief, intents, None, h, actions, forest, model)
+        joint_nom, _ = sma_nbo_plan(belief, intents, h, actions, forest, model)
         ok &= joint_mcr == joint_nom
         if not ok:
             break
@@ -354,6 +352,7 @@ def _paper_config(h):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_scale_trends():
     start = time.perf_counter()
     variants = {

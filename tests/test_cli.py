@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from trackplan import cli
 from trackplan.cli import (
     ConfigError,
     ExperimentSpec,
@@ -140,7 +141,8 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     def test_budget_error_exit_code(self, tmp_path, capsys):
-        # joint optimization over 3 agents x horizon 3 x 9 actions blows the budget
+        # joint optimization over 3 agents x horizon 3 x 9 actions blows the
+        # budget: a config error, found before any map or trial
         code = main(
             [
                 "--seed", "1", "--planner", "dec-pomdp", "--horizon", "3",
@@ -148,8 +150,8 @@ class TestMain:
                 "--out", str(tmp_path / "out"),
             ]
         )
-        assert code == 2
-        assert "runtime error" in capsys.readouterr().err
+        assert code == 1
+        self._assert_one_config_error(capsys, tmp_path)
 
     def test_mwtp_flag_switches_planner(self, tmp_path):
         code = main(
@@ -163,11 +165,23 @@ class TestMain:
         assert trials and all("sma-nbo-mwtp" in p.name for p in trials)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_trial_keeps_finished_trials(self, tmp_path, capsys, workers):
-        # dec-pomdp at H3 with 3 agents exceeds the budget; the other three run
+    def test_failing_trial_keeps_finished_trials(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        # the dec-pomdp H3 trial raises; the other three run. Pool workers
+        # fork after the patch, so they see it too.
+        real_run_trial = cli.run_trial
+
+        def failing_run_trial(config, forest, planner, seed, **kwargs):
+            if planner == "dec-pomdp" and config.horizon == 3:
+                raise OSError("injected trial failure")
+            return real_run_trial(config, forest, planner, seed, **kwargs)
+
+        monkeypatch.setattr("trackplan.cli.run_trial", failing_run_trial)
         cfg = tmp_path / "c.ini"
         cfg.write_text(
             "[scenario]\nseed = 1\nduration = 2\nlambda = 5\n"
+            "n_agents = 2\nfov_edges = 20,25\nalphas = 0.1,0.15\n"
             "[experiment]\nplanners = sma-nbo,dec-pomdp\nhorizons = 1,3\n"
             f"out_dir = {tmp_path / 'out'}\nworkers = {workers}\n"
         )
@@ -193,6 +207,8 @@ class TestMain:
             "aoi_width = 0",
             "aoi_height = inf",
             "[experiment]\nhorizons = 0",
+            "speed_min = 0\nspeed_max = 0",
+            "[experiment]\nplanners = sma-nbo,dec-pomdp\nhorizons = 1,3",
         ],
     )
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):

@@ -13,7 +13,6 @@ from trackplan import (
     FleetBelief,
     OcclusionForest,
     PolicySeq,
-    SearchConfig,
     TargetTrack,
     action_set,
     dec_pomdp_plan,
@@ -25,13 +24,13 @@ from trackplan import (
     ncv_model,
     nominal_trajectory,
     observation_covariance,
-    optimize_single,
     predict,
     propagate_agent,
     rollout_cost,
     sma_nbo_plan,
 )
 from trackplan.planning import (
+    EXHAUSTIVE_LIMIT,
     _batched_rollout_costs,
     _free_of_occlusion,
     _nominal_paths,
@@ -388,51 +387,53 @@ class TestBatchMatchesReference:
 
 
 class TestOptimizeSingle:
+    """One agent's optimization stage, read from the sweep's first stage."""
+
     def test_exhaustive_scan_count_and_incumbent_bound(self):
         rng = np.random.default_rng(7)
         belief, forest, joint = random_instance(rng, 2, 2, 1)
         actions = action_set(5.0, 8, 1)
-        incumbent = joint[0]
-        res = optimize_single(
-            belief, 0, joint, incumbent, 1, actions, forest, ncv_model(1.0, 1.0)
+        _, stats = sma_nbo_plan(
+            belief, tuple(joint), 1, actions, forest, ncv_model(1.0, 1.0)
         )
-        assert res.evaluations == 9
-        assert res.cost <= res.incumbent_cost + 1e-9
+        assert stats.per_agent_evals[0] == 9
+        assert stats.stage_best_costs[0] <= stats.stage_incumbent_costs[0] + 1e-9
 
     def test_moves_north_toward_only_coverable_target(self):
         belief = FleetBelief(
             tracks=(track_at(0, 0.0, 13.0),), agents=(agent_at(0.0, 0.0, fov_edge=20.0),)
         )
         actions = action_set(5.0, 4, 1)
-        res = optimize_single(
-            belief, 0, [hover_policy(0, 1)], hover_policy(0, 1), 1, actions, EMPTY,
-            ncv_model(1.0, 1.0),
+        joint, _ = sma_nbo_plan(
+            belief, (hover_policy(0, 1),), 1, actions, EMPTY, ncv_model(1.0, 1.0)
         )
-        assert res.policy.actions[0].ux == pytest.approx(0.0, abs=1e-12)
-        assert res.policy.actions[0].uy == pytest.approx(5.0, abs=1e-12)
+        assert joint[0].actions[0].ux == pytest.approx(0.0, abs=1e-12)
+        assert joint[0].actions[0].uy == pytest.approx(5.0, abs=1e-12)
 
     def test_all_equal_costs_return_first_action(self):
         belief = FleetBelief(
             tracks=(track_at(0, 1000.0, 1000.0),), agents=(agent_at(0.0, 0.0),)
         )
         actions = action_set(5.0, 8, 1)
-        res = optimize_single(
-            belief, 0, [hover_policy(0, 2)], hover_policy(0, 2), 2, actions, EMPTY,
-            ncv_model(1.0, 1.0),
+        joint, _ = sma_nbo_plan(
+            belief, (hover_policy(0, 2),), 2, actions, EMPTY, ncv_model(1.0, 1.0)
         )
-        assert res.policy.actions == (Action(0.0, 0.0), Action(0.0, 0.0))
+        assert joint[0].actions == (Action(0.0, 0.0), Action(0.0, 0.0))
 
-    def test_beam_search_path(self):
+    def test_beam_search_path(self, monkeypatch):
+        monkeypatch.setattr("trackplan.planning.EXHAUSTIVE_LIMIT", 10)
+        monkeypatch.setattr("trackplan.planning.BEAM_WIDTH", 3)
         belief = FleetBelief(
             tracks=(track_at(0, 0.0, 13.0),), agents=(agent_at(0.0, 0.0, fov_edge=20.0),)
         )
         actions = action_set(5.0, 4, 1)
-        res = optimize_single(
-            belief, 0, [hover_policy(0, 2)], hover_policy(0, 2), 2, actions, EMPTY,
-            ncv_model(1.0, 1.0), search=SearchConfig(exhaustive_limit=10, beam_width=3),
+        joint, stats = sma_nbo_plan(
+            belief, (hover_policy(0, 2),), 2, actions, EMPTY, ncv_model(1.0, 1.0)
         )
-        assert res.policy.actions[0].uy == pytest.approx(5.0, abs=1e-12)
-        assert res.cost <= res.incumbent_cost + 1e-9
+        assert joint[0].actions[0].uy == pytest.approx(5.0, abs=1e-12)
+        assert stats.stage_best_costs[0] <= stats.stage_incumbent_costs[0] + 1e-9
+        # beam path: 5 prefixes, then the 3 kept x 5, plus the incumbent
+        assert stats.per_agent_evals[0] == 5 + 3 * 5 + 1
 
     def test_incumbent_outside_action_set_can_win(self):
         # the diagonal intent reaches a pose strictly closer to the target
@@ -442,20 +443,18 @@ class TestOptimizeSingle:
         )
         actions = action_set(5.0, 4, 1)
         incumbent = PolicySeq(0, (Action(3.0, 4.0),))
-        res = optimize_single(
-            belief, 0, [incumbent], incumbent, 1, actions, EMPTY, ncv_model(1.0, 1.0)
+        joint, stats = sma_nbo_plan(
+            belief, (incumbent,), 1, actions, EMPTY, ncv_model(1.0, 1.0)
         )
-        assert res.evaluations == len(actions) + 1
-        assert res.policy.actions == incumbent.actions
-        assert res.cost == res.incumbent_cost
+        assert stats.per_agent_evals[0] == len(actions) + 1
+        assert joint[0].actions == incumbent.actions
+        assert stats.stage_best_costs[0] == stats.stage_incumbent_costs[0]
 
     def test_zero_track_belief_keeps_intents(self):
         belief = FleetBelief(tracks=(), agents=(agent_at(0.0, 0.0), agent_at(5.0, 5.0)))
         actions = action_set(5.0, 4, 1)
         intents = extend_intent(None, 2, 2)
-        joint, stats = sma_nbo_plan(
-            belief, intents, None, 2, actions, EMPTY, ncv_model(1.0, 1.0)
-        )
+        joint, stats = sma_nbo_plan(belief, intents, 2, actions, EMPTY, ncv_model(1.0, 1.0))
         # nothing to track: every candidate costs zero, first one wins
         assert all(seq.actions == (Action(0.0, 0.0),) * 2 for seq in joint)
         assert stats.stage_best_costs == (0.0, 0.0)
@@ -486,19 +485,6 @@ class TestExtendIntent:
 
 
 class TestSmaNbo:
-    def test_single_agent_equals_optimize_single(self):
-        rng = np.random.default_rng(9)
-        belief, forest, _ = random_instance(rng, 1, 2, 2)
-        actions = action_set(5.0, 4, 1)
-        model = ncv_model(1.0, 1.0)
-        intents = extend_intent(None, 2, 1)
-        joint, stats = sma_nbo_plan(belief, intents, None, 2, actions, forest, model)
-        res = optimize_single(
-            belief, 0, list(intents), intents[0], 2, actions, forest, model
-        )
-        assert joint[0] == res.policy
-        assert stats.rollout_evals == res.evaluations
-
     def test_two_agent_instance_with_unreachable_agent(self):
         belief = FleetBelief(
             tracks=(track_at(0, 0.0, 13.0),),
@@ -507,7 +493,7 @@ class TestSmaNbo:
         actions = action_set(5.0, 4, 1)
         model = ncv_model(1.0, 1.0)
         intents = extend_intent(None, 1, 2)
-        joint, _ = sma_nbo_plan(belief, intents, None, 1, actions, EMPTY, model)
+        joint, _ = sma_nbo_plan(belief, intents, 1, actions, EMPTY, model)
         # agent 1 cannot reach anything: keeps the first (hover) action
         assert joint[0].actions[0] == Action(0.0, 0.0)
         assert joint[1].actions[0].uy == pytest.approx(5.0, abs=1e-12)
@@ -535,7 +521,7 @@ class TestSmaNbo:
         for _ in range(10):
             belief, forest, prev = random_instance(rng, 2, 3, 2)
             intents = extend_intent(prev, 2, 2)
-            joint, stats = sma_nbo_plan(belief, intents, None, 2, actions, forest, model)
+            joint, stats = sma_nbo_plan(belief, intents, 2, actions, forest, model)
             j_intents = rollout_cost(belief, list(intents), forest, model, 2).cost
             j_plan = rollout_cost(belief, joint, forest, model, 2).cost
             assert j_plan <= j_intents + 1e-9
@@ -553,30 +539,34 @@ class TestSmaNbo:
         actions = action_set(5.0, 8, 1)
         model = ncv_model(1.0, 1.0)
         intents = extend_intent(prev, 2, 3)
-        a, _ = sma_nbo_plan(belief, intents, None, 2, actions, forest, model)
-        b, _ = sma_nbo_plan(belief, intents, None, 2, actions, forest, model)
+        a, _ = sma_nbo_plan(belief, intents, 2, actions, forest, model)
+        b, _ = sma_nbo_plan(belief, intents, 2, actions, forest, model)
         assert a == b
-
-    def test_custom_order(self):
-        rng = np.random.default_rng(12)
-        belief, forest, prev = random_instance(rng, 2, 2, 1)
-        actions = action_set(5.0, 4, 1)
-        model = ncv_model(1.0, 1.0)
-        intents = extend_intent(prev, 1, 2)
-        joint, _ = sma_nbo_plan(belief, intents, [1, 0], 1, actions, forest, model)
-        assert len(joint) == 2
-        with pytest.raises(ValueError):
-            sma_nbo_plan(belief, intents, [0, 0], 1, actions, forest, model)
 
     def test_action_feasibility(self):
         rng = np.random.default_rng(13)
         belief, forest, prev = random_instance(rng, 2, 2, 2)
         actions = action_set(5.0, 8, 1)
         intents = extend_intent(prev, 2, 2)
-        joint, _ = sma_nbo_plan(belief, intents, None, 2, actions, forest, ncv_model(1.0, 1.0))
+        joint, _ = sma_nbo_plan(belief, intents, 2, actions, forest, ncv_model(1.0, 1.0))
         for seq in joint:
             for act in seq.actions:
                 assert act.speed <= 5.0 + 1e-9
+
+    def test_beam_fallback_at_shipped_limits(self):
+        # |A| = 9: H5 is still enumerated, H6 falls back to beam search
+        actions = action_set(5.0, 8, 1)
+        assert len(actions) ** 5 <= EXHAUSTIVE_LIMIT < len(actions) ** 6
+        rng = np.random.default_rng(25)
+        belief, forest, _ = random_instance(rng, 3, 3, 6)
+        _, stats = sma_nbo_plan(
+            belief, extend_intent(None, 6, 3), 6, actions, forest, ncv_model(1.0, 1.0)
+        )
+        # level 1 scores 9 prefixes, levels 2-6 the 8 kept x 9, plus the incumbent
+        assert stats.per_agent_evals == (9 + 5 * 8 * 9 + 1,) * 3
+        assert stats.rollout_evals == 1110
+        for inc, best in zip(stats.stage_incumbent_costs, stats.stage_best_costs):
+            assert best <= inc + 1e-9
 
 
 class TestDecPomdp:
@@ -587,7 +577,7 @@ class TestDecPomdp:
         model = ncv_model(1.0, 1.0)
         joint_dec, _ = dec_pomdp_plan(belief, 1, actions, forest, model)
         joint_sma, _ = sma_nbo_plan(
-            belief, extend_intent(None, 1, 1), None, 1, actions, forest, model
+            belief, extend_intent(None, 1, 1), 1, actions, forest, model
         )
         assert joint_dec == joint_sma
 
@@ -618,7 +608,7 @@ class TestDecPomdp:
             belief, forest, prev = random_instance(rng, 2, 2, 1)
             intents = extend_intent(prev, 1, 2)
             joint_dec, _ = dec_pomdp_plan(belief, 1, actions, forest, model)
-            joint_sma, _ = sma_nbo_plan(belief, intents, None, 1, actions, forest, model)
+            joint_sma, _ = sma_nbo_plan(belief, intents, 1, actions, forest, model)
             j_dec = rollout_cost(belief, joint_dec, forest, model, 1).cost
             j_sma = rollout_cost(belief, joint_sma, forest, model, 1).cost
             assert j_dec <= j_sma + 1e-9
@@ -672,9 +662,9 @@ class TestMcr:
             forest = generate_forest(10.0, 5.0, Aoi(150, 100), rng)
             intents = extend_intent(None, 2, 2)
             joint_mcr, _ = mcr_plan(
-                belief, 2, 5, np.random.default_rng(0), intents, None, actions, forest, model
+                belief, 2, 5, np.random.default_rng(0), intents, actions, forest, model
             )
-            joint_sma, _ = sma_nbo_plan(belief, intents, None, 2, actions, forest, model)
+            joint_sma, _ = sma_nbo_plan(belief, intents, 2, actions, forest, model)
             assert joint_mcr == joint_sma
 
     def test_single_noise_free_sample_equals_nominal(self):
@@ -684,9 +674,9 @@ class TestMcr:
         belief = self._degenerate_belief(rng)
         intents = extend_intent(None, 1, 2)
         joint_mcr, _ = mcr_plan(
-            belief, 1, 1, np.random.default_rng(1), intents, None, actions, EMPTY, model
+            belief, 1, 1, np.random.default_rng(1), intents, actions, EMPTY, model
         )
-        joint_sma, _ = sma_nbo_plan(belief, intents, None, 1, actions, EMPTY, model)
+        joint_sma, _ = sma_nbo_plan(belief, intents, 1, actions, EMPTY, model)
         assert joint_mcr == joint_sma
 
     def test_deterministic_given_seed(self):
@@ -695,8 +685,8 @@ class TestMcr:
         model = ncv_model(1.0, 1.0)
         actions = action_set(5.0, 4, 1)
         intents = extend_intent(prev, 2, 2)
-        a, _ = mcr_plan(belief, 2, 8, np.random.default_rng(5), intents, None, actions, forest, model)
-        b, _ = mcr_plan(belief, 2, 8, np.random.default_rng(5), intents, None, actions, forest, model)
+        a, _ = mcr_plan(belief, 2, 8, np.random.default_rng(5), intents, actions, forest, model)
+        b, _ = mcr_plan(belief, 2, 8, np.random.default_rng(5), intents, actions, forest, model)
         assert a == b
 
     def test_sample_count_validated(self):
@@ -704,7 +694,7 @@ class TestMcr:
         belief, forest, prev = random_instance(rng, 1, 1, 1)
         with pytest.raises(ValueError):
             mcr_plan(
-                belief, 1, 0, np.random.default_rng(0), extend_intent(prev, 1, 1), None,
+                belief, 1, 0, np.random.default_rng(0), extend_intent(prev, 1, 1),
                 action_set(5.0, 4, 1), forest, ncv_model(1.0, 1.0),
             )
 
@@ -717,7 +707,7 @@ class TestComplexityCounts:
             actions = action_set(5.0, headings, 1)
             belief, forest, prev = random_instance(rng, n, 2, h)
             intents = extend_intent(prev, h, n)
-            _, stats = sma_nbo_plan(belief, intents, None, h, actions, forest, model)
+            _, stats = sma_nbo_plan(belief, intents, h, actions, forest, model)
             assert stats.rollout_evals == n * len(actions) ** h
             assert stats.per_agent_evals == (len(actions) ** h,) * n
 

@@ -94,6 +94,10 @@ class TestLevyTrajectory:
         b = generate_levy_trajectory(20.0, 0.2, (1.0, 3.0), AOI, np.random.default_rng(9))
         assert np.array_equal(a.samples, b.samples)
 
+    def test_zero_speed_rejected(self):
+        with pytest.raises(ValueError, match="speed_range"):
+            generate_levy_trajectory(10.0, 0.2, (0.0, 0.0), AOI, np.random.default_rng(0))
+
 
 class TestMapIo:
     def test_empty_forest_round_trip(self, tmp_path):
