@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
@@ -127,10 +128,14 @@ _SECTIONS = (("scenario", _SCENARIO_KEYS, "base."), ("experiment", _EXPERIMENT_K
 _KEY_ATTRS = {"aoi_width": "aoi.width", "aoi_height": "aoi.height", "lambda": "lam"}
 
 
-def _line_of(path: str, key: str) -> int:
+def _line_of(path: str, section: str, key: str) -> int:
+    """Line of ``key`` in ``[section]``; keys compare as configparser reads them."""
+    current = None
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
-        if stripped.startswith((f"{key} ", f"{key}=", f"{key}:", f"{key}\t")) or stripped == key:
+        if stripped.startswith("[") and stripped.endswith("]"):
+            current = stripped[1:-1]
+        elif current == section and re.match("[^=:]*", stripped)[0].strip().lower() == key:
             return lineno
     return 0
 
@@ -169,13 +174,13 @@ def parse_config(path: str) -> ExperimentSpec:
         for key, raw in parser.items(name):
             if key not in keys:
                 raise ConfigError(
-                    f"{path}: line {_line_of(path, key)}: unknown {name} key {key!r}"
+                    f"{path}: line {_line_of(path, name, key)}: unknown {name} key {key!r}"
                 )
             try:
                 values[name][key] = _convert(keys[key], raw)
             except ValueError as exc:
                 raise ConfigError(
-                    f"{path}: line {_line_of(path, key)}: bad value for {key!r}: {exc}"
+                    f"{path}: line {_line_of(path, name, key)}: bad value for {key!r}: {exc}"
                 ) from exc
     return build_spec(values["scenario"], values["experiment"])
 

@@ -16,15 +16,20 @@ Three decision architectures are provided:
   * a Monte-Carlo variant of the sweep that averages the rollout cost
     over target trajectories sampled from the belief.
 
-Candidate evaluation inside one optimization stage is vectorized across
-candidates; results are reduced by (cost, enumeration index) so the
-outcome is identical to evaluating candidates one by one in order.
+All three search one prefix tree level by level (_PrefixTree): each
+level extends the surviving prefixes by every choice through one rollout
+step, so a shared prefix is rolled out once. A sweep stage expands one
+agent's actions, exhaustively or by beam search; the joint optimization
+expands all agents' joint actions. Leaves are reduced by (cost,
+enumeration index), so the outcome is identical to scoring complete
+sequences one by one in order.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .worldgen import OcclusionForest
 
 _EYE4 = np.eye(4)
 
-# Candidates scored per kernel call by the exhaustive scan.
+# Most prefixes or leaves one search step extends and scores at once.
 SCAN_CHUNK = 4096
 
 # Largest joint sequence space dec_pomdp_plan will enumerate.
@@ -79,14 +84,6 @@ class RolloutResult:
     cost: float
     step_traces: tuple[float, ...]
     hectg_value: float
-
-
-@dataclass(frozen=True)
-class OptimizeResult:
-    policy: PolicySeq
-    cost: float
-    incumbent_cost: float
-    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,7 @@ def mwtp(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized candidate evaluation
+# Level-wise search over the prefix tree of candidate sequences
 # ---------------------------------------------------------------------------
 
 
@@ -363,239 +360,218 @@ def _sample_target_paths(
     return out
 
 
-def _policy_velocities(policy: PolicySeq) -> np.ndarray:
-    return np.array([[a.ux, a.uy] for a in policy.actions])
+class _Nodes(NamedTuple):
+    """A block of prefixes at one level of the search tree, in expansion order."""
+
+    paths: np.ndarray  # (N, level) choice index at each step
+    offset: np.ndarray  # (N, movers, 2) each moving agent's summed v*dt
+    p: np.ndarray  # (N, S, T, 4, 4) covariances after the level's step
+    cost: np.ndarray  # (N, S) accumulated trace per target sample
 
 
-def _positions_from_velocities(start_xy: np.ndarray, vel: np.ndarray, dt: float) -> np.ndarray:
-    """Step positions for velocity commands (..., h, 2) from a start point."""
-    return start_xy + np.cumsum(vel * dt, axis=-2)
+class _Found(NamedTuple):
+    path: np.ndarray | None  # choice index per step of the best leaf
+    cost: float
+    watched: float  # cost of the leaf at position ``watch``, NaN if unwatched
+    scored: int  # leaves plus ranked beam prefixes
 
 
-def _batched_rollout_costs(
-    belief: FleetBelief,
-    model: NcvModel,
-    agent_pos: list[np.ndarray],
-    target_pos: np.ndarray,
-    free: np.ndarray,
-    hectg: str,
-    beta: float,
-) -> np.ndarray:
-    """Rollout costs for a block of candidates, averaged over target samples.
+class _PrefixTree:
+    """The covariance rollouts of one planning call, expanded level by level.
 
-    agent_pos holds per-agent step positions with leading candidate axis 1
-    (shared across candidates) or C; target_pos is (S, T, h, 2) with the
-    matching occlusion-free mask. Agents are applied in index order so the
-    result matches the scalar evaluator.
+    A search lets the agents whose ``fixed`` entry is None (the movers)
+    pick one row of a (b, movers, 2) velocity table at every step, while
+    every other agent i flies the step positions ``fixed[i]`` (1, h, 2).
+    Each level predicts the surviving prefixes' covariances once, extends
+    every prefix by every choice in (parent, choice) order, applies that
+    step's covariance-only updates (tracks, then agents, in index order)
+    and adds the step's trace. A mover's position is its start plus the
+    summed v*dt of its prefix, the sums np.cumsum forms, so each leaf costs
+    exactly what a rollout of its whole sequence costs.
     """
-    n_samples, n_tracks, h, _ = target_pos.shape
-    n_cand = max(a.shape[0] for a in agent_pos)
-    if n_tracks == 0:
-        return np.zeros(n_cand)
-    alphas = [a.alpha for a in belief.agents]
-    r0s = [a.r0 for a in belief.agents]
-    hws = [a.half_width for a in belief.agents]
-    p = np.broadcast_to(
-        np.stack([t.P for t in belief.tracks]), (n_cand, n_samples, n_tracks, 4, 4)
-    ).copy()
-    cost = np.zeros((n_cand, n_samples))
-    for l in range(h):
-        p = model.F @ p @ model.F.T + model.Q
-        for t in range(n_tracks):
-            tp = target_pos[:, t, l, :]
-            ft = free[:, t, l]
-            if not ft.any():
-                continue
-            for i, apos in enumerate(agent_pos):
-                delta = tp[None, :, :] - apos[:, None, l, :]
-                vis = (
-                    (np.abs(delta[..., 0]) <= hws[i])
-                    & (np.abs(delta[..., 1]) <= hws[i])
-                    & ft[None, :]
-                )
-                vis = np.broadcast_to(vis, (n_cand, n_samples))
-                if not vis.any():
-                    continue
-                delta_full = np.broadcast_to(delta, (n_cand, n_samples, 2))
-                r = _range_bearing_cov_batch(delta_full[vis], alphas[i], r0s[i])
-                pt = p[:, :, t]
-                pt[vis] = _joseph_update_batch(pt[vis], r)
-        cost += np.trace(p, axis1=-2, axis2=-1).sum(axis=2)
-    costs = cost.mean(axis=1)
-    if hectg == "mwtp":
-        if n_samples != 1:
-            raise ValueError("terminal penalty is only defined for the nominal rollout")
-        end_targets = target_pos[0, :, h - 1, :]
-        end_traces = np.trace(p[:, 0], axis1=-2, axis2=-1)
-        end_agent = np.stack(
-            [np.broadcast_to(a[:, h - 1, :], (n_cand, 2)) for a in agent_pos], axis=1
-        )
-        covered = np.zeros((n_cand, n_tracks), dtype=bool)
-        for i in range(len(agent_pos)):
-            d = np.abs(end_targets[None, :, :] - end_agent[:, i, None, :])
-            covered |= (d[..., 0] <= hws[i]) & (d[..., 1] <= hws[i])
-        half_widths = np.array(hws)
-        for c in range(n_cand):
-            mask = ~covered[c]
-            if not mask.any():
-                continue
-            costs[c] += mwtp_detailed(
-                end_agent[c], half_widths, end_targets[mask], end_traces[c][mask], beta
-            )[0]
-    return costs
-
-
-def _exhaustive_scan(
-    n_actions: int,
-    length: int,
-    score: Callable[[np.ndarray], np.ndarray],
-    watch: int | None = None,
-) -> tuple[tuple[int, ...] | None, float, float]:
-    """First strict minimum of ``score`` over every action-index sequence.
-
-    Sequences of ``length`` digits in ``range(n_actions)`` are visited in
-    lexicographic order, SCAN_CHUNK at a time; ``score`` maps a (C, length)
-    block to C costs. Returns the best sequence (None if no cost beat
-    infinity), its cost, and the cost at flat index ``watch`` (NaN if
-    unwatched).
-    """
-    shape = (n_actions,) * length
-    total = n_actions**length
-    best_cost = math.inf
-    best_seq: tuple[int, ...] | None = None
-    watched = math.nan
-    for lo in range(0, total, SCAN_CHUNK):
-        flat = np.arange(lo, min(lo + SCAN_CHUNK, total))
-        rows = np.stack(np.unravel_index(flat, shape), axis=1)
-        costs = score(rows)
-        j = int(np.argmin(costs))
-        if costs[j] < best_cost:
-            best_cost = float(costs[j])
-            best_seq = tuple(int(v) for v in rows[j])
-        if watch is not None and lo <= watch < lo + len(flat):
-            watched = float(costs[watch - lo])
-    return best_seq, best_cost, watched
-
-
-class _StageEvaluator:
-    """Scores one agent's candidate sequences with all others held fixed."""
 
     def __init__(
         self,
         belief: FleetBelief,
         model: NcvModel,
         forest: OcclusionForest,
-        h: int,
         target_paths: np.ndarray,
-        hectg: str,
-        beta: float,
+        hectg: str = "none",
+        beta: float = 1.0,
     ):
-        self.belief = belief
-        self.model = model
-        self.h = h
+        self.belief, self.model, self.hectg, self.beta = belief, model, hectg, beta
         self.target_paths = target_paths
         self.free = _free_of_occlusion(target_paths, forest)
-        self.hectg = hectg
-        self.beta = beta
+        self.h = target_paths.shape[2]
 
-    def fixed_positions(self, joint: list[PolicySeq]) -> list[np.ndarray]:
+    def positions(self, joint: list[PolicySeq]) -> list[np.ndarray]:
+        """Step positions (1, h, 2) of every agent flying its policy in ``joint``."""
+        vel = [np.array([[[a.ux, a.uy] for a in seq.actions]]) for seq in joint]
         return [
-            _positions_from_velocities(
-                agent.position, _policy_velocities(joint[i])[None, :, :], self.model.dt
-            )
-            for i, agent in enumerate(self.belief.agents)
+            agent.position + np.cumsum(v * self.model.dt, axis=1)
+            for agent, v in zip(self.belief.agents, vel)
         ]
 
-    def candidate_costs(
+    def search(
         self,
-        agent_index: int,
-        cand_vel: np.ndarray,
-        fixed_pos: list[np.ndarray],
-        prefix: int | None = None,
-    ) -> np.ndarray:
-        """Costs of (C, h', 2) velocity candidates for one agent's slot."""
-        h_eff = cand_vel.shape[1] if prefix is None else prefix
-        start = self.belief.agents[agent_index].position
-        pos = [a[:, :h_eff, :] for a in fixed_pos]
-        pos[agent_index] = _positions_from_velocities(
-            start, cand_vel[:, :h_eff, :], self.model.dt
+        fixed: list[np.ndarray | None],
+        choice_xy: np.ndarray,
+        keep: int | None = None,
+        watch: int | None = None,
+        rank: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> _Found:
+        """Lowest-cost leaf, scored in blocks of at most SCAN_CHUNK.
+
+        With ``keep`` None every prefix is expanded; otherwise a beam keeps
+        the ``keep`` best prefixes per level by (mean cost, position) and
+        expands them in that rank order. The first strict minimum wins:
+        ties go to the earliest leaf or, given ``rank``, to the lowest
+        rank(paths).
+        """
+        self.fixed = fixed
+        self.movers = [i for i, f in enumerate(fixed) if f is None]
+        self.step_xy = choice_xy * self.model.dt
+        self.scored = 0
+        n_samples, n_tracks = self.target_paths.shape[:2]
+        p0 = np.array([t.P for t in self.belief.tracks]).reshape(n_tracks, 4, 4)
+        root = _Nodes(
+            np.zeros((1, 0), dtype=int),
+            np.full((1, len(self.movers), 2), -0.0),  # -0.0 + x == x, as cumsum starts
+            np.broadcast_to(p0, (1, n_samples, n_tracks, 4, 4)).copy(),
+            np.zeros((1, n_samples)),
         )
-        hectg = self.hectg if h_eff == self.h else "none"
-        return _batched_rollout_costs(
-            self.belief,
-            self.model,
-            pos,
-            self.target_paths[:, :, :h_eff, :],
-            self.free[:, :, :h_eff],
-            hectg,
-            self.beta,
+        best, best_cost, best_rank, watched, lo = None, math.inf, 0, math.nan, 0
+        for paths, costs in self._expand(root, 0, keep):
+            j = int(np.argmin(costs))
+            r = lo + j
+            if rank is not None:
+                ties = np.flatnonzero(costs == costs[j])  # empty if costs[j] is NaN
+                if len(ties):
+                    ranks = rank(paths[ties])
+                    j, r = int(ties[np.argmin(ranks)]), int(ranks.min())
+            if costs[j] < best_cost or (costs[j] == best_cost and r < best_rank):
+                best, best_cost, best_rank = paths[j], float(costs[j]), r
+            if watch is not None and lo <= watch < lo + len(costs):
+                watched = float(costs[watch - lo])
+            lo += len(costs)
+        return _Found(best, best_cost, watched, self.scored)
+
+    def _expand(self, nodes: _Nodes, level: int, keep: int | None):
+        """Leaf blocks (paths, costs) below ``nodes``, depth first."""
+        blocks = self._children(nodes, level)
+        if level + 1 == self.h:
+            for leaves in blocks:
+                self.scored += len(leaves.cost)
+                yield leaves.paths, self._leaf_costs(leaves)
+        elif keep is None:
+            for block in blocks:
+                yield from self._expand(block, level + 1, keep)
+        else:
+            kids = _Nodes(*map(np.concatenate, zip(*blocks)))
+            mean = kids.cost.mean(axis=1)
+            self.scored += len(mean)
+            ranked = sorted(range(len(mean)), key=lambda i: (mean[i], i))[:keep]
+            yield from self._expand(_Nodes(*(a[ranked] for a in kids)), level + 1, keep)
+
+    def _children(self, nodes: _Nodes, level: int):
+        """Children of ``nodes`` after step ``level``, SCAN_CHUNK at a time."""
+        pred = self.model.F @ nodes.p @ self.model.F.T + self.model.Q
+        n_choices = len(self.step_xy)
+        total = len(pred) * n_choices
+        for lo in range(0, total, SCAN_CHUNK):
+            parent, choice = np.divmod(np.arange(lo, min(lo + SCAN_CHUNK, total)), n_choices)
+            offset = nodes.offset[parent] + self.step_xy[choice]
+            p = pred[parent]
+            cost = nodes.cost[parent] + self._update(p, offset, level)
+            yield _Nodes(np.column_stack((nodes.paths[parent], choice)), offset, p, cost)
+
+    def _agent_xy(self, offset: np.ndarray, level: int) -> list[np.ndarray]:
+        """Each agent's position after step ``level``: (1, 2) fixed, (N, 2) moving."""
+        pos = [f if f is None else f[:, level, :] for f in self.fixed]
+        for k, i in enumerate(self.movers):
+            pos[i] = self.belief.agents[i].position + offset[:, k, :]
+        return pos
+
+    def _update(self, p: np.ndarray, offset: np.ndarray, level: int) -> np.ndarray:
+        """Step ``level``'s measurement updates of p in place; the (N, S) trace."""
+        n, n_samples = p.shape[:2]
+        agent_xy = self._agent_xy(offset, level)
+        for t in range(p.shape[2]):
+            tp = self.target_paths[:, t, level, :]
+            ft = self.free[:, t, level]
+            if not ft.any():
+                continue
+            for agent, apos in zip(self.belief.agents, agent_xy):
+                hw = agent.half_width
+                delta = tp[None, :, :] - apos[:, None, :]
+                vis = (np.abs(delta[..., 0]) <= hw) & (np.abs(delta[..., 1]) <= hw) & ft[None, :]
+                vis = np.broadcast_to(vis, (n, n_samples))
+                if not vis.any():
+                    continue
+                delta_full = np.broadcast_to(delta, (n, n_samples, 2))
+                r = _range_bearing_cov_batch(delta_full[vis], agent.alpha, agent.r0)
+                pt = p[:, :, t]
+                pt[vis] = _joseph_update_batch(pt[vis], r)
+        return np.trace(p, axis1=-2, axis2=-1).sum(axis=2)
+
+    def _leaf_costs(self, leaves: _Nodes) -> np.ndarray:
+        """Mean cost over target samples plus the terminal penalty, if any."""
+        costs = leaves.cost.mean(axis=1)
+        if self.hectg != "mwtp":
+            return costs
+        end_targets = self.target_paths[0, :, -1, :]
+        end_traces = np.trace(leaves.p[:, 0], axis1=-2, axis2=-1)
+        end_agent = np.stack(
+            [np.broadcast_to(a, (len(costs), 2)) for a in self._agent_xy(leaves.offset, -1)],
+            axis=1,
         )
+        half_widths = np.array([a.half_width for a in self.belief.agents])
+        d = np.abs(end_targets[None, None, :, :] - end_agent[:, :, None, :])
+        covered = ((d[..., 0] <= half_widths[:, None]) & (d[..., 1] <= half_widths[:, None])).any(1)
+        for c in np.flatnonzero(~covered.all(axis=1)):
+            mask = ~covered[c]
+            costs[c] += mwtp_detailed(
+                end_agent[c], half_widths, end_targets[mask], end_traces[c][mask], self.beta
+            )[0]
+        return costs
 
 
 def _search_stage(
-    ev: _StageEvaluator,
-    agent_index: int,
-    joint: list[PolicySeq],
-    actions: list[Action],
-) -> OptimizeResult:
-    """Best sequence for one agent: exhaustive enumeration or beam search.
+    tree: _PrefixTree, agent_index: int, joint: list[PolicySeq], actions: list[Action]
+) -> tuple[PolicySeq, float, float, int]:
+    """Best sequence for one agent, every other agent flying its ``joint`` entry.
 
-    The agent's entry in ``joint`` is its incumbent. It is always scored
-    so the returned cost never exceeds it; ties go to the earliest
-    candidate in enumeration order.
+    Returns the policy, its cost, the incumbent's cost and the sequences
+    scored. The stage expands the agent's whole tree while |A|^h <=
+    EXHAUSTIVE_LIMIT and runs a beam search beyond. The agent's entry in
+    ``joint`` is its incumbent. It is always scored, as a leaf of the whole
+    tree or else alone, so the returned cost never exceeds it.
     """
     incumbent = joint[agent_index]
-    n_actions = len(actions)
-    h = ev.h
-    action_xy = np.array([[a.ux, a.uy] for a in actions])
-    fixed_pos = ev.fixed_positions(joint)
+    n_actions, h = len(actions), tree.h
+    fixed = tree.positions(joint)
+    movers = [None if i == agent_index else f for i, f in enumerate(fixed)]
     index_of = {(a.ux, a.uy): i for i, a in enumerate(actions)}
     inc_idx_seq = tuple(index_of.get((a.ux, a.uy)) for a in incumbent.actions)
-
-    if n_actions**h <= EXHAUSTIVE_LIMIT:
-        inc_flat = None
-        if None not in inc_idx_seq:
-            inc_flat = int(np.ravel_multi_index(inc_idx_seq, (n_actions,) * h))
-        best_seq, best_cost, incumbent_cost = _exhaustive_scan(
-            n_actions,
-            h,
-            lambda rows: ev.candidate_costs(agent_index, action_xy[rows], fixed_pos),
-            inc_flat,
-        )
-        evaluations = n_actions**h
-    else:
-        evaluations = 0
-        incumbent_cost = math.nan
-        beam: list[tuple[int, ...]] = [()]
-        for level in range(1, h + 1):
-            expanded = [seq + (a,) for seq in beam for a in range(n_actions)]
-            cand = np.array(expanded)
-            padded = np.zeros((len(cand), h, 2))
-            padded[:, :level, :] = action_xy[cand]
-            costs = ev.candidate_costs(agent_index, padded, fixed_pos, prefix=level)
-            evaluations += len(cand)
-            ranked = sorted(range(len(cand)), key=lambda i: (costs[i], i))
-            if level == h:
-                j = ranked[0]
-                best_cost = float(costs[j])
-                best_seq = tuple(expanded[j])
-            else:
-                beam = [expanded[i] for i in ranked[:BEAM_WIDTH]]
-
+    exhaustive = n_actions**h <= EXHAUSTIVE_LIMIT
+    watch = None
+    if exhaustive and None not in inc_idx_seq:
+        watch = int(np.ravel_multi_index(inc_idx_seq, (n_actions,) * h))
+    choice_xy = np.array([[[a.ux, a.uy]] for a in actions])
+    best_seq, best_cost, incumbent_cost, evaluations = tree.search(
+        movers, choice_xy, None if exhaustive else BEAM_WIDTH, watch
+    )
     if math.isnan(incumbent_cost):
-        inc_vel = _policy_velocities(incumbent)[None, :, :]
-        incumbent_cost = float(ev.candidate_costs(agent_index, inc_vel, fixed_pos)[0])
-        evaluations += 1
+        lone = tree.search(fixed, np.zeros((1, 0, 2)), watch=0)
+        incumbent_cost = lone.watched
+        evaluations += lone.scored
         if incumbent_cost < best_cost:
-            best_cost = incumbent_cost
-            best_seq = None
+            best_cost, best_seq = incumbent_cost, None
     if best_seq is None:
         policy = replace(incumbent, agent_id=agent_index)
     else:
         policy = PolicySeq(agent_id=agent_index, actions=tuple(actions[a] for a in best_seq))
-    return OptimizeResult(
-        policy=policy, cost=best_cost, incumbent_cost=incumbent_cost, evaluations=evaluations
-    )
+    return policy, best_cost, incumbent_cost, evaluations
 
 
 def extend_intent(
@@ -635,19 +611,14 @@ def _sweep(
         raise ValueError("intents must cover every agent")
     if any(len(p) != h for p in intents):
         raise ValueError("intent policies must have length h")
-    ev = _StageEvaluator(belief, model, forest, h, target_paths, hectg, beta)
+    tree = _PrefixTree(belief, model, forest, target_paths, hectg, beta)
     joint = list(intents)
     stages = []
     for i in range(n_agents):
-        stages.append(_search_stage(ev, i, joint, actions))
-        joint[i] = stages[-1].policy
-    stats = PlanStats(
-        rollout_evals=sum(r.evaluations for r in stages),
-        per_agent_evals=tuple(r.evaluations for r in stages),
-        stage_incumbent_costs=tuple(r.incumbent_cost for r in stages),
-        stage_best_costs=tuple(r.cost for r in stages),
-    )
-    return joint, stats
+        joint[i], *result = _search_stage(tree, i, joint, actions)
+        stages.append(result)
+    best_costs, incumbent_costs, evals = zip(*stages)
+    return joint, PlanStats(sum(evals), evals, incumbent_costs, best_costs)
 
 
 def sma_nbo_plan(
@@ -717,35 +688,31 @@ def dec_pomdp_plan(
 
     In this architecture each agent enumerates the full joint sequence
     space on the shared belief, with no decision exchange. The beliefs
-    are identical and the scan keeps the first minimum, so every agent's
+    are identical and the search keeps the first minimum, so every agent's
     solve returns the same joint plan by construction: one solve stands
-    for all of them. PlanStats still counts the modelled work, |A|^(nH)
-    rollouts per agent.
+    for all of them. The tree extends all agents' joint actions step by
+    step; ties go to the sequence that comes first read agent by agent.
+    PlanStats still counts the modelled work, |A|^(nH) rollouts per agent.
     """
     n_agents = len(belief.agents)
     n_actions = len(actions)
     joint_count = dec_pomdp_joint_count(n_actions, n_agents, h)
-    action_xy = np.array([[a.ux, a.uy] for a in actions])
-    target_paths = _nominal_paths(belief, model, h)
-    free = _free_of_occlusion(target_paths, forest)
+    # Joint choice c gives agent i action digits[c, i], agent 0 most significant.
+    digits = np.indices((n_actions,) * n_agents).reshape(n_agents, -1).T
+    place = n_actions ** np.arange(n_agents * h - 1, -1, -1)
 
-    def score(rows: np.ndarray) -> np.ndarray:
-        seqs = rows.reshape(len(rows), n_agents, h)
-        pos = [
-            _positions_from_velocities(agent.position, action_xy[seqs[:, i, :]], model.dt)
-            for i, agent in enumerate(belief.agents)
-        ]
-        return _batched_rollout_costs(belief, model, pos, target_paths, free, "none", 1.0)
+    def agent_major(paths: np.ndarray) -> np.ndarray:
+        """Flat index of each leaf's digits read agent by agent, step by step."""
+        return digits[paths].transpose(0, 2, 1).reshape(len(paths), -1) @ place
 
-    best, best_cost, _ = _exhaustive_scan(n_actions, n_agents * h, score)
-    assert best is not None
+    tree = _PrefixTree(belief, model, forest, _nominal_paths(belief, model, h))
+    choice_xy = np.array([[a.ux, a.uy] for a in actions])[digits]
+    found = tree.search([None] * n_agents, choice_xy, rank=agent_major)
+    assert found.path is not None
+    seqs = digits[found.path]
     joint = [
-        PolicySeq(agent_id=i, actions=tuple(actions[a] for a in best[i * h : (i + 1) * h]))
+        PolicySeq(agent_id=i, actions=tuple(actions[a] for a in seqs[:, i]))
         for i in range(n_agents)
     ]
-    stats = PlanStats(
-        rollout_evals=n_agents * joint_count,
-        per_agent_evals=(joint_count,) * n_agents,
-        stage_best_costs=(best_cost,),
-    )
+    stats = PlanStats(n_agents * joint_count, (joint_count,) * n_agents, (), (found.cost,))
     return joint, stats

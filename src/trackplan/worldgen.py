@@ -20,6 +20,10 @@ LEVY_STEP_SCALE = 1.0
 LEVY_STEP_MIN = 1.0
 LEVY_STEP_MAX = 40.0
 
+# Longest trial a ScenarioConfig may ask for, in sensing steps. Truth and
+# log arrays grow with it: 10^6 steps of four target states is 32 MB each.
+MAX_SENSE_STEPS = 1_000_000
+
 
 class ForestPlacementError(RuntimeError):
     """Rejection sampling exhausted its retry budget (forest too dense)."""
@@ -27,6 +31,14 @@ class ForestPlacementError(RuntimeError):
 
 class MapFormatError(ValueError):
     """A map file could not be parsed."""
+
+
+def _finite(value) -> bool:
+    """Whether value() is a finite float; Python's ** raises on overflow."""
+    try:
+        return math.isfinite(value())
+    except OverflowError:
+        return False
 
 
 def _q6(x: float) -> float:
@@ -150,6 +162,20 @@ class ScenarioConfig:
             raise ValueError(
                 f"duration={self.duration} must be a whole positive number of "
                 f"dt_plan={self.dt_plan} epochs"
+            )
+        if self.duration / self.dt_sense > MAX_SENSE_STEPS:
+            raise ValueError(
+                f"duration={self.duration} at dt_sense={self.dt_sense} exceeds "
+                f"{MAX_SENSE_STEPS} sensing steps"
+            )
+        # The process noise sigma_a^2 * (dt^2, dt^3/2, dt^4/4) at either period
+        # and the OSPA total, at most n_targets * c^p, must be finite.
+        for dt in (self.dt_sense, self.dt_plan):
+            if not _finite(lambda: self.sigma_a**2 * max(dt * dt, dt**3 / 2.0, dt**4 / 4.0)):
+                raise ValueError(f"sigma_a={self.sigma_a} overflows the process noise at dt={dt}")
+        if not _finite(lambda: self.n_targets * self.ospa_c**self.ospa_p):
+            raise ValueError(
+                f"ospa_c**ospa_p overflows: ospa_c={self.ospa_c}, ospa_p={self.ospa_p}"
             )
         if len(self.fov_edges) != self.n_agents or len(self.alphas) != self.n_agents:
             raise ValueError("fov_edges and alphas must have one entry per agent")

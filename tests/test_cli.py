@@ -51,6 +51,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 3.*bogus_key"):
             parse_config(str(path))
 
+    def test_capitalised_key_reported_at_its_line(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[scenario]\nseed = 7\nFoo = 3\n")
+        with pytest.raises(ConfigError, match=r"line 3: unknown scenario key 'foo'"):
+            parse_config(str(path))
+
+    def test_key_repeated_in_later_section_reported_there(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[scenario]\nseed = 7\n[experiment]\nseed = 3\n")
+        with pytest.raises(ConfigError, match=r"line 4: unknown experiment key 'seed'"):
+            parse_config(str(path))
+
     def test_invalid_ospa_order_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[scenario]\nseed = 1\nospa_p = 0\n")
@@ -209,11 +221,18 @@ class TestMain:
             "[experiment]\nhorizons = 0",
             "speed_min = 0\nspeed_max = 0",
             "[experiment]\nplanners = sma-nbo,dec-pomdp\nhorizons = 1,3",
+            "ospa_p = 400",
+            "ospa_p = 1e300",
+            "ospa_c = 1e300",
+            "sigma_a = 1e200",
+            "dt_sense = 1e-300",
+            "duration = 1e300",
         ],
     )
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(f"[scenario]\nduration = 2\n{line}\n")
+        scenario = line if line.startswith("duration") else f"duration = 2\n{line}"
+        cfg.write_text(f"[scenario]\n{scenario}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         self._assert_one_config_error(capsys, tmp_path)
 

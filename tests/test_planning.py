@@ -31,11 +31,8 @@ from trackplan import (
 )
 from trackplan.planning import (
     EXHAUSTIVE_LIMIT,
-    _batched_rollout_costs,
-    _free_of_occlusion,
     _nominal_paths,
-    _policy_velocities,
-    _positions_from_velocities,
+    _PrefixTree,
     mwtp_detailed,
 )
 
@@ -99,17 +96,14 @@ def random_instance(rng, n_agents, n_targets, h, with_forest=True):
     return belief, forest, joint
 
 
+# No agent moves: the tree has one leaf, the fixed joint policy.
+NO_CHOICE = np.zeros((1, 0, 2))
+
+
 def engine_cost(belief, joint, forest, model, h, hectg="none", beta=1.0):
-    """Cost of one joint policy through the vectorized evaluator."""
-    paths = _nominal_paths(belief, model, h)
-    free = _free_of_occlusion(paths, forest)
-    pos = [
-        _positions_from_velocities(
-            agent.position, _policy_velocities(joint[i])[None, :, :], model.dt
-        )
-        for i, agent in enumerate(belief.agents)
-    ]
-    return float(_batched_rollout_costs(belief, model, pos, paths, free, hectg, beta)[0])
+    """Cost of one joint policy scored alone through the prefix-tree search."""
+    tree = _PrefixTree(belief, model, forest, _nominal_paths(belief, model, h), hectg, beta)
+    return tree.search(tree.positions(joint), NO_CHOICE).cost
 
 
 class TestActionSet:
@@ -356,14 +350,9 @@ class TestBatchMatchesReference:
             belief, forest, joint = random_instance(rng, 2, 2, 2)
             h, n_samples = 2, 4
             paths = rng.uniform(0, 150, (n_samples, len(belief.tracks), h, 2))
-            free = _free_of_occlusion(paths, forest)
-            pos = [
-                _positions_from_velocities(
-                    agent.position, _policy_velocities(joint[i])[None, :, :], model.dt
-                )
-                for i, agent in enumerate(belief.agents)
-            ]
-            fast = float(_batched_rollout_costs(belief, model, pos, paths, free, "none", 1.0)[0])
+            tree = _PrefixTree(belief, model, forest, paths)
+            pos = tree.positions(joint)
+            fast = tree.search(pos, NO_CHOICE).cost
             # literal per-sample covariance recursion
             total = 0.0
             for s in range(n_samples):
@@ -434,6 +423,40 @@ class TestOptimizeSingle:
         assert stats.stage_best_costs[0] <= stats.stage_incumbent_costs[0] + 1e-9
         # beam path: 5 prefixes, then the 3 kept x 5, plus the incumbent
         assert stats.per_agent_evals[0] == 5 + 3 * 5 + 1
+
+    def test_beam_matches_literal_beam_on_ties(self, monkeypatch):
+        monkeypatch.setattr("trackplan.planning.EXHAUSTIVE_LIMIT", 10)
+        monkeypatch.setattr("trackplan.planning.BEAM_WIDTH", 3)
+        # exact moves from an exact start, so equal sums give equal positions.
+        # Track 0 is never seen; track 1 passes (7.5, 20), (14, 20), (20.5, 20)
+        # and is seen only from (15, 20) at step 2 and (20, 20) at step 3.
+        # Every level ties (H hover, E east): all level-1 prefixes, HE with EH
+        # at level 2, and HEE with EHE at the leaves.
+        actions = [Action(0.0, 0.0), Action(5.0, 0.0), Action(-5.0, 0.0),
+                   Action(0.0, 5.0), Action(0.0, -5.0)]
+        belief = FleetBelief(
+            tracks=(track_at(0, 1000.0, 1000.0), track_at(1, 1.0, 20.0, vx=6.5)),
+            agents=(agent_at(10.0, 20.0, fov_edge=4.0),),
+        )
+        model = ncv_model(1.0, 1.0)
+        joint, stats = sma_nbo_plan(belief, (hover_policy(0, 3),), 3, actions, EMPTY, model)
+
+        def cost(seq):
+            policy = PolicySeq(0, tuple(actions[a] for a in seq))
+            return rollout_cost(belief, [policy], EMPTY, model, len(seq)).cost
+
+        # literal beam: re-score every prefix, keep the 3 best by (cost,
+        # position), expand the survivors in that rank order
+        beam = [()]
+        for _ in range(3):
+            expanded = [seq + (a,) for seq in beam for a in range(len(actions))]
+            costs = [cost(seq) for seq in expanded]
+            ranked = sorted(range(len(expanded)), key=lambda i: (costs[i], i))
+            beam = [expanded[i] for i in ranked[:3]]
+        assert costs.count(min(costs)) == 2
+        assert beam[0] == (0, 1, 1)
+        assert joint[0].actions == tuple(actions[a] for a in beam[0])
+        assert stats.stage_best_costs[0] < stats.stage_incumbent_costs[0]
 
     def test_incumbent_outside_action_set_can_win(self):
         # the diagonal intent reaches a pose strictly closer to the target
@@ -618,15 +641,57 @@ class TestDecPomdp:
         belief, forest, _ = random_instance(rng, 3, 2, 1)
         actions = action_set(5.0, 8, 1)
         calls = []
+        search = _PrefixTree.search
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return _batched_rollout_costs(*args, **kwargs)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr("trackplan.planning._batched_rollout_costs", counting)
+        monkeypatch.setattr(_PrefixTree, "search", counting)
         _, stats = dec_pomdp_plan(belief, 1, actions, forest, ncv_model(1.0, 1.0))
         assert len(calls) == 1
         assert stats.per_agent_evals == (9**3,) * 3
+
+    @pytest.mark.parametrize("chunk", [4, 50])
+    def test_ties_go_to_first_agent_major_sequence(self, monkeypatch, chunk):
+        # 81 leaves in blocks of 4 (smaller than one parent's 9 children) or
+        # 50: the two tied leaves, 31st and 39th, in different blocks or one
+        monkeypatch.setattr("trackplan.planning.SCAN_CHUNK", chunk)
+        actions = [Action(0.0, 0.0), Action(5.0, 0.0), Action(-5.0, 0.0)]
+        # Track 0 is never seen. Agent 0 sees track 1 only after moving east
+        # twice. Agent 1 sees track 2 only from (105, 60) at step 2, which
+        # hover-east and east-hover reach alike: the minima tie exactly.
+        belief = FleetBelief(
+            tracks=(
+                track_at(0, 1000.0, 1000.0),
+                track_at(1, 27.0, 20.0),
+                track_at(2, 46.0, 60.0, vx=30.0),
+            ),
+            agents=(agent_at(10.0, 20.0), agent_at(100.0, 60.0, fov_edge=4.0)),
+        )
+        model = ncv_model(1.0, 1.0)
+        joint, stats = dec_pomdp_plan(belief, 2, actions, EMPTY, model)
+        # agent-major: (agent 0 step 0, agent 0 step 1, agent 1 step 0, agent 1 step 1)
+        combos = list(itertools.product(range(len(actions)), repeat=4))
+        costs = [
+            rollout_cost(
+                belief,
+                [PolicySeq(0, (actions[c[0]], actions[c[1]])),
+                 PolicySeq(1, (actions[c[2]], actions[c[3]]))],
+                EMPTY,
+                model,
+                2,
+            ).cost
+            for c in combos
+        ]
+        best = combos[costs.index(min(costs))]
+        assert costs.count(min(costs)) == 2
+        assert best == (1, 1, 0, 1)
+        assert [seq.actions for seq in joint] == [
+            (actions[best[0]], actions[best[1]]),
+            (actions[best[2]], actions[best[3]]),
+        ]
+        assert stats.per_agent_evals == (81, 81)
 
     def test_budget_guard_names_required_count(self):
         rng = np.random.default_rng(17)
