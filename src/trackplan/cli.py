@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -27,7 +26,6 @@ from .metrics import ecdf
 from .planning import BudgetExceededError, action_set, dec_pomdp_joint_count
 from .sim import PLANNERS, TrialLog, run_trial
 from .worldgen import (
-    Aoi,
     ForestPlacementError,
     OcclusionForest,
     ScenarioConfig,
@@ -58,29 +56,25 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not (self.planners and self.horizons and self.lambdas and self.radii):
             raise ConfigError("sweep lists must be non-empty")
-        if self.n_maps < 1:
-            raise ConfigError("n_maps must be >= 1")
-        if any(h < 1 for h in self.horizons):
-            raise ConfigError("horizons must all be >= 1")
-        if not all(math.isfinite(v) and v >= 0 for v in self.lambdas):
-            raise ConfigError(f"lambdas must be finite and >= 0, got {self.lambdas}")
-        if not all(math.isfinite(v) and v > 0 for v in self.radii):
-            raise ConfigError(f"radii must be finite and > 0, got {self.radii}")
+        for name in ("n_maps", "mcr_samples", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         for p in self.planners:
             if p not in PLANNERS:
                 raise ConfigError(f"unknown planner {p!r}; choose from {PLANNERS}")
-        if self.mcr_samples < 1:
-            raise ConfigError("mcr_samples must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        # Each sweep cell is checked as the scenario its trials will run.
+        try:
+            configs = _cell_configs(self)
+        except ValueError as exc:
+            raise ConfigError(f"invalid sweep: {exc}") from exc
         if "dec-pomdp" in self.planners:
             b = self.base
             n_actions = len(action_set(b.v_max, b.n_headings, b.n_speeds))
-            for h in self.horizons:
+            for config in configs.values():
                 try:
-                    dec_pomdp_joint_count(n_actions, b.n_agents, h)
+                    dec_pomdp_joint_count(n_actions, config.n_agents, config.horizon)
                 except BudgetExceededError as exc:
-                    raise ConfigError(f"dec-pomdp at horizon {h}: {exc}") from exc
+                    raise ConfigError(f"dec-pomdp at horizon {config.horizon}: {exc}") from exc
 
 
 _SCENARIO_KEYS = {
@@ -120,12 +114,27 @@ _EXPERIMENT_KEYS = {
     "workers": int,
 }
 
-# Config sections in the order they are checked and written, as (name, key
+# Config sections in the order they are checked and written: name -> (key
 # table, path from an ExperimentSpec to the object holding the values).
-_SECTIONS = (("scenario", _SCENARIO_KEYS, "base."), ("experiment", _EXPERIMENT_KEYS, ""))
+_SECTIONS = {"scenario": (_SCENARIO_KEYS, "base."), "experiment": (_EXPERIMENT_KEYS, "")}
 
 # Config keys that are not plain attributes of their section's object.
 _KEY_ATTRS = {"aoi_width": "aoi.width", "aoi_height": "aoi.height", "lambda": "lam"}
+
+# Command-line flags as (flag, section, key). A flag's text is read as the
+# key's value in a config file would be, and replaces the file's value.
+_FLAGS = (
+    ("--seed", "scenario", "seed"),
+    ("--planner", "experiment", "planners"),
+    ("--horizon", "experiment", "horizons"),
+    ("--lambda", "experiment", "lambdas"),
+    ("--radius", "experiment", "radii"),
+    ("--maps", "experiment", "n_maps"),
+    ("--duration", "scenario", "duration"),
+    ("--out", "experiment", "out_dir"),
+    ("--mcr-samples", "experiment", "mcr_samples"),
+    ("--workers", "experiment", "workers"),
+)
 
 
 def _line_of(path: str, section: str, key: str) -> int:
@@ -155,8 +164,8 @@ def _convert(kind, text: str):
     return tuple(parts)
 
 
-def parse_config(path: str) -> ExperimentSpec:
-    """Parse a key = value config file; unknown keys are hard errors."""
+def _read_config(path: str) -> dict[str, dict]:
+    """Converted values of a config file, by section; unknown keys are hard errors."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -165,10 +174,10 @@ def parse_config(path: str) -> ExperimentSpec:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in parser.sections():
-        if section not in (name for name, _, _ in _SECTIONS):
+        if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-    values: dict[str, dict] = {name: {} for name, _, _ in _SECTIONS}
-    for name, keys, _ in _SECTIONS:
+    values: dict[str, dict] = {name: {} for name in _SECTIONS}
+    for name, (keys, _) in _SECTIONS.items():
         if not parser.has_section(name):
             continue
         for key, raw in parser.items(name):
@@ -182,23 +191,31 @@ def parse_config(path: str) -> ExperimentSpec:
                 raise ConfigError(
                     f"{path}: line {_line_of(path, name, key)}: bad value for {key!r}: {exc}"
                 ) from exc
+    return values
+
+
+def parse_config(path: str) -> ExperimentSpec:
+    """Parse a key = value config file; unknown keys are hard errors."""
+    values = _read_config(path)
     return build_spec(values["scenario"], values["experiment"])
 
 
 def build_spec(scenario_kwargs: dict, exp_kwargs: dict) -> ExperimentSpec:
     """Assemble and validate an ExperimentSpec from parsed key/value maps."""
-    width = scenario_kwargs.pop("aoi_width", 150.0)
-    height = scenario_kwargs.pop("aoi_height", 100.0)
-    if "lambda" in scenario_kwargs:
-        scenario_kwargs["lam"] = scenario_kwargs.pop("lambda")
+    fields: dict = {}
+    aoi: dict = {}
+    for key, value in scenario_kwargs.items():
+        attr = _KEY_ATTRS.get(key, key)
+        if attr.startswith("aoi."):
+            aoi[attr[len("aoi."):]] = value
+        else:
+            fields[attr] = value
     try:
-        base = ScenarioConfig(aoi=Aoi(width, height), **scenario_kwargs)
+        base = ScenarioConfig(aoi=replace(ScenarioConfig.aoi, **aoi), **fields)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
-    exp_kwargs.setdefault("horizons", (base.horizon,))
-    exp_kwargs.setdefault("lambdas", (base.lam,))
-    exp_kwargs.setdefault("radii", (base.tree_radius,))
-    return ExperimentSpec(base=base, **exp_kwargs)
+    sweep = {"horizons": (base.horizon,), "lambdas": (base.lam,), "radii": (base.tree_radius,)}
+    return ExperimentSpec(base=base, **{**sweep, **exp_kwargs})
 
 
 def _format(kind, value) -> str:
@@ -211,15 +228,18 @@ def _format(kind, value) -> str:
     return str(value)
 
 
+def _key_text(spec: ExperimentSpec, section: str, key: str) -> str:
+    """The value of ``key`` in spec, as a config file states it."""
+    keys, owner = _SECTIONS[section]
+    return _format(keys[key], attrgetter(owner + _KEY_ATTRS.get(key, key))(spec))
+
+
 def write_effective_config(spec: ExperimentSpec, path: str) -> None:
     """Emit every effective key so the file re-parses to an equal spec."""
-    sections = []
-    for name, keys, owner in _SECTIONS:
-        lines = [f"[{name}]"]
-        for key, kind in keys.items():
-            value = attrgetter(owner + _KEY_ATTRS.get(key, key))(spec)
-            lines.append(f"{key} = {_format(kind, value)}")
-        sections.append("\n".join(lines))
+    sections = [
+        "\n".join([f"[{name}]", *(f"{key} = {_key_text(spec, name, key)}" for key in keys)])
+        for name, (keys, _) in _SECTIONS.items()
+    ]
     Path(path).write_text("\n\n".join(sections) + "\n", encoding="utf-8")
 
 
@@ -227,75 +247,81 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header`` and then each row, a sequence of formatted cells, as one line."""
+    lines = [header, *(",".join(row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 def write_trial_csv(log: TrialLog, path: Path) -> None:
-    rows = ["t,target_id,true_x,true_y,est_x,est_y,trace_P,ospa"]
-    for k in range(len(log.times)):
-        for j, tid in enumerate(log.target_ids):
-            rows.append(
-                ",".join(
-                    (
-                        _fmt(log.times[k]),
-                        str(tid),
-                        _fmt(log.truth[k, j, 0]),
-                        _fmt(log.truth[k, j, 1]),
-                        _fmt(log.est_mean[k, j, 0]),
-                        _fmt(log.est_mean[k, j, 1]),
-                        _fmt(log.est_trace[k, j]),
-                        _fmt(log.ospa[k]),
-                    )
-                )
-            )
-    path.write_text("\n".join(rows) + "\n", encoding="ascii")
+    # Float cells per step and target: true x, y, estimated x, y, trace P, step OSPA.
+    floats = np.concatenate(
+        (
+            log.truth[..., :2],
+            log.est_mean[..., :2],
+            log.est_trace[..., None],
+            np.broadcast_to(log.ospa[:, None, None], log.est_trace.shape + (1,)),
+        ),
+        axis=2,
+    )
+    _write_csv(
+        path,
+        "t,target_id,true_x,true_y,est_x,est_y,trace_P,ospa",
+        (
+            (_fmt(t), str(tid), *map(_fmt, cells))
+            for t, step in zip(log.times.tolist(), floats.tolist())
+            for tid, cells in zip(log.target_ids, step)
+        ),
+    )
 
 
 def write_epoch_csv(log: TrialLog, path: Path) -> None:
-    rows = ["epoch,agent,ux,uy,plan_ms"]
-    for m in range(len(log.epoch_times)):
-        for i in range(log.epoch_policies.shape[1]):
-            rows.append(
-                ",".join(
-                    (
-                        str(m),
-                        str(i),
-                        _fmt(log.epoch_policies[m, i, 0, 0]),
-                        _fmt(log.epoch_policies[m, i, 0, 1]),
-                        _fmt(log.epoch_plan_seconds[m] * 1000.0),
-                    )
-                )
-            )
-    path.write_text("\n".join(rows) + "\n", encoding="ascii")
+    plan_ms = (log.epoch_plan_seconds * 1000.0).tolist()
+    _write_csv(
+        path,
+        "epoch,agent,ux,uy,plan_ms",
+        (
+            (str(m), str(i), _fmt(ux), _fmt(uy), _fmt(plan_ms[m]))
+            for m, first_actions in enumerate(log.epoch_policies[:, :, 0].tolist())
+            for i, (ux, uy) in enumerate(first_actions)
+        ),
+    )
 
 
 def _cell_name(lam: float, radius: float) -> str:
     return f"lam{lam:g}_r{radius:g}"
 
 
-def _trial_jobs(spec: ExperimentSpec, forests: dict) -> list[tuple]:
-    jobs = []
-    for ci, (lam, radius) in enumerate(_cells(spec)):
-        for mi in range(spec.n_maps):
-            for planner in spec.planners:
-                for h in spec.horizons:
-                    config = replace(
-                        spec.base, lam=lam, tree_radius=radius, horizon=h
-                    )
-                    # Same entropy for every planner/horizon on a map: paired trials.
-                    trial_ss = np.random.SeedSequence([spec.base.seed, 1, ci, mi])
-                    jobs.append(
-                        (
-                            (ci, planner, h, mi),
-                            config,
-                            forests[(ci, mi)],
-                            planner,
-                            trial_ss,
-                            spec.mcr_samples,
-                        )
-                    )
-    return jobs
-
-
 def _cells(spec: ExperimentSpec) -> list[tuple[float, float]]:
     return [(lam, radius) for lam in spec.lambdas for radius in spec.radii]
+
+
+def _cell_configs(spec: ExperimentSpec) -> dict[tuple[int, int], ScenarioConfig]:
+    """The scenario run at each (cell index, horizon) of the sweep."""
+    return {
+        (ci, h): replace(spec.base, lam=lam, tree_radius=radius, horizon=h)
+        for ci, (lam, radius) in enumerate(_cells(spec))
+        for h in spec.horizons
+    }
+
+
+def _trial_jobs(spec: ExperimentSpec, forests: dict) -> list[tuple]:
+    # Same entropy for every planner/horizon on a map: paired trials. Jobs
+    # run map by map, in the order the forests were drawn.
+    configs = _cell_configs(spec)
+    return [
+        (
+            (ci, planner, h, mi),
+            configs[ci, h],
+            forest,
+            planner,
+            np.random.SeedSequence([spec.base.seed, 1, ci, mi]),
+            spec.mcr_samples,
+        )
+        for (ci, mi), forest in forests.items()
+        for planner in spec.planners
+        for h in spec.horizons
+    ]
 
 
 def _run_job(job: tuple) -> TrialLog:
@@ -364,128 +390,89 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         if job[0] in failures:
             raise failures[job[0]]
 
-    summary_rows = ["trial,planner,H,lambda,radius,mean_ospa,median_ospa,frac_below_1m"]
-    timing_rows = ["trial,planner,H,lambda,radius,mean_plan_ms,total_plan_s"]
+    summary_rows = []
+    timing_rows = []
     series_pool: dict[tuple, list[np.ndarray]] = {}
     for key in sorted(results):
         ci, planner, h, mi = key
         lam, radius = cells[ci]
         log = results[key]
-        cell = _cell_name(lam, radius)
-        trial_id = f"{cell}_map{mi:03d}"
+        trial = (f"{_cell_name(lam, radius)}_map{mi:03d}", planner, str(h), _fmt(lam), _fmt(radius))
         summary_rows.append(
-            ",".join(
-                (
-                    trial_id,
-                    planner,
-                    str(h),
-                    _fmt(lam),
-                    _fmt(radius),
-                    _fmt(float(np.mean(log.ospa))),
-                    _fmt(float(np.median(log.ospa))),
-                    _fmt(float(np.mean(log.ospa < 1.0))),
-                )
+            (
+                *trial,
+                _fmt(float(np.mean(log.ospa))),
+                _fmt(float(np.median(log.ospa))),
+                _fmt(float(np.mean(log.ospa < 1.0))),
             )
         )
+        plan_s = log.epoch_plan_seconds
         timing_rows.append(
-            ",".join(
-                (
-                    trial_id,
-                    planner,
-                    str(h),
-                    _fmt(lam),
-                    _fmt(radius),
-                    _fmt(log.timing().mean * 1000.0),
-                    _fmt(log.timing().total),
-                )
-            )
+            (*trial, _fmt(float(np.mean(plan_s)) * 1000.0), _fmt(float(np.sum(plan_s))))
         )
         series_pool.setdefault((ci, planner, h), []).append(log.ospa)
-    (out / "summary.csv").write_text("\n".join(summary_rows) + "\n", encoding="ascii")
-    (out / "timings.csv").write_text("\n".join(timing_rows) + "\n", encoding="ascii")
+    trial_header = "trial,planner,H,lambda,radius"
+    _write_csv(
+        out / "summary.csv", f"{trial_header},mean_ospa,median_ospa,frac_below_1m", summary_rows
+    )
+    _write_csv(out / "timings.csv", f"{trial_header},mean_plan_ms,total_plan_s", timing_rows)
 
     for (ci, planner, h), series in sorted(series_pool.items()):
-        lam, radius = cells[ci]
+        name = f"{_cell_name(*cells[ci])}_{planner}_H{h}.csv"
         pairs = ecdf(np.concatenate(series))
-        rows = ["value,frequency"]
-        rows.extend(f"{_fmt(v)},{_fmt(f)}" for v, f in pairs)
-        name = f"{_cell_name(lam, radius)}_{planner}_H{h}.csv"
-        (ecdf_dir / name).write_text("\n".join(rows) + "\n", encoding="ascii")
+        _write_csv(ecdf_dir / name, "value,frequency", ((_fmt(v), _fmt(f)) for v, f in pairs))
     return out
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError, not a usage block."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="trackplan",
         description="Batch multi-sensor target-tracking experiments. "
-        "Flags override config-file keys.",
+        "Each flag sets the config key its help names, over the file's value.",
     )
     parser.add_argument("--config", help="INI config file ([scenario] / [experiment])")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument(
-        "--planner", choices=PLANNERS, help="single planner to run (default sma-nbo)"
-    )
-    parser.add_argument("--horizon", type=int, help="single planning horizon (default 1)")
-    parser.add_argument(
-        "--lambda", dest="lam", type=float, help="expected occlusion count (default 45)"
-    )
-    parser.add_argument("--radius", type=float, help="occlusion radius in m (default 5)")
-    parser.add_argument("--maps", type=int, help="random maps per cell (default 1)")
-    parser.add_argument("--duration", type=float, help="trial length in s (default 60)")
-    parser.add_argument("--out", help="output directory (default results)")
+    defaults = build_spec({}, {})
+    for flag, section, key in _FLAGS:
+        parser.add_argument(
+            flag,
+            dest=key,
+            metavar=key.upper(),
+            help=f"sets [{section}] {key} (default {_key_text(defaults, section, key)})",
+        )
     parser.add_argument(
         "--mwtp",
         action="store_true",
         help="enable the terminal weighted-trace penalty (sma-nbo becomes sma-nbo-mwtp)",
     )
-    parser.add_argument(
-        "--mcr-samples", type=int, help="Monte-Carlo trajectory samples (default 50)"
-    )
-    parser.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
     return parser
 
 
-def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    base = spec.base
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
-    if args.duration is not None:
-        base = replace(base, duration=args.duration)
-    updates: dict = {"base": base}
-    if args.planner is not None:
-        updates["planners"] = (args.planner,)
-    if args.horizon is not None:
-        updates["horizons"] = (args.horizon,)
-    if args.lam is not None:
-        updates["lambdas"] = (args.lam,)
-    if args.radius is not None:
-        updates["radii"] = (args.radius,)
-    if args.maps is not None:
-        updates["n_maps"] = args.maps
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.mcr_samples is not None:
-        updates["mcr_samples"] = args.mcr_samples
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    spec = replace(spec, **updates)
-    if args.mwtp:
-        planners = tuple(
-            "sma-nbo-mwtp" if p == "sma-nbo" else p for p in spec.planners
-        )
-        spec = replace(spec, planners=planners)
-    return spec
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            spec = parse_config(args.config)
-        else:
-            spec = build_spec({}, {})
-        spec = _apply_overrides(spec, args)
-    except ValueError as exc:  # ConfigError, or a flag that breaks ScenarioConfig
+        args = _build_parser().parse_args(argv)
+        values = _read_config(args.config) if args.config else {name: {} for name in _SECTIONS}
+        for flag, section, key in _FLAGS:
+            text = getattr(args, key)
+            if text is None:
+                continue
+            try:
+                values[section][key] = _convert(_SECTIONS[section][0][key], text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {flag}: {exc}") from exc
+        if args.mwtp:
+            planners = values["experiment"].get("planners", ExperimentSpec.planners)
+            values["experiment"]["planners"] = tuple(
+                "sma-nbo-mwtp" if p == "sma-nbo" else p for p in planners
+            )
+        spec = build_spec(values["scenario"], values["experiment"])
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

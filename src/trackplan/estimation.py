@@ -42,10 +42,6 @@ class TargetTrack:
     P: np.ndarray = field(repr=False)
 
     @property
-    def position(self) -> np.ndarray:
-        return self.xi[:2]
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.P))
 

@@ -1,11 +1,11 @@
-"""Tracking-error metrics and runtime accounting.
+"""Tracking-error metrics.
 
 OSPA combines an optimal-assignment localization term with a cardinality
 penalty; the assignment is solved exactly with the Hungarian method.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -23,25 +23,6 @@ class OspaParams:
             raise ValueError("cutoff c must be positive")
         if self.p < 1:
             raise ValueError("order p must be >= 1")
-
-
-@dataclass(frozen=True)
-class TimingRecord:
-    """Per-epoch planner wall-clock seconds for one trial."""
-
-    epoch_seconds: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if np.any(np.asarray(self.epoch_seconds) < 0):
-            raise ValueError("wall-clock entries must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.epoch_seconds))
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.epoch_seconds))
 
 
 def ospa(x: np.ndarray, y: np.ndarray, params: OspaParams) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import FleetBelief, NcvModel, initialize_track, fuse, ncv_model
-from .metrics import OspaParams, TimingRecord, ospa
+from .metrics import OspaParams, ospa
 from .planning import (
     Action,
     PolicySeq,
@@ -82,9 +82,6 @@ class TrialLog:
     epoch_policies: np.ndarray = field(repr=False)  # (M, n, H, 2)
     epoch_plan_seconds: np.ndarray = field(repr=False)  # (M,)
     epoch_rollout_evals: np.ndarray = field(repr=False)  # (M,)
-
-    def timing(self) -> TimingRecord:
-        return TimingRecord(epoch_seconds=self.epoch_plan_seconds)
 
     def deterministic_equal(self, other: "TrialLog") -> bool:
         """Bit equality of everything except planner wall-clock."""

@@ -24,6 +24,10 @@ LEVY_STEP_MAX = 40.0
 # log arrays grow with it: 10^6 steps of four target states is 32 MB each.
 MAX_SENSE_STEPS = 1_000_000
 
+# Largest expected disk count: numpy's Poisson sampler refuses a mean above
+# the int64 maximum less ten standard deviations, about 9.22e18.
+MAX_LAMBDA = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 
 class ForestPlacementError(RuntimeError):
     """Rejection sampling exhausted its retry budget (forest too dense)."""
@@ -54,9 +58,12 @@ class Aoi:
     height: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+        # Forest placement squares distances between points of the AOI.
+        positive = self.width > 0 and self.height > 0
+        if not (positive and _finite(lambda: self.width**2 + self.height**2)):
             raise ValueError(
-                f"AOI sides must be finite and positive, got {self.width}x{self.height}"
+                f"AOI sides must be positive with a finite squared diagonal, "
+                f"got {self.width}x{self.height}"
             )
 
     def contains(self, x: float, y: float) -> bool:
@@ -112,7 +119,7 @@ _SCENARIO_BOUNDS = (
         0,
         True,
     ),
-    (("lam", "sigma_a", "beta", "speed_min"), 0, False),
+    (("lam", "sigma_a", "beta", "speed_min", "seed"), 0, False),
     (("ospa_p", "horizon", "n_agents", "n_targets", "n_headings", "n_speeds"), 1, False),
 )
 
@@ -177,6 +184,11 @@ class ScenarioConfig:
             raise ValueError(
                 f"ospa_c**ospa_p overflows: ospa_c={self.ospa_c}, ospa_p={self.ospa_p}"
             )
+        if self.lam > MAX_LAMBDA:
+            raise ValueError(f"lam={self.lam} exceeds the largest Poisson mean {MAX_LAMBDA:.4g}")
+        # Forest placement compares squared centre distances with (2 r)^2.
+        if not _finite(lambda: (2.0 * self.tree_radius) ** 2):
+            raise ValueError(f"tree_radius={self.tree_radius} overflows the placement test")
         if len(self.fov_edges) != self.n_agents or len(self.alphas) != self.n_agents:
             raise ValueError("fov_edges and alphas must have one entry per agent")
         if self.speed_max < self.speed_min:

@@ -1,4 +1,6 @@
+import configparser
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,18 @@ class TestParseConfig:
         path.write_text("[scenario]\nseed = 1\n[experiment]\nplanners = magic\n")
         with pytest.raises(ConfigError, match="magic"):
             parse_config(str(path))
+
+    def test_readme_config_block_lists_every_key_at_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S)[1]
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read_string(block)
+        assert parser.sections() == list(cli._SECTIONS)
+        values = {}
+        for name, (keys, _) in cli._SECTIONS.items():
+            assert list(parser[name]) == list(keys)
+            values[name] = {k: cli._convert(keys[k], v) for k, v in parser[name].items()}
+        assert cli.build_spec(values["scenario"], values["experiment"]) == cli.build_spec({}, {})
 
     def test_effective_config_round_trips(self, tmp_path):
         spec = tiny_spec(tmp_path / "out", planners=("sma-nbo", "mcr"), horizons=(1, 3))
@@ -227,6 +241,11 @@ class TestMain:
             "sigma_a = 1e200",
             "dt_sense = 1e-300",
             "duration = 1e300",
+            "seed = -1",
+            "tree_radius = 1e300",
+            "aoi_width = 1e300",
+            "lambda = 1e20",
+            "[experiment]\nlambdas = 5,1e20",
         ],
     )
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
@@ -236,9 +255,39 @@ class TestMain:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         self._assert_one_config_error(capsys, tmp_path)
 
-    def test_bad_flag_value_exits_before_any_trial(self, tmp_path, capsys):
-        assert main(["--duration", "0", "--out", str(tmp_path / "out")]) == 1
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--duration 0",
+            "--horizon abc",
+            "--planner foo",
+            "--lambda x",
+            "--seed 1.5",
+            "--bogus",
+            "--seed",
+            "--seed -1",
+            "--radius 1e300",
+            "--lambda 1e20",
+        ],
+    )
+    def test_bad_flag_value_exits_before_any_trial(self, tmp_path, capsys, flags):
+        assert main(["--out", str(tmp_path / "out"), *flags.split()]) == 1
         self._assert_one_config_error(capsys, tmp_path)
+
+    def test_flags_override_file_keys(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            "[scenario]\nseed = 4\nduration = 1\nlambda = 30\n"
+            "[experiment]\nhorizons = 1,3\n"
+        )
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg), "--horizon", "2", "--lambda", "5", "--out", str(out)]
+        assert main(argv) == 0
+        spec = parse_config(str(out / "effective_config.ini"))
+        assert spec.horizons == (2,)
+        assert spec.lambdas == (5.0,)
+        assert spec.base.lam == 30.0
+        assert spec.base.seed == 4
 
     @staticmethod
     def _assert_one_config_error(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trackplan import OspaParams, TimingRecord, ecdf, ospa, trial_ospa_series
+from trackplan import OspaParams, ecdf, ospa, trial_ospa_series
 
 from oracles import ospa_brute
 
@@ -108,13 +108,3 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf([])
 
-
-class TestTimingRecord:
-    def test_totals(self):
-        rec = TimingRecord(epoch_seconds=np.array([0.1, 0.2, 0.3]))
-        assert rec.total == pytest.approx(0.6)
-        assert rec.mean == pytest.approx(0.2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            TimingRecord(epoch_seconds=np.array([-0.1]))
