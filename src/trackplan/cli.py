@@ -5,9 +5,9 @@ planner, reuses one batch of random maps per parameter cell across all
 planners, and emits CSV artifacts: per-trial logs, a deterministic
 summary, wall-clock timings and per-cell OSPA ECDFs.
 
-Exit codes: 0 success, 1 configuration error (a bad key or value, or a
-dec-pomdp joint search over its budget), 2 runtime error (a forest that
-cannot be placed, or a failing trial or write).
+Exit codes: 0 success, 1 configuration error (a bad key or value, a
+dec-pomdp joint search over its budget, or a forest that cannot be
+placed), 2 runtime error (a failing trial or write).
 """
 from __future__ import annotations
 
@@ -349,8 +349,23 @@ def run_experiment(spec: ExperimentSpec) -> Path:
 
     Map batches are generated once per (lambda, radius) cell and shared by
     every planner and horizon; the summary CSV is byte-stable across runs
-    and worker counts (wall-clock goes to timings.csv).
+    and worker counts (wall-clock goes to timings.csv). Every forest is
+    drawn before anything is written, so a ForestPlacementError leaves no
+    output behind.
     """
+    cells = _cells(spec)
+    forests: dict[tuple[int, int], OcclusionForest] = {
+        (ci, mi): generate_forest(
+            lam,
+            radius,
+            spec.base.aoi,
+            np.random.default_rng(np.random.SeedSequence([spec.base.seed, 0, ci, mi])),
+            seed=mi,
+        )
+        for ci, (lam, radius) in enumerate(cells)
+        for mi in range(spec.n_maps)
+    }
+
     out = Path(spec.out_dir)
     maps_dir = out / "maps"
     trials_dir = out / "trials"
@@ -358,20 +373,14 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     for d in (maps_dir, trials_dir, ecdf_dir):
         d.mkdir(parents=True, exist_ok=True)
     write_effective_config(spec, out / "effective_config.ini")
-
-    forests: dict[tuple[int, int], OcclusionForest] = {}
-    for ci, (lam, radius) in enumerate(_cells(spec)):
-        cell_dir = maps_dir / _cell_name(lam, radius)
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        for mi in range(spec.n_maps):
-            rng = np.random.default_rng(np.random.SeedSequence([spec.base.seed, 0, ci, mi]))
-            forest = generate_forest(lam, radius, spec.base.aoi, rng, seed=mi)
-            save_map(forest, str(cell_dir / f"map{mi:03d}.txt"))
-            forests[(ci, mi)] = load_map(str(cell_dir / f"map{mi:03d}.txt"))
+    for (ci, mi), forest in forests.items():
+        path = maps_dir / _cell_name(*cells[ci]) / f"map{mi:03d}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_map(forest, str(path))
+        forests[ci, mi] = load_map(str(path))
 
     # Each trial's CSVs are written as it finishes, so a failing trial
     # loses no finished ones; the first failure in job order is re-raised.
-    cells = _cells(spec)
     jobs = _trial_jobs(spec, forests)
     results: dict[tuple, TrialLog] = {}
     failures: dict[tuple, Exception] = {}
@@ -446,11 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar=key.upper(),
             help=f"sets [{section}] {key} (default {_key_text(defaults, section, key)})",
         )
-    parser.add_argument(
-        "--mwtp",
-        action="store_true",
-        help="enable the terminal weighted-trace penalty (sma-nbo becomes sma-nbo-mwtp)",
-    )
     return parser
 
 
@@ -466,18 +470,16 @@ def main(argv: list[str] | None = None) -> int:
                 values[section][key] = _convert(_SECTIONS[section][0][key], text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {flag}: {exc}") from exc
-        if args.mwtp:
-            planners = values["experiment"].get("planners", ExperimentSpec.planners)
-            values["experiment"]["planners"] = tuple(
-                "sma-nbo-mwtp" if p == "sma-nbo" else p for p in planners
-            )
         spec = build_spec(values["scenario"], values["experiment"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
         out = run_experiment(spec)
-    except (ForestPlacementError, OSError) as exc:
+    except ForestPlacementError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote artifacts to {out}")

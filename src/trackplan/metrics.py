@@ -46,21 +46,6 @@ def ospa(x: np.ndarray, y: np.ndarray, params: OspaParams) -> float:
     return float((total / b) ** (1.0 / params.p))
 
 
-def trial_ospa_series(log, params: OspaParams) -> np.ndarray:
-    """OSPA between estimated and true target positions at every sensing step.
-
-    Accepts any log exposing ``truth`` and ``est_mean`` arrays of shape
-    (steps, targets, 4); only position components enter the metric.
-    """
-    truth = np.asarray(log.truth)
-    est = np.asarray(log.est_mean)
-    if truth.shape[0] != est.shape[0]:
-        raise ValueError("truth and estimate series must share time indices")
-    return np.array(
-        [ospa(est[k, :, :2], truth[k, :, :2], params) for k in range(truth.shape[0])]
-    )
-
-
 def ecdf(values) -> list[tuple[float, float]]:
     """Right-continuous empirical CDF as sorted (value, frequency) pairs."""
     arr = np.asarray(values, dtype=float).ravel()

@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import FleetBelief, NcvModel, predict, update
-from .sensing import AgentState, Observation, in_fov, is_observable, observation_covariance
+from .estimation import FleetBelief, NcvModel
+from .sensing import AgentState
 from .worldgen import OcclusionForest
 
 _EYE4 = np.eye(4)
@@ -63,10 +63,6 @@ class Action:
     ux: float
     uy: float
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.ux, self.uy)
-
 
 @dataclass(frozen=True)
 class PolicySeq:
@@ -77,13 +73,6 @@ class PolicySeq:
 
     def __len__(self) -> int:
         return len(self.actions)
-
-
-@dataclass(frozen=True)
-class RolloutResult:
-    cost: float
-    step_traces: tuple[float, ...]
-    hectg_value: float
 
 
 @dataclass(frozen=True)
@@ -123,75 +112,6 @@ def propagate_agent(s: AgentState, u: Action, dt: float) -> AgentState:
     )
 
 
-def nominal_trajectory(belief: FleetBelief, model: NcvModel, h: int) -> list[np.ndarray]:
-    """Noise-free propagation of every track mean over h steps.
-
-    Returns one (h, 4) array per track, ordered like belief.tracks.
-    """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    out = []
-    for track in belief.tracks:
-        states = np.empty((h, 4))
-        xi = track.xi
-        for l in range(h):
-            xi = model.F @ xi
-            states[l] = xi
-        out.append(states)
-    return out
-
-
-def rollout_cost(
-    belief: FleetBelief,
-    joint: list[PolicySeq],
-    forest: OcclusionForest,
-    model: NcvModel,
-    h: int,
-    hectg: str = "none",
-    beta: float = 1.0,
-) -> RolloutResult:
-    """Accumulated covariance trace of the nominal-trajectory rollout.
-
-    Reference (scalar) evaluator; the planners use a vectorized equivalent.
-    Observability is tested at each track's nominal mean, and every agent
-    that observes a track contributes a covariance-only Kalman update.
-    """
-    if hectg not in ("none", "mwtp"):
-        raise ValueError(f"unknown cost-to-go {hectg!r}")
-    if len(joint) != len(belief.agents):
-        raise ValueError("joint policy must cover every agent")
-    if any(len(p) != h for p in joint):
-        raise ValueError("every policy must have exactly h actions")
-    agents = list(belief.agents)
-    tracks = list(belief.tracks)
-    step_traces = []
-    for l in range(h):
-        agents = [propagate_agent(a, joint[i].actions[l], model.dt) for i, a in enumerate(agents)]
-        tracks = [predict(t, model) for t in tracks]
-        for j, track in enumerate(tracks):
-            pos = (float(track.xi[0]), float(track.xi[1]))
-            for agent in agents:
-                if is_observable(pos, agent, forest):
-                    r = observation_covariance(agent, pos)
-                    obs = Observation(target_id=track.target_id, z=track.xi[:2].copy(), R=r)
-                    tracks[j] = update(tracks[j], obs)
-                    track = tracks[j]
-        step_traces.append(sum(t.trace for t in tracks))
-    hectg_value = 0.0
-    if hectg == "mwtp":
-        uncovered = []
-        for track in tracks:
-            pos = (float(track.xi[0]), float(track.xi[1]))
-            if not any(in_fov(pos, agent) for agent in agents):
-                uncovered.append((pos, track.trace))
-        hectg_value = mwtp(agents, uncovered, beta)
-    return RolloutResult(
-        cost=float(sum(step_traces) + hectg_value),
-        step_traces=tuple(float(v) for v in step_traces),
-        hectg_value=float(hectg_value),
-    )
-
-
 def _clamp_toward(sensor_xy: np.ndarray, half_width: float, target_xy: np.ndarray) -> np.ndarray:
     """Minimal per-axis displacement putting the target inside the square."""
     out = sensor_xy.astype(float).copy()
@@ -201,12 +121,6 @@ def _clamp_toward(sensor_xy: np.ndarray, half_width: float, target_xy: np.ndarra
         if excess > 0:
             out[axis] += math.copysign(excess, delta)
     return out
-
-
-def mdo_position(sensor: AgentState, target_mean: tuple[float, float]) -> tuple[float, float]:
-    """Closest sensor center whose FoV square covers the target."""
-    moved = _clamp_toward(sensor.position, sensor.half_width, np.asarray(target_mean, dtype=float))
-    return float(moved[0]), float(moved[1])
 
 
 @dataclass(frozen=True)
@@ -258,26 +172,6 @@ def mwtp_detailed(
             )
         )
     return float(penalty), steps
-
-
-def mwtp(
-    end_sensors: list[AgentState],
-    uncovered: list[tuple[tuple[float, float], float]],
-    beta: float,
-) -> float:
-    """Terminal penalty for targets outside every end-of-horizon FoV.
-
-    ``uncovered`` holds (position, covariance trace) of exactly those
-    targets; an empty list costs nothing.
-    """
-    if not uncovered:
-        return 0.0
-    sensor_xy = np.array([[a.px, a.py] for a in end_sensors])
-    half_widths = np.array([a.half_width for a in end_sensors])
-    target_xy = np.array([list(pos) for pos, _ in uncovered], dtype=float)
-    traces = np.array([tr for _, tr in uncovered], dtype=float)
-    value, _ = mwtp_detailed(sensor_xy, half_widths, target_xy, traces, beta)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +227,17 @@ def _free_of_occlusion(target_pos: np.ndarray, forest: OcclusionForest) -> np.nd
 
 
 def _nominal_paths(belief: FleetBelief, model: NcvModel, h: int) -> np.ndarray:
-    """Nominal mean positions as a (1, T, h, 2) sample block."""
-    if not belief.tracks:
-        return np.zeros((1, 0, h, 2))
-    states = nominal_trajectory(belief, model, h)
-    return np.stack([s[:, :2] for s in states])[None, :, :, :]
+    """Noise-free propagation of every track mean over h steps: the mean
+    positions as a (1, T, h, 2) sample block, tracks ordered like belief.tracks."""
+    if h < 1:
+        raise ValueError("horizon must be >= 1")
+    out = np.zeros((1, len(belief.tracks), h, 2))
+    for t, track in enumerate(belief.tracks):
+        xi = track.xi
+        for l in range(h):
+            xi = model.F @ xi
+            out[0, t, l] = xi[:2]
+    return out
 
 
 def _sample_target_paths(
@@ -387,7 +287,8 @@ class _PrefixTree:
     step's covariance-only updates (tracks, then agents, in index order)
     and adds the step's trace. A mover's position is its start plus the
     summed v*dt of its prefix, the sums np.cumsum forms, so each leaf costs
-    exactly what a rollout of its whole sequence costs.
+    exactly what a rollout of its whole sequence costs. A leaf adds the
+    terminal penalty weighted by ``beta``, or none if ``beta`` is None.
     """
 
     def __init__(
@@ -396,10 +297,9 @@ class _PrefixTree:
         model: NcvModel,
         forest: OcclusionForest,
         target_paths: np.ndarray,
-        hectg: str = "none",
-        beta: float = 1.0,
+        beta: float | None = None,
     ):
-        self.belief, self.model, self.hectg, self.beta = belief, model, hectg, beta
+        self.belief, self.model, self.beta = belief, model, beta
         self.target_paths = target_paths
         self.free = _free_of_occlusion(target_paths, forest)
         self.h = target_paths.shape[2]
@@ -517,7 +417,7 @@ class _PrefixTree:
     def _leaf_costs(self, leaves: _Nodes) -> np.ndarray:
         """Mean cost over target samples plus the terminal penalty, if any."""
         costs = leaves.cost.mean(axis=1)
-        if self.hectg != "mwtp":
+        if self.beta is None:
             return costs
         end_targets = self.target_paths[0, :, -1, :]
         end_traces = np.trace(leaves.p[:, 0], axis1=-2, axis2=-1)
@@ -603,15 +503,14 @@ def _sweep(
     forest: OcclusionForest,
     model: NcvModel,
     target_paths: np.ndarray,
-    hectg: str,
-    beta: float,
+    beta: float | None,
 ) -> tuple[list[PolicySeq], PlanStats]:
     n_agents = len(belief.agents)
     if len(intents) != n_agents:
         raise ValueError("intents must cover every agent")
     if any(len(p) != h for p in intents):
         raise ValueError("intent policies must have length h")
-    tree = _PrefixTree(belief, model, forest, target_paths, hectg, beta)
+    tree = _PrefixTree(belief, model, forest, target_paths, beta)
     joint = list(intents)
     stages = []
     for i in range(n_agents):
@@ -628,17 +527,18 @@ def sma_nbo_plan(
     actions: list[Action],
     forest: OcclusionForest,
     model: NcvModel,
-    hectg: str = "none",
-    beta: float = 1.0,
+    beta: float | None = None,
 ) -> tuple[list[PolicySeq], PlanStats]:
     """Sequential sweep: agents optimize in index order, each against its
     predecessors' fresh plans and its successors' intents.
+
+    ``beta`` weights the MWTP terminal penalty; None scores none.
 
     Incumbent inclusion makes the joint objective non-increasing stage by
     stage, so the result is never worse than executing the intents.
     """
     paths = _nominal_paths(belief, model, h)
-    return _sweep(belief, intents, h, actions, forest, model, paths, hectg, beta)
+    return _sweep(belief, intents, h, actions, forest, model, paths, beta)
 
 
 def mcr_plan(
@@ -660,7 +560,7 @@ def mcr_plan(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     paths = _sample_target_paths(belief, model, h, n_samples, rng)
-    return _sweep(belief, intents, h, actions, forest, model, paths, "none", 1.0)
+    return _sweep(belief, intents, h, actions, forest, model, paths, None)
 
 
 def dec_pomdp_joint_count(n_actions: int, n_agents: int, h: int) -> int:

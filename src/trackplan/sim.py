@@ -8,7 +8,7 @@ never influences the targets.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,7 +48,7 @@ _EPOCH_CALLS = {
         belief, intents, p.h, p.actions, p.forest, p.model
     ),
     "sma-nbo-mwtp": lambda belief, intents, p: sma_nbo_plan(
-        belief, intents, p.h, p.actions, p.forest, p.model, hectg="mwtp", beta=p.beta
+        belief, intents, p.h, p.actions, p.forest, p.model, beta=p.beta
     ),
     "dec-pomdp": lambda belief, intents, p: dec_pomdp_plan(
         belief, p.h, p.actions, p.forest, p.model
@@ -84,25 +84,11 @@ class TrialLog:
     epoch_rollout_evals: np.ndarray = field(repr=False)  # (M,)
 
     def deterministic_equal(self, other: "TrialLog") -> bool:
-        """Bit equality of everything except planner wall-clock."""
-        return (
-            self.target_ids == other.target_ids
-            and self.dt_sense == other.dt_sense
-            and self.dt_plan == other.dt_plan
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in (
-                    "times",
-                    "truth",
-                    "est_mean",
-                    "est_trace",
-                    "ospa",
-                    "agent_states",
-                    "epoch_times",
-                    "epoch_policies",
-                    "epoch_rollout_evals",
-                )
-            )
+        """Bit equality of every field except planner wall-clock."""
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+            if f.name != "epoch_plan_seconds"
         )
 
 

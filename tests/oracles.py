@@ -1,11 +1,14 @@
 """Independent reference implementations used to pin expected values.
 
 These deliberately avoid the library's own code paths: brute-force
-enumeration and literal textbook recursions only.
+enumeration and literal textbook recursions only. Nothing here imports
+trackplan (tests/test_oracles.py checks), so a fault in the package
+cannot hide in the reference it is compared with.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -59,3 +62,88 @@ def information_fusion(xi, p, observations):
         vec = vec + h.T @ r_inv @ z
     p_new = np.linalg.inv(info)
     return p_new @ vec, (p_new + p_new.T) / 2.0
+
+
+def range_bearing_cov(sensor_xy, target_xy, alpha, r0):
+    """R = G diag(0.1 alpha r, 0.1 pi alpha r) G^T, with G the rotation by
+    the sensor-to-target bearing and r the range clamped below at r0."""
+    dx, dy = target_xy[0] - sensor_xy[0], target_xy[1] - sensor_xy[1]
+    r = max(math.sqrt(dx * dx + dy * dy), r0)
+    rho = math.atan2(dy, dx)
+    g = np.array([[math.cos(rho), -math.sin(rho)], [math.sin(rho), math.cos(rho)]])
+    return g @ np.diag([0.1 * alpha * r, 0.1 * math.pi * alpha * r]) @ g.T
+
+
+def greedy_mwtp(sensor_xy, half_widths, target_xy, traces, beta):
+    """MWTP terminal penalty as a plain greedy loop.
+
+    Targets go in decreasing trace order (ties by index). Each takes the
+    sensor with the least accumulated distance plus distance to it (ties by
+    index); only a sensor's first match adds beta * distance * trace. The
+    sensor then moves the least per-axis distance that puts the target on
+    its square footprint. Returns the penalty and one (target, sensor,
+    distance, contributed, sensor position after) tuple per target.
+    """
+    pos = [[float(x), float(y)] for x, y in sensor_xy]
+    d_acc = [0.0] * len(pos)
+    penalty = 0.0
+    steps = []
+    for t in sorted(range(len(traces)), key=lambda t: -traces[t]):
+        tx, ty = float(target_xy[t][0]), float(target_xy[t][1])
+        dists = [math.sqrt((x - tx) * (x - tx) + (y - ty) * (y - ty)) for x, y in pos]
+        i = min(range(len(pos)), key=lambda i: d_acc[i] + dists[i])
+        first = d_acc[i] == 0.0
+        if first:
+            penalty += beta * dists[i] * traces[t]
+        d_acc[i] += dists[i]
+        for axis, target in enumerate((tx, ty)):
+            delta = target - pos[i][axis]
+            if abs(delta) > half_widths[i]:
+                pos[i][axis] += math.copysign(abs(delta) - half_widths[i], delta)
+        steps.append((t, i, dists[i], first, tuple(pos[i])))
+    return penalty, steps
+
+
+def rollout_cost(belief, joint, forest, model, h, beta=None):
+    """Nominal-belief rollout cost of one joint policy, one scalar step at a time.
+
+    Every step moves each agent by its action (p + u dt), predicts every
+    track's mean and covariance, and gives each track one information-form
+    covariance update per agent whose square footprint holds the track's
+    mean, unless the mean lies strictly inside a forest disk. The cost is
+    the sum over steps of the covariance traces, plus, with ``beta``, the
+    greedy MWTP penalty of the tracks outside every final footprint.
+    """
+    agents = [[a.px, a.py] for a in belief.agents]
+    tracks = [(t.xi, t.P) for t in belief.tracks]
+    cost = 0.0
+    for l in range(h):
+        for i, policy in enumerate(joint):
+            agents[i][0] += policy.actions[l].ux * model.dt
+            agents[i][1] += policy.actions[l].uy * model.dt
+        for j, (xi, p) in enumerate(tracks):
+            xi, p = kalman_predict(xi, p, model.F, model.Q)
+            tx, ty = float(xi[0]), float(xi[1])
+            hidden = any((tx - cx) ** 2 + (ty - cy) ** 2 < r * r for cx, cy, r in forest.disks)
+            for agent, (ax, ay) in zip(belief.agents, agents):
+                hw = agent.fov_edge / 2.0
+                if not hidden and abs(tx - ax) <= hw and abs(ty - ay) <= hw:
+                    r = range_bearing_cov((ax, ay), (tx, ty), agent.alpha, agent.r0)
+                    p = kalman_update_cov(p, r)
+            tracks[j] = (xi, p)
+        cost += sum(float(np.trace(p)) for _, p in tracks)
+    if beta is None:
+        return cost
+    half_widths = [a.fov_edge / 2.0 for a in belief.agents]
+    uncovered = [
+        (xi[:2], float(np.trace(p)))
+        for xi, p in tracks
+        if not any(
+            abs(xi[0] - ax) <= hw and abs(xi[1] - ay) <= hw
+            for (ax, ay), hw in zip(agents, half_widths)
+        )
+    ]
+    penalty, _ = greedy_mwtp(
+        agents, half_widths, [xy for xy, _ in uncovered], [tr for _, tr in uncovered], beta
+    )
+    return cost + penalty

@@ -31,7 +31,6 @@ from trackplan import (
     observation_covariance,
     ospa,
     predict,
-    rollout_cost,
     run_trial,
     sma_nbo_plan,
     update,
@@ -113,7 +112,9 @@ def test_criterion_2_rollout_matches_direct_filter_step():
         forest = generate_forest(8.0, 5.0, Aoi(150, 100), rng)
         belief = FleetBelief(tracks=(track,), agents=(agent,))
         act = actions[rng.integers(len(actions))]
-        got = rollout_cost(belief, [PolicySeq(0, (act,))], forest, model, 1).cost
+        # the planner's own kernel, with one action to choose from
+        _, stats = sma_nbo_plan(belief, (PolicySeq(0, (act,)),), 1, [act], forest, model)
+        got = stats.stage_best_costs[0]
         # independent path: one explicit predict, then one covariance update
         moved = replace(agent, px=agent.px + act.ux * model.dt, py=agent.py + act.uy * model.dt)
         pred = predict(track, model)
@@ -251,8 +252,8 @@ def test_criterion_5_sweep_objective_is_monotone():
         n_agents = int(rng.integers(2, 4))
         h = int(rng.integers(1, 3))
         belief, forest, intents, actions = _random_epoch(rng, n_agents, 3, h)
-        hectg = "mwtp" if rng.random() < 0.5 else "none"
-        _, stats = sma_nbo_plan(belief, intents, h, actions, forest, model, hectg=hectg)
+        beta = 1.0 if rng.random() < 0.5 else None
+        _, stats = sma_nbo_plan(belief, intents, h, actions, forest, model, beta=beta)
         chain = [stats.stage_incumbent_costs[0]]
         for inc, best in zip(stats.stage_incumbent_costs, stats.stage_best_costs):
             ok &= best <= inc + 1e-9

@@ -179,17 +179,6 @@ class TestMain:
         assert code == 1
         self._assert_one_config_error(capsys, tmp_path)
 
-    def test_mwtp_flag_switches_planner(self, tmp_path):
-        code = main(
-            [
-                "--seed", "2", "--horizon", "1", "--lambda", "5", "--radius", "5",
-                "--duration", "2", "--mwtp", "--out", str(tmp_path / "out"),
-            ]
-        )
-        assert code == 0
-        trials = list((tmp_path / "out" / "trials").rglob("*.csv"))
-        assert trials and all("sma-nbo-mwtp" in p.name for p in trials)
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_trial_keeps_finished_trials(
         self, tmp_path, capsys, monkeypatch, workers
@@ -246,6 +235,7 @@ class TestMain:
             "aoi_width = 1e300",
             "lambda = 1e20",
             "[experiment]\nlambdas = 5,1e20",
+            "lambda = 1000",
         ],
     )
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
@@ -268,6 +258,7 @@ class TestMain:
             "--seed -1",
             "--radius 1e300",
             "--lambda 1e20",
+            "--mwtp",
         ],
     )
     def test_bad_flag_value_exits_before_any_trial(self, tmp_path, capsys, flags):

@@ -19,14 +19,10 @@ from trackplan import (
     extend_intent,
     generate_forest,
     mcr_plan,
-    mdo_position,
-    mwtp,
     ncv_model,
-    nominal_trajectory,
     observation_covariance,
     predict,
     propagate_agent,
-    rollout_cost,
     sma_nbo_plan,
 )
 from trackplan.planning import (
@@ -36,7 +32,7 @@ from trackplan.planning import (
     mwtp_detailed,
 )
 
-from oracles import kalman_update_cov
+from oracles import kalman_update_cov, rollout_cost
 
 EMPTY = OcclusionForest(disks=())
 
@@ -100,9 +96,9 @@ def random_instance(rng, n_agents, n_targets, h, with_forest=True):
 NO_CHOICE = np.zeros((1, 0, 2))
 
 
-def engine_cost(belief, joint, forest, model, h, hectg="none", beta=1.0):
+def engine_cost(belief, joint, forest, model, h, beta=None):
     """Cost of one joint policy scored alone through the prefix-tree search."""
-    tree = _PrefixTree(belief, model, forest, _nominal_paths(belief, model, h), hectg, beta)
+    tree = _PrefixTree(belief, model, forest, _nominal_paths(belief, model, h), beta)
     return tree.search(tree.positions(joint), NO_CHOICE).cost
 
 
@@ -120,7 +116,7 @@ class TestActionSet:
 
     def test_speed_limit(self):
         for act in action_set(5.0, 8, 2):
-            assert act.speed <= 5.0 + 1e-9
+            assert math.hypot(act.ux, act.uy) <= 5.0 + 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -152,26 +148,26 @@ class TestPropagateAgent:
 class TestNominalTrajectory:
     def test_constant_velocity_means(self):
         belief = FleetBelief(tracks=(track_at(0, 0.0, 0.0, vx=1.0),), agents=(agent_at(0, 0),))
-        means = nominal_trajectory(belief, ncv_model(1.0, 1.0), 3)[0]
+        means = _nominal_paths(belief, ncv_model(1.0, 1.0), 3)[0, 0]
         assert np.allclose(means[:, 0], [1.0, 2.0, 3.0])
-        assert np.allclose(means[:, 2], 1.0)
+        assert np.allclose(means[:, 1], 0.0)
 
     def test_stationary_target(self):
         belief = FleetBelief(tracks=(track_at(0, 5.0, 7.0),), agents=(agent_at(0, 0),))
-        means = nominal_trajectory(belief, ncv_model(1.0, 1.0), 4)[0]
-        assert np.allclose(means[:, :2], [[5.0, 7.0]] * 4)
+        means = _nominal_paths(belief, ncv_model(1.0, 1.0), 4)[0, 0]
+        assert np.allclose(means, [[5.0, 7.0]] * 4)
 
     def test_equals_noiseless_predict_means(self):
         rng = np.random.default_rng(0)
         belief, _, _ = random_instance(rng, 1, 3, 1)
         model = ncv_model(1.0, 2.0)
         noiseless = ncv_model(1.0, 0.0)
-        means = nominal_trajectory(belief, model, 5)
+        means = _nominal_paths(belief, model, 5)[0]
         for track, mean_seq in zip(belief.tracks, means):
             cur = track
             for l in range(5):
                 cur = predict(cur, noiseless)
-                assert np.allclose(cur.xi, mean_seq[l], atol=1e-12)
+                assert np.allclose(cur.xi[:2], mean_seq[l], atol=1e-12)
 
 
 class TestRolloutCost:
@@ -180,7 +176,7 @@ class TestRolloutCost:
         model = ncv_model(1.0, 1.0)
         for _ in range(20):
             belief, forest, joint = random_instance(rng, 1, 1, 1)
-            res = rollout_cost(belief, joint, forest, model, 1)
+            res = engine_cost(belief, joint, forest, model, 1)
             agent = propagate_agent(belief.agents[0], joint[0].actions[0], model.dt)
             track = predict(belief.tracks[0], model)
             pos = (float(track.xi[0]), float(track.xi[1]))
@@ -192,16 +188,13 @@ class TestRolloutCost:
             )
             if inside:
                 p = kalman_update_cov(p, observation_covariance(agent, pos))
-            assert res.cost == pytest.approx(np.trace(p), abs=1e-9)
+            assert res == pytest.approx(np.trace(p), abs=1e-9)
 
     def test_unobservable_cost_is_action_independent(self):
         belief = FleetBelief(tracks=(track_at(0, 1000.0, 1000.0),), agents=(agent_at(0, 0),))
         model = ncv_model(1.0, 1.0)
         actions = action_set(5.0, 4, 1)
-        costs = {
-            rollout_cost(belief, [PolicySeq(0, (a,) * 3)], EMPTY, model, 3).cost
-            for a in actions
-        }
+        costs = {engine_cost(belief, [PolicySeq(0, (a,) * 3)], EMPTY, model, 3) for a in actions}
         assert len(costs) == 1
         # pure prediction: sum of predicted traces
         track = belief.tracks[0]
@@ -218,23 +211,42 @@ class TestRolloutCost:
         )
         model = ncv_model(1.0, 1.0)
         joint = [hover_policy(0, 2)]
-        plain = rollout_cost(belief, joint, EMPTY, model, 2, hectg="none")
-        with_pen = rollout_cost(belief, joint, EMPTY, model, 2, hectg="mwtp")
-        assert with_pen.cost == pytest.approx(plain.cost, abs=1e-12)
-        assert with_pen.hectg_value == 0.0
+        plain = engine_cost(belief, joint, EMPTY, model, 2)
+        with_pen = engine_cost(belief, joint, EMPTY, model, 2, beta=1.0)
+        assert with_pen == plain  # no target is uncovered, so no penalty term
 
     def test_cost_decomposition_invariant(self):
         rng = np.random.default_rng(2)
         model = ncv_model(1.0, 1.0)
         for _ in range(10):
             belief, forest, joint = random_instance(rng, 2, 3, 2)
-            res = rollout_cost(belief, joint, forest, model, 2, hectg="mwtp", beta=0.7)
-            assert res.cost == pytest.approx(sum(res.step_traces) + res.hectg_value, abs=1e-9)
+            # the trace sum and the terminal penalty each match the oracle's
+            traces = engine_cost(belief, joint, forest, model, 2)
+            penalty = engine_cost(belief, joint, forest, model, 2, beta=0.7) - traces
+            ref_traces = rollout_cost(belief, joint, forest, model, 2)
+            ref_penalty = rollout_cost(belief, joint, forest, model, 2, beta=0.7) - ref_traces
+            assert traces == pytest.approx(ref_traces, abs=1e-9)
+            assert penalty == pytest.approx(ref_penalty, abs=1e-9)
 
     def test_policy_length_validated(self):
         belief = FleetBelief(tracks=(track_at(0, 0, 0),), agents=(agent_at(0, 0),))
         with pytest.raises(ValueError):
-            rollout_cost(belief, [hover_policy(0, 2)], EMPTY, ncv_model(1.0, 1.0), 3)
+            sma_nbo_plan(
+                belief, (hover_policy(0, 2),), 3, action_set(5.0, 4, 1), EMPTY,
+                ncv_model(1.0, 1.0),
+            )
+
+
+def mdo_position(sensor, target):
+    """Where the terminal penalty moves one sensor to cover one target."""
+    _, steps = mwtp_detailed(
+        np.array([[sensor.px, sensor.py]]),
+        np.array([sensor.half_width]),
+        np.array([target], dtype=float),
+        np.array([1.0]),
+        beta=1.0,
+    )
+    return steps[0].sensor_after
 
 
 class TestMdoPosition:
@@ -268,7 +280,9 @@ class TestMdoPosition:
 
 class TestMwtp:
     def test_empty_set_costs_nothing(self):
-        assert mwtp([agent_at(0, 0)], [], beta=1.0) == 0.0
+        assert mwtp_detailed(
+            np.array([[0.0, 0.0]]), np.array([10.0]), np.zeros((0, 2)), np.zeros(0), beta=1.0
+        ) == (0.0, [])
 
     def test_single_sensor_two_targets_guard(self):
         j, steps = mwtp_detailed(
@@ -301,7 +315,14 @@ class TestMwtp:
         assert [s.sensor_index for s in steps] == [1, 0]
         expected = 15.0 * 100.0 + math.sqrt(425.0) * 50.0
         assert j == pytest.approx(expected, abs=1e-9)
-        assert mwtp(sensors, uncovered, beta=1.0) == pytest.approx(expected, abs=1e-9)
+        j_agents, _ = mwtp_detailed(
+            sensor_xy=np.array([[a.px, a.py] for a in sensors]),
+            half_widths=np.array([a.half_width for a in sensors]),
+            target_xy=np.array([pos for pos, _ in uncovered]),
+            traces=np.array([tr for _, tr in uncovered]),
+            beta=1.0,
+        )
+        assert j_agents == pytest.approx(expected, abs=1e-9)
 
     def test_contributing_targets_bounded_by_sensors(self):
         rng = np.random.default_rng(4)
@@ -336,12 +357,12 @@ class TestBatchMatchesReference:
             n_agents = int(rng.integers(1, 4))
             n_targets = int(rng.integers(1, 4))
             h = int(rng.integers(1, 4))
-            hectg = "mwtp" if rng.random() < 0.5 else "none"
+            beta = 0.8 if rng.random() < 0.5 else None
             belief, forest, joint = random_instance(rng, n_agents, n_targets, h)
             model = ncv_model(1.0, 1.0)
-            ref = rollout_cost(belief, joint, forest, model, h, hectg=hectg, beta=0.8)
-            fast = engine_cost(belief, joint, forest, model, h, hectg=hectg, beta=0.8)
-            assert fast == pytest.approx(ref.cost, rel=1e-9, abs=1e-9)
+            ref = rollout_cost(belief, joint, forest, model, h, beta=beta)
+            fast = engine_cost(belief, joint, forest, model, h, beta=beta)
+            assert fast == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_sampled_paths_match_scalar_recursion(self):
         rng = np.random.default_rng(6)
@@ -443,7 +464,7 @@ class TestOptimizeSingle:
 
         def cost(seq):
             policy = PolicySeq(0, tuple(actions[a] for a in seq))
-            return rollout_cost(belief, [policy], EMPTY, model, len(seq)).cost
+            return rollout_cost(belief, [policy], EMPTY, model, len(seq))
 
         # literal beam: re-score every prefix, keep the 3 best by (cost,
         # position), expand the survivors in that rank order
@@ -529,12 +550,12 @@ class TestSmaNbo:
                     EMPTY,
                     model,
                     1,
-                ).cost
+                )
                 for a0 in actions
                 for a1 in actions
             )
         )
-        got = rollout_cost(belief, joint, EMPTY, model, 1).cost
+        got = rollout_cost(belief, joint, EMPTY, model, 1)
         assert got == pytest.approx(best, abs=1e-9)
 
     def test_never_worse_than_intents(self):
@@ -545,8 +566,8 @@ class TestSmaNbo:
             belief, forest, prev = random_instance(rng, 2, 3, 2)
             intents = extend_intent(prev, 2, 2)
             joint, stats = sma_nbo_plan(belief, intents, 2, actions, forest, model)
-            j_intents = rollout_cost(belief, list(intents), forest, model, 2).cost
-            j_plan = rollout_cost(belief, joint, forest, model, 2).cost
+            j_intents = rollout_cost(belief, list(intents), forest, model, 2)
+            j_plan = rollout_cost(belief, joint, forest, model, 2)
             assert j_plan <= j_intents + 1e-9
             # stage chain: objective never increases within the sweep
             chain = [stats.stage_incumbent_costs[0]]
@@ -574,7 +595,7 @@ class TestSmaNbo:
         joint, _ = sma_nbo_plan(belief, intents, 2, actions, forest, ncv_model(1.0, 1.0))
         for seq in joint:
             for act in seq.actions:
-                assert act.speed <= 5.0 + 1e-9
+                assert math.hypot(act.ux, act.uy) <= 5.0 + 1e-9
 
     def test_beam_fallback_at_shipped_limits(self):
         # |A| = 9: H5 is still enumerated, H6 falls back to beam search
@@ -614,12 +635,12 @@ class TestDecPomdp:
         costs = [
             rollout_cost(
                 belief, [PolicySeq(0, (a0,)), PolicySeq(1, (a1,))], forest, model, 1
-            ).cost
+            )
             for a0, a1 in combos
         ]
         best_idx = int(np.argmin(costs))
         assert stats.per_agent_evals == (9, 9)
-        got = rollout_cost(belief, joint, forest, model, 1).cost
+        got = rollout_cost(belief, joint, forest, model, 1)
         assert got == pytest.approx(costs[best_idx], abs=1e-9)
         assert (joint[0].actions[0], joint[1].actions[0]) == combos[best_idx]
 
@@ -632,8 +653,8 @@ class TestDecPomdp:
             intents = extend_intent(prev, 1, 2)
             joint_dec, _ = dec_pomdp_plan(belief, 1, actions, forest, model)
             joint_sma, _ = sma_nbo_plan(belief, intents, 1, actions, forest, model)
-            j_dec = rollout_cost(belief, joint_dec, forest, model, 1).cost
-            j_sma = rollout_cost(belief, joint_sma, forest, model, 1).cost
+            j_dec = rollout_cost(belief, joint_dec, forest, model, 1)
+            j_sma = rollout_cost(belief, joint_sma, forest, model, 1)
             assert j_dec <= j_sma + 1e-9
 
     def test_joint_problem_is_solved_once(self, monkeypatch):
@@ -681,7 +702,7 @@ class TestDecPomdp:
                 EMPTY,
                 model,
                 2,
-            ).cost
+            )
             for c in combos
         ]
         best = combos[costs.index(min(costs))]

@@ -1,16 +1,18 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from trackplan import (
     OcclusionForest,
-    OspaParams,
     ScenarioConfig,
     TargetTrajectory,
     generate_forest,
     run_trial,
-    trial_ospa_series,
 )
-from trackplan.sim import initial_agents
+from trackplan.sim import TrialLog, initial_agents
+
+from oracles import ospa_brute
 
 EMPTY = OcclusionForest(disks=())
 
@@ -58,6 +60,14 @@ class TestTrialStructure:
         a = run_trial(cfg, EMPTY, "sma-nbo", 1)
         b = run_trial(cfg, EMPTY, "sma-nbo", 2)
         assert not a.deterministic_equal(b)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrialLog)])
+    def test_deterministic_equal_compares_every_field_but_wall_clock(self, name):
+        log = run_trial(small_config(duration=2.0), EMPTY, "sma-nbo", 0)
+        value = getattr(log, name)
+        changed = tuple(v + 1 for v in value) if isinstance(value, tuple) else value + 1
+        other = replace(log, **{name: changed})
+        assert other.deterministic_equal(log) == (name == "epoch_plan_seconds")
 
     def test_unknown_planner_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +131,10 @@ class TestFilterBehavior:
     def test_ospa_column_matches_metric(self):
         cfg = small_config(n_targets=2)
         log = run_trial(cfg, EMPTY, "sma-nbo", 5)
-        series = trial_ospa_series(log, OspaParams(c=cfg.ospa_c, p=cfg.ospa_p))
+        series = [
+            ospa_brute(est[:, :2], truth[:, :2], cfg.ospa_c, cfg.ospa_p)
+            for est, truth in zip(log.est_mean, log.truth)
+        ]
         assert np.allclose(series, log.ospa, atol=1e-12)
 
 
