@@ -19,13 +19,16 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .metrics import ecdf
-from .planning import BudgetExceededError, action_set, dec_pomdp_joint_count
+from .planning import BudgetExceededError, action_count, dec_pomdp_joint_count
 from .sim import PLANNERS, TrialLog, run_trial
 from .worldgen import (
+    MAX_INT,
+    Aoi,
     ForestPlacementError,
     OcclusionForest,
     ScenarioConfig,
@@ -57,8 +60,8 @@ class ExperimentSpec:
         if not (self.planners and self.horizons and self.lambdas and self.radii):
             raise ConfigError("sweep lists must be non-empty")
         for name in ("n_maps", "mcr_samples", "workers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) <= MAX_INT:
+                raise ConfigError(f"{name} must be >= 1 and <= {MAX_INT}")
         for p in self.planners:
             if p not in PLANNERS:
                 raise ConfigError(f"unknown planner {p!r}; choose from {PLANNERS}")
@@ -68,8 +71,7 @@ class ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"invalid sweep: {exc}") from exc
         if "dec-pomdp" in self.planners:
-            b = self.base
-            n_actions = len(action_set(b.v_max, b.n_headings, b.n_speeds))
+            n_actions = action_count(self.base.n_headings, self.base.n_speeds)
             for config in configs.values():
                 try:
                     dec_pomdp_joint_count(n_actions, config.n_agents, config.horizon)
@@ -77,49 +79,28 @@ class ExperimentSpec:
                     raise ConfigError(f"dec-pomdp at horizon {config.horizon}: {exc}") from exc
 
 
-_SCENARIO_KEYS = {
-    "seed": int,
-    "aoi_width": float,
-    "aoi_height": float,
-    "lambda": float,
-    "tree_radius": float,
-    "n_agents": int,
-    "fov_edges": "floats",
-    "alphas": "floats",
-    "v_max": float,
-    "dt_sense": float,
-    "dt_plan": float,
-    "horizon": int,
-    "sigma_a": float,
-    "r0": float,
-    "beta": float,
-    "ospa_c": float,
-    "ospa_p": float,
-    "duration": float,
-    "n_targets": int,
-    "speed_min": float,
-    "speed_max": float,
-    "n_headings": int,
-    "n_speeds": int,
-}
+def _keys(cls) -> dict[str, tuple[str, object]]:
+    """A config dataclass's keys in field order: key -> (attribute path, type).
 
-_EXPERIMENT_KEYS = {
-    "planners": "strs",
-    "horizons": "ints",
-    "lambdas": "floats",
-    "radii": "floats",
-    "n_maps": int,
-    "out_dir": str,
-    "mcr_samples": int,
-    "workers": int,
-}
+    An Aoi field gives one key per side, a ScenarioConfig field is the
+    [scenario] section, and ``lam`` is ``lambda``, a Python keyword.
+    """
+    keys: dict[str, tuple[str, object]] = {}
+    for name, kind in get_type_hints(cls).items():
+        if kind is Aoi:
+            for side, side_kind in get_type_hints(Aoi).items():
+                keys[f"{name}_{side}"] = (f"{name}.{side}", side_kind)
+        elif kind is not ScenarioConfig:
+            keys["lambda" if name == "lam" else name] = (name, kind)
+    return keys
+
 
 # Config sections in the order they are checked and written: name -> (key
 # table, path from an ExperimentSpec to the object holding the values).
-_SECTIONS = {"scenario": (_SCENARIO_KEYS, "base."), "experiment": (_EXPERIMENT_KEYS, "")}
-
-# Config keys that are not plain attributes of their section's object.
-_KEY_ATTRS = {"aoi_width": "aoi.width", "aoi_height": "aoi.height", "lambda": "lam"}
+_SECTIONS = {
+    "scenario": (_keys(ScenarioConfig), "base."),
+    "experiment": (_keys(ExperimentSpec), ""),
+}
 
 # Command-line flags as (flag, section, key). A flag's text is read as the
 # key's value in a config file would be, and replaces the file's value.
@@ -150,27 +131,19 @@ def _line_of(path: str, section: str, key: str) -> int:
 
 
 def _convert(kind, text: str):
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    if kind is str:
-        return text.strip()
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if kind == "floats":
-        return tuple(float(p) for p in parts)
-    if kind == "ints":
-        return tuple(int(p) for p in parts)
-    return tuple(parts)
+    """Text as a value of type ``kind``; ``tuple[T, ...]`` is a comma list of T."""
+    if get_origin(kind) is tuple:
+        return tuple(_convert(get_args(kind)[0], p) for p in text.split(",") if p.strip())
+    return kind(text.strip())
 
 
 def _read_config(path: str) -> dict[str, dict]:
     """Converted values of a config file, by section; unknown keys are hard errors."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in parser.sections():
@@ -186,7 +159,7 @@ def _read_config(path: str) -> dict[str, dict]:
                     f"{path}: line {_line_of(path, name, key)}: unknown {name} key {key!r}"
                 )
             try:
-                values[name][key] = _convert(keys[key], raw)
+                values[name][key] = _convert(keys[key][1], raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: line {_line_of(path, name, key)}: bad value for {key!r}: {exc}"
@@ -205,11 +178,11 @@ def build_spec(scenario_kwargs: dict, exp_kwargs: dict) -> ExperimentSpec:
     fields: dict = {}
     aoi: dict = {}
     for key, value in scenario_kwargs.items():
-        attr = _KEY_ATTRS.get(key, key)
-        if attr.startswith("aoi."):
-            aoi[attr[len("aoi."):]] = value
+        name, _, side = _SECTIONS["scenario"][0][key][0].partition(".")
+        if side:
+            aoi[side] = value
         else:
-            fields[attr] = value
+            fields[name] = value
     try:
         base = ScenarioConfig(aoi=replace(ScenarioConfig.aoi, **aoi), **fields)
     except (ValueError, TypeError) as exc:
@@ -219,19 +192,16 @@ def build_spec(scenario_kwargs: dict, exp_kwargs: dict) -> ExperimentSpec:
 
 
 def _format(kind, value) -> str:
-    if kind is float:
-        return repr(value)
-    if kind == "floats":
-        return ",".join(repr(v) for v in value)
-    if kind in ("ints", "strs"):
-        return ",".join(str(v) for v in value)
-    return str(value)
+    if get_origin(kind) is tuple:
+        return ",".join(_format(get_args(kind)[0], v) for v in value)
+    return repr(value) if kind is float else str(value)
 
 
 def _key_text(spec: ExperimentSpec, section: str, key: str) -> str:
     """The value of ``key`` in spec, as a config file states it."""
     keys, owner = _SECTIONS[section]
-    return _format(keys[key], attrgetter(owner + _KEY_ATTRS.get(key, key))(spec))
+    attr, kind = keys[key]
+    return _format(kind, attrgetter(owner + attr)(spec))
 
 
 def write_effective_config(spec: ExperimentSpec, path: str) -> None:
@@ -354,17 +324,16 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     output behind.
     """
     cells = _cells(spec)
-    forests: dict[tuple[int, int], OcclusionForest] = {
-        (ci, mi): generate_forest(
-            lam,
-            radius,
-            spec.base.aoi,
-            np.random.default_rng(np.random.SeedSequence([spec.base.seed, 0, ci, mi])),
-            seed=mi,
-        )
-        for ci, (lam, radius) in enumerate(cells)
-        for mi in range(spec.n_maps)
-    }
+    forests: dict[tuple[int, int], OcclusionForest] = {}
+    for ci, (lam, radius) in enumerate(cells):
+        for mi in range(spec.n_maps):
+            rng = np.random.default_rng(np.random.SeedSequence([spec.base.seed, 0, ci, mi]))
+            try:
+                forests[ci, mi] = generate_forest(lam, radius, spec.base.aoi, rng, seed=mi)
+            except ForestPlacementError as exc:
+                raise ForestPlacementError(
+                    f"lambda {lam!r}, radius {radius!r}, map {mi}: {exc}"
+                ) from exc
 
     out = Path(spec.out_dir)
     maps_dir = out / "maps"
@@ -467,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
             if text is None:
                 continue
             try:
-                values[section][key] = _convert(_SECTIONS[section][0][key], text)
+                values[section][key] = _convert(_SECTIONS[section][0][key][1], text)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {flag}: {exc}") from exc
         spec = build_spec(values["scenario"], values["experiment"])

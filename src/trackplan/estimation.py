@@ -12,11 +12,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .sensing import AgentState, Observation
+from .worldgen import DEFAULT_P0
 
 H_POS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-
-# Track initialization covariance: 5 m position / 2 m/s velocity std.
-DEFAULT_P0 = (25.0, 25.0, 4.0, 4.0)
 
 
 class TrackAssociationError(KeyError):

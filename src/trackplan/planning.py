@@ -85,6 +85,11 @@ class PlanStats:
     stage_best_costs: tuple[float, ...] = ()
 
 
+def action_count(n_headings: int, n_speeds: int) -> int:
+    """Size of action_set(v_max, n_headings, n_speeds), without building it."""
+    return 1 + n_headings * n_speeds
+
+
 def action_set(v_max: float, n_headings: int = 8, n_speeds: int = 1) -> list[Action]:
     """Hover plus evenly spaced headings at evenly spaced speed fractions."""
     if n_headings < 1 or n_speeds < 1:
@@ -566,14 +571,18 @@ def mcr_plan(
 def dec_pomdp_joint_count(n_actions: int, n_agents: int, h: int) -> int:
     """Joint sequences each dec-pomdp agent enumerates, |A|^(n*h).
 
-    Raises BudgetExceededError when the count exceeds DEC_POMDP_BUDGET.
+    Raises BudgetExceededError when the count exceeds DEC_POMDP_BUDGET. The
+    power is built one factor at a time and stops past the budget, so a huge
+    exponent costs no more than a small one.
     """
-    joint_count = n_actions ** (n_agents * h)
-    if joint_count > DEC_POMDP_BUDGET:
-        raise BudgetExceededError(
-            f"joint optimization needs {joint_count} rollouts per agent "
-            f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {DEC_POMDP_BUDGET}"
-        )
+    joint_count = 1
+    for _ in range(n_agents * h):
+        joint_count *= n_actions
+        if joint_count > DEC_POMDP_BUDGET:
+            raise BudgetExceededError(
+                f"joint optimization needs {n_actions}^{n_agents * h} rollouts per agent "
+                f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {DEC_POMDP_BUDGET}"
+            )
     return joint_count
 
 

@@ -24,9 +24,15 @@ LEVY_STEP_MAX = 40.0
 # log arrays grow with it: 10^6 steps of four target states is 32 MB each.
 MAX_SENSE_STEPS = 1_000_000
 
+# Largest integer field: an int64, numpy's type for array sizes and counts.
+MAX_INT = int(np.iinfo(np.int64).max)
+
 # Largest expected disk count: numpy's Poisson sampler refuses a mean above
 # the int64 maximum less ten standard deviations, about 9.22e18.
-MAX_LAMBDA = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+MAX_LAMBDA = MAX_INT - 10.0 * math.sqrt(MAX_INT)
+
+# Track initialization covariance: 5 m position / 2 m/s velocity std.
+DEFAULT_P0 = (25.0, 25.0, 4.0, 4.0)
 
 
 class ForestPlacementError(RuntimeError):
@@ -111,7 +117,8 @@ class TargetTrajectory:
 
 
 # Lower bounds on ScenarioConfig fields as (names, bound, strict); every
-# entry, and every entry of a tuple field, must also be finite.
+# entry, and every entry of a tuple field, must also be finite, and an
+# integer at most MAX_INT. The seed is held to that range too.
 _SCENARIO_BOUNDS = (
     (
         ("dt_sense", "dt_plan", "duration", "v_max", "r0", "ospa_c", "tree_radius",
@@ -128,6 +135,7 @@ _SCENARIO_BOUNDS = (
 class ScenarioConfig:
     """Full parameterization of one simulation trial."""
 
+    seed: int = 0
     aoi: Aoi = Aoi(150.0, 100.0)
     lam: float = 45.0
     tree_radius: float = 5.0
@@ -144,7 +152,6 @@ class ScenarioConfig:
     ospa_c: float = 50.0
     ospa_p: float = 2.0
     duration: float = 60.0
-    seed: int = 0
     n_targets: int = 4
     speed_min: float = 1.0
     speed_max: float = 3.0
@@ -156,9 +163,14 @@ class ScenarioConfig:
             for name in names:
                 value = getattr(self, name)
                 for v in value if isinstance(value, tuple) else (value,):
-                    if not (math.isfinite(v) and (v > bound if strict else v >= bound)):
+                    # An int is compared exactly: a huge one has no float.
+                    in_range = v <= MAX_INT if isinstance(v, int) else math.isfinite(v)
+                    if not (in_range and (v > bound if strict else v >= bound)):
+                        limit = f"<= {MAX_INT}" if isinstance(v, int) else "finite"
                         op = ">" if strict else ">="
-                        raise ValueError(f"{name} must be finite and {op} {bound}, got {v!r}")
+                        raise ValueError(f"{name} must be {limit} and {op} {bound}, got {v!r}")
+        if len(self.fov_edges) != self.n_agents or len(self.alphas) != self.n_agents:
+            raise ValueError("fov_edges and alphas must have one entry per agent")
         ratio = self.dt_plan / self.dt_sense
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
@@ -175,11 +187,29 @@ class ScenarioConfig:
                 f"duration={self.duration} at dt_sense={self.dt_sense} exceeds "
                 f"{MAX_SENSE_STEPS} sensing steps"
             )
-        # The process noise sigma_a^2 * (dt^2, dt^3/2, dt^4/4) at either period
-        # and the OSPA total, at most n_targets * c^p, must be finite.
-        for dt in (self.dt_sense, self.dt_plan):
-            if not _finite(lambda: self.sigma_a**2 * max(dt * dt, dt**3 / 2.0, dt**4 / 4.0)):
-                raise ValueError(f"sigma_a={self.sigma_a} overflows the process noise at dt={dt}")
+        # Every Kalman update must stay finite. An update only shrinks a
+        # covariance, so a track unobserved for t, the trial plus one planning
+        # horizon, bounds every variance. A step of dt <= dt_plan of the noise
+        # sigma_a^2 (dt^4/4, dt^3/2, dt^2) adds at most sigma_a^2 dt^2 to a
+        # velocity variance and sigma_a^2 dt^2 t^2 to a position variance, so
+        # with the steps summing to t no variance exceeds
+        # (max P0 + sigma_a^2 dt_plan t) (1 + t)^2; that also bounds the noise
+        # itself. A measurement variance is at most 0.1 pi alpha r, with the
+        # range r at most r0 or the AOI diagonal plus the agent travel v_max t.
+        # The innovation determinant multiplies two sums of the two bounds.
+        def innovation_bound_sq() -> float:
+            t = self.duration + self.horizon * self.dt_plan
+            p_max = (max(DEFAULT_P0) + self.sigma_a**2 * self.dt_plan * t) * (1.0 + t) ** 2
+            reach = math.hypot(self.aoi.width, self.aoi.height) + self.v_max * t
+            r_max = 0.1 * math.pi * max(self.alphas) * max(self.r0, reach)
+            return (p_max + r_max) ** 2
+
+        if not _finite(innovation_bound_sq):
+            raise ValueError(
+                f"Kalman update variances overflow over duration={self.duration} plus "
+                f"horizon={self.horizon}: sigma_a={self.sigma_a}, r0={self.r0}, alphas={self.alphas}"
+            )
+        # The OSPA total, at most n_targets * c^p, must be finite.
         if not _finite(lambda: self.n_targets * self.ospa_c**self.ospa_p):
             raise ValueError(
                 f"ospa_c**ospa_p overflows: ospa_c={self.ospa_c}, ospa_p={self.ospa_p}"
@@ -189,8 +219,6 @@ class ScenarioConfig:
         # Forest placement compares squared centre distances with (2 r)^2.
         if not _finite(lambda: (2.0 * self.tree_radius) ** 2):
             raise ValueError(f"tree_radius={self.tree_radius} overflows the placement test")
-        if len(self.fov_edges) != self.n_agents or len(self.alphas) != self.n_agents:
-            raise ValueError("fov_edges and alphas must have one entry per agent")
         if self.speed_max < self.speed_min:
             raise ValueError("speed interval must satisfy 0 <= min <= max")
 

@@ -1,9 +1,14 @@
 import configparser
 import hashlib
 import re
+import string
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackplan import cli
 from trackplan.cli import (
@@ -14,7 +19,8 @@ from trackplan.cli import (
     run_experiment,
     write_effective_config,
 )
-from trackplan.worldgen import ScenarioConfig
+from trackplan.sim import PLANNERS
+from trackplan.worldgen import Aoi, ScenarioConfig
 
 
 def tiny_spec(out_dir, planners=("sma-nbo",), **kw):
@@ -90,14 +96,83 @@ class TestParseConfig:
         values = {}
         for name, (keys, _) in cli._SECTIONS.items():
             assert list(parser[name]) == list(keys)
-            values[name] = {k: cli._convert(keys[k], v) for k, v in parser[name].items()}
+            values[name] = {k: cli._convert(keys[k][1], v) for k, v in parser[name].items()}
         assert cli.build_spec(values["scenario"], values["experiment"]) == cli.build_spec({}, {})
 
+    def test_every_config_field_has_exactly_one_key(self):
+        paths = [
+            owner + attr for keys, owner in cli._SECTIONS.values() for attr, _ in keys.values()
+        ]
+        expected = [
+            *(f"base.{f.name}" for f in fields(ScenarioConfig) if f.name != "aoi"),
+            *(f"base.aoi.{f.name}" for f in fields(Aoi)),
+            *(f.name for f in fields(ExperimentSpec) if f.name != "base"),
+        ]
+        assert sorted(paths) == sorted(expected)
+        assert len(paths) == 31
+
     def test_effective_config_round_trips(self, tmp_path):
-        spec = tiny_spec(tmp_path / "out", planners=("sma-nbo", "mcr"), horizons=(1, 3))
-        path = tmp_path / "eff.ini"
-        write_effective_config(spec, str(path))
-        assert parse_config(str(path)) == spec
+        every_key = ExperimentSpec(
+            base=ScenarioConfig(
+                seed=11, aoi=Aoi(140.0, 90.0), lam=30.0, tree_radius=4.0, n_agents=2,
+                fov_edges=(21.0, 24.0), alphas=(0.11, 0.14), v_max=4.5, dt_sense=0.25,
+                dt_plan=0.5, horizon=2, sigma_a=0.9, r0=1.5, beta=0.8, ospa_c=40.0,
+                ospa_p=1.0, duration=3.0, n_targets=3, speed_min=0.5, speed_max=2.5,
+                n_headings=6, n_speeds=2,
+            ),
+            planners=("sma-nbo", "mcr"), horizons=(1, 2), lambdas=(10.0, 20.0),
+            radii=(3.0, 4.0), n_maps=2, out_dir=str(tmp_path / "100%"), mcr_samples=7,
+            workers=2,
+        )
+        defaults = cli.build_spec({}, {})
+        for name, (keys, _) in cli._SECTIONS.items():
+            for key in keys:
+                assert cli._key_text(every_key, name, key) != cli._key_text(defaults, name, key)
+        specs = (
+            tiny_spec(tmp_path / "out", planners=("sma-nbo", "mcr"), horizons=(1, 3)),
+            every_key,
+        )
+        for spec in specs:
+            path = tmp_path / "eff.ini"
+            write_effective_config(spec, str(path))
+            assert parse_config(str(path)) == spec
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_any_config_text_is_rejected_or_round_trips(self, data):
+        # Parses only: no map is drawn and no trial runs.
+        def value_texts(default: str):
+            number = st.one_of(
+                st.integers(-3, 20),
+                st.integers(-(10**400), 10**400),
+                st.floats(),
+                st.sampled_from([float("nan"), float("inf"), 1e308, 1e-320, -0.0]),
+            ).map(repr)
+            scalar = st.one_of(number, st.sampled_from(PLANNERS))
+            # A value is one line of UTF-8 text: no line breaks, no lone surrogates.
+            junk = st.text(
+                st.sampled_from(string.digits + string.punctuation + " e")
+                | st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n")
+            )
+            comma_list = st.lists(scalar, min_size=1, max_size=4).map(",".join)
+            return st.one_of(st.just(default), scalar, comma_list, junk)
+
+        defaults = cli.build_spec({}, {})
+        lines = []
+        for name, (keys, _) in cli._SECTIONS.items():
+            lines.append(f"[{name}]")
+            for key in data.draw(st.lists(st.sampled_from(list(keys)), unique=True, max_size=6)):
+                value = data.draw(value_texts(cli._key_text(defaults, name, key)))
+                lines.append(f"{key} = {value}")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ini"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                spec = parse_config(str(path))
+            except ConfigError:
+                return
+            write_effective_config(spec, str(path))
+            assert parse_config(str(path)) == spec
 
 
 class TestRunExperiment:
@@ -236,6 +311,12 @@ class TestMain:
             "lambda = 1e20",
             "[experiment]\nlambdas = 5,1e20",
             "lambda = 1000",
+            "[experiment]\nlambdas = 5,1000",
+            "sigma_a = 1e150",
+            "r0 = 1e300",
+            "alphas = 1e300,0.15,0.12",
+            "n_headings = 1000000\n[experiment]\nplanners = dec-pomdp",
+            "[experiment]\nn_maps = 9223372036854775808",
         ],
     )
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
@@ -243,7 +324,9 @@ class TestMain:
         scenario = line if line.startswith("duration") else f"duration = 2\n{line}"
         cfg.write_text(f"[scenario]\n{scenario}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        self._assert_one_config_error(capsys, tmp_path)
+        err = self._assert_one_config_error(capsys, tmp_path)
+        if "1000" in line and "lambda" in line:
+            assert "lambda 1000" in err  # the cell whose forest cannot be placed
 
     @pytest.mark.parametrize(
         "flags",
@@ -259,6 +342,9 @@ class TestMain:
             "--radius 1e300",
             "--lambda 1e20",
             "--mwtp",
+            pytest.param(f"--seed 1{'0' * 400}", id="--seed 10**400"),
+            pytest.param(f"--horizon 1{'0' * 400}", id="--horizon 10**400"),
+            "--planner dec-pomdp --horizon 1600",
         ],
     )
     def test_bad_flag_value_exits_before_any_trial(self, tmp_path, capsys, flags):
@@ -287,3 +373,4 @@ class TestMain:
         assert err.startswith("config error")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+        return err

@@ -718,7 +718,7 @@ class TestDecPomdp:
         rng = np.random.default_rng(17)
         belief, forest, _ = random_instance(rng, 3, 2, 1)
         actions = action_set(5.0, 8, 1)
-        with pytest.raises(BudgetExceededError, match=str(9**9)):
+        with pytest.raises(BudgetExceededError, match=r"needs 9\^9 rollouts"):
             dec_pomdp_plan(belief, 3, actions, forest, ncv_model(1.0, 1.0))
 
 
