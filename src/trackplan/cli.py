@@ -301,7 +301,8 @@ def _run_job(job: tuple) -> TrialLog:
 
 def _trial_outcomes(jobs: list[tuple], workers: int):
     """Yield (key, TrialLog or the exception it raised) as each trial ends."""
-    if workers == 1:
+    workers = min(workers, len(jobs))  # a pool starts all its processes at once
+    if workers <= 1:
         for job in jobs:
             try:
                 yield job[0], _run_job(job)

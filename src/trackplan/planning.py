@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimation import FleetBelief, NcvModel
-from .sensing import AgentState
+from .sensing import AgentState, _range_bearing_cov_batch, in_fov
 from .worldgen import OcclusionForest
 
 _EYE4 = np.eye(4)
@@ -184,26 +184,6 @@ def mwtp_detailed(
 # ---------------------------------------------------------------------------
 
 
-def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.ndarray:
-    """Batched range-bearing covariance for sensor-to-target offsets (M, 2)."""
-    dx, dy = delta[:, 0], delta[:, 1]
-    rng_true = np.hypot(dx, dy)
-    r = np.maximum(rng_true, r0)
-    safe = rng_true > 0.0
-    denom = np.where(safe, rng_true, 1.0)
-    c = np.where(safe, dx / denom, 1.0)
-    s = np.where(safe, dy / denom, 0.0)
-    k = 0.1 * alpha * r
-    pi = math.pi
-    out = np.empty((len(delta), 2, 2))
-    out[:, 0, 0] = k * (c * c + pi * s * s)
-    out[:, 1, 1] = k * (s * s + pi * c * c)
-    off = k * (1.0 - pi) * c * s
-    out[:, 0, 1] = off
-    out[:, 1, 0] = off
-    return out
-
-
 def _joseph_update_batch(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Joseph-form covariance update for a batch of (4,4) covariances."""
     s = p[:, :2, :2] + r
@@ -219,16 +199,6 @@ def _joseph_update_batch(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     a[:, :, :2] -= k
     p_new = a @ p @ a.transpose(0, 2, 1) + k @ r @ k.transpose(0, 2, 1)
     return (p_new + p_new.transpose(0, 2, 1)) / 2.0
-
-
-def _free_of_occlusion(target_pos: np.ndarray, forest: OcclusionForest) -> np.ndarray:
-    """Boolean mask (..., ) of positions not strictly inside any disk."""
-    if len(forest) == 0:
-        return np.ones(target_pos.shape[:-1], dtype=bool)
-    centers = forest.centers()
-    radii = forest.radii()
-    d2 = ((target_pos[..., None, :] - centers) ** 2).sum(axis=-1)
-    return ~(d2 < radii**2).any(axis=-1)
 
 
 def _nominal_paths(belief: FleetBelief, model: NcvModel, h: int) -> np.ndarray:
@@ -306,7 +276,7 @@ class _PrefixTree:
     ):
         self.belief, self.model, self.beta = belief, model, beta
         self.target_paths = target_paths
-        self.free = _free_of_occlusion(target_paths, forest)
+        self.free = ~forest.occludes(target_paths)
         self.h = target_paths.shape[2]
 
     def positions(self, joint: list[PolicySeq]) -> list[np.ndarray]:
@@ -362,21 +332,27 @@ class _PrefixTree:
         return _Found(best, best_cost, watched, self.scored)
 
     def _expand(self, nodes: _Nodes, level: int, keep: int | None):
-        """Leaf blocks (paths, costs) below ``nodes``, depth first."""
-        blocks = self._children(nodes, level)
-        if level + 1 == self.h:
-            for leaves in blocks:
-                self.scored += len(leaves.cost)
-                yield leaves.paths, self._leaf_costs(leaves)
-        elif keep is None:
-            for block in blocks:
-                yield from self._expand(block, level + 1, keep)
-        else:
-            kids = _Nodes(*map(np.concatenate, zip(*blocks)))
-            mean = kids.cost.mean(axis=1)
-            self.scored += len(mean)
-            ranked = sorted(range(len(mean)), key=lambda i: (mean[i], i))[:keep]
-            yield from self._expand(_Nodes(*(a[ranked] for a in kids)), level + 1, keep)
+        """Leaf blocks (paths, costs) below ``nodes``, depth first. A beam level or
+        one whose children fit one block is descended in a loop; only a level
+        that splits into several blocks recurses, once per block."""
+        while level + 1 < self.h:
+            blocks = self._children(nodes, level)
+            if keep is not None:
+                kids = _Nodes(*map(np.concatenate, zip(*blocks)))
+                mean = kids.cost.mean(axis=1)
+                self.scored += len(mean)
+                ranked = sorted(range(len(mean)), key=lambda i: (mean[i], i))[:keep]
+                nodes = _Nodes(*(a[ranked] for a in kids))
+            elif len(nodes.cost) * len(self.step_xy) <= SCAN_CHUNK:
+                nodes = next(blocks)
+            else:
+                for block in blocks:
+                    yield from self._expand(block, level + 1, keep)
+                return
+            level += 1
+        for leaves in self._children(nodes, level):
+            self.scored += len(leaves.cost)
+            yield leaves.paths, self._leaf_costs(leaves)
 
     def _children(self, nodes: _Nodes, level: int):
         """Children of ``nodes`` after step ``level``, SCAN_CHUNK at a time."""
@@ -407,9 +383,8 @@ class _PrefixTree:
             if not ft.any():
                 continue
             for agent, apos in zip(self.belief.agents, agent_xy):
-                hw = agent.half_width
                 delta = tp[None, :, :] - apos[:, None, :]
-                vis = (np.abs(delta[..., 0]) <= hw) & (np.abs(delta[..., 1]) <= hw) & ft[None, :]
+                vis = in_fov(delta, agent.half_width) & ft[None, :]
                 vis = np.broadcast_to(vis, (n, n_samples))
                 if not vis.any():
                     continue
@@ -431,8 +406,8 @@ class _PrefixTree:
             axis=1,
         )
         half_widths = np.array([a.half_width for a in self.belief.agents])
-        d = np.abs(end_targets[None, None, :, :] - end_agent[:, :, None, :])
-        covered = ((d[..., 0] <= half_widths[:, None]) & (d[..., 1] <= half_widths[:, None])).any(1)
+        offset = end_targets[None, None, :, :] - end_agent[:, :, None, :]
+        covered = in_fov(offset, half_widths[:, None]).any(1)
         for c in np.flatnonzero(~covered.all(axis=1)):
             mask = ~covered[c]
             costs[c] += mwtp_detailed(

@@ -1,13 +1,16 @@
-"""Field-of-view geometry, occlusion tests and noisy position observations.
+"""The sensor model: field of view, measurement noise and observations.
 
 Sensors carry an axis-aligned square footprint centered on the agent and a
 range-bearing noise model: measurement covariance grows with range and is
-oriented along the sensor-to-target bearing.
+oriented along the sensor-to-target bearing. A target is seen when it is in
+the footprint (in_fov) and not occluded (OcclusionForest.occludes); the
+sensing loop and the planner's rollouts both decide it with these two.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -53,22 +56,16 @@ class Observation:
     R: np.ndarray = field(repr=False)  # (2, 2)
 
 
-def in_fov(point: tuple[float, float], agent: AgentState) -> bool:
-    """Closed-boundary membership test of the square footprint."""
-    hw = agent.half_width
-    return abs(point[0] - agent.px) <= hw and abs(point[1] - agent.py) <= hw
+def in_fov(offset: np.ndarray, half_width: float | np.ndarray) -> np.ndarray:
+    """Mask over target-minus-agent offsets (..., 2) inside the closed square
+    of the given half width (broadcast against offset[..., 0])."""
+    d = np.abs(offset)
+    return (d[..., 0] <= half_width) & (d[..., 1] <= half_width)
 
 
-def is_observable(point: tuple[float, float], agent: AgentState, forest: OcclusionForest) -> bool:
-    """True iff the point is in the agent's FoV and not inside a shadow disk.
-
-    The FoV boundary counts as inside; a disk boundary counts as outside
-    the shadow, so points exactly on a circle remain observable.
-    """
-    return in_fov(point, agent) and not forest.occludes(point[0], point[1])
-
-
-def observation_covariance(agent: AgentState, target_pos: tuple[float, float]) -> np.ndarray:
+def observation_covariance(
+    agent: AgentState, target_pos: tuple[float, float] | np.ndarray
+) -> np.ndarray:
     """Range-bearing measurement covariance.
 
     With range r clamped below at r0 and bearing rho from agent to target:
@@ -86,30 +83,53 @@ def observation_covariance(agent: AgentState, target_pos: tuple[float, float]) -
     return agent.alpha * (g @ core @ g.T)
 
 
+def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.ndarray:
+    """observation_covariance in closed form for sensor-to-target offsets (M, 2).
+
+    The rollouts use this form and sense the scalar one. The two differ in
+    the last bits, so switching sense would change every logged trial, and
+    switching the rollouts would slow them."""
+    dx, dy = delta[:, 0], delta[:, 1]
+    rng_true = np.hypot(dx, dy)
+    r = np.maximum(rng_true, r0)
+    safe = rng_true > 0.0
+    denom = np.where(safe, rng_true, 1.0)
+    c = np.where(safe, dx / denom, 1.0)
+    s = np.where(safe, dy / denom, 0.0)
+    k = 0.1 * alpha * r
+    pi = math.pi
+    out = np.empty((len(delta), 2, 2))
+    out[:, 0, 0] = k * (c * c + pi * s * s)
+    out[:, 1, 1] = k * (s * s + pi * c * c)
+    off = k * (1.0 - pi) * c * s
+    out[:, 0, 1] = off
+    out[:, 1, 0] = off
+    return out
+
+
 def sense(
     agents: list[AgentState],
     truths: list[tuple[int, np.ndarray]],
     forest: OcclusionForest,
     rng: np.random.Generator,
-    noise_scale: float = 1.0,
 ) -> list[list[Observation]]:
-    """Generate per-agent observations of every observable target.
+    """Generate per-agent observations of every target in the agent's FoV and
+    not occluded.
 
-    Detection is perfect within the observable region (no misses, no false
-    alarms) and observations are tagged with the true target id. Noise is
-    Gaussian with the range-bearing covariance; noise_scale=0 yields exact
-    positions while keeping the reported covariance intact.
+    Detection is perfect within that region (no misses, no false alarms) and
+    observations are tagged with the true target id. Noise is Gaussian with
+    the range-bearing covariance, drawn agent by agent, then target by target.
     """
+    pos = np.array([(s[0], s[1]) for _, s in truths], dtype=float).reshape(-1, 2)
+    fov = np.array([(a.px, a.py, a.half_width) for a in agents]).reshape(-1, 3)
+    visible = in_fov(pos - fov[:, None, :2], fov[:, 2:])
+    if visible.any():
+        visible &= ~forest.occludes(pos)
     out: list[list[Observation]] = []
-    for agent in agents:
-        obs_list: list[Observation] = []
-        for target_id, state in truths:
-            pos = (float(state[0]), float(state[1]))
-            if not is_observable(pos, agent, forest):
-                continue
-            cov = observation_covariance(agent, pos)
-            noise = np.linalg.cholesky(cov) @ rng.standard_normal(2)
-            z = np.array(pos) + noise_scale * noise
-            obs_list.append(Observation(target_id=target_id, z=z, R=cov))
-        out.append(obs_list)
+    for agent, row in zip(agents, visible.tolist()):
+        out.append([])
+        for t in compress(range(len(row)), row):
+            cov = observation_covariance(agent, pos[t])
+            z = pos[t] + np.linalg.cholesky(cov) @ rng.standard_normal(2)
+            out[-1].append(Observation(target_id=truths[t][0], z=z, R=cov))
     return out

@@ -120,14 +120,12 @@ def run_trial(
     seed,
     trajectories: list[TargetTrajectory] | None = None,
     mcr_samples: int = 50,
-    noise_scale: float = 1.0,
 ) -> TrialLog:
     """Run one deterministic closed-loop trial and log everything.
 
     ``seed`` may be an int or a numpy SeedSequence; identical seeds yield
     bit-identical logs apart from wall-clock. ``trajectories`` overrides
-    the Levy-walk target truth with scripted paths; ``noise_scale=0``
-    disables observation noise for convergence checks.
+    the Levy-walk target truth with scripted paths.
     """
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; choose from {PLANNERS}")
@@ -182,7 +180,7 @@ def run_trial(
         dt_sense=config.dt_sense,
         dt_plan=config.dt_plan,
         times=np.empty(n_steps),
-        truth=np.empty((n_steps, n_targets, 4)),
+        truth=np.stack([traj.samples[1 : n_steps + 1] for traj in trajectories], axis=1),
         est_mean=np.empty((n_steps, n_targets, 4)),
         est_trace=np.empty((n_steps, n_targets)),
         ospa=np.empty(n_steps),
@@ -212,19 +210,17 @@ def run_trial(
             agents = tuple(
                 propagate_agent(a, held[i], config.dt_sense) for i, a in enumerate(agents)
             )
-            truths = [(traj.target_id, traj.samples[j]) for traj in trajectories]
-            observations = sense(list(agents), truths, forest, rng_noise, noise_scale)
+            truths = list(zip(target_ids, log.truth[k]))
+            observations = sense(list(agents), truths, forest, rng_noise)
             belief = fuse(
                 observations,
                 FleetBelief(tracks=belief.tracks, agents=agents, timestamp=belief.timestamp),
                 model_fine,
             )
-            true_pos = np.array([traj.samples[j, :2] for traj in trajectories])
             est_pos = np.array([t.xi[:2] for t in belief.tracks])
             log.times[k] = j * config.dt_sense
-            log.truth[k] = [traj.samples[j] for traj in trajectories]
             log.est_mean[k] = [t.xi for t in belief.tracks]
             log.est_trace[k] = [t.trace for t in belief.tracks]
-            log.ospa[k] = ospa(est_pos, true_pos, params)
+            log.ospa[k] = ospa(est_pos, log.truth[k, :, :2], params)
             log.agent_states[k] = [[a.px, a.py, a.psi, a.vx, a.vy] for a in agents]
     return log

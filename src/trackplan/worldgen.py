@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,8 +21,9 @@ LEVY_STEP_SCALE = 1.0
 LEVY_STEP_MIN = 1.0
 LEVY_STEP_MAX = 40.0
 
-# Longest trial a ScenarioConfig may ask for, in sensing steps. Truth and
-# log arrays grow with it: 10^6 steps of four target states is 32 MB each.
+# Longest trial a ScenarioConfig may ask for, in sensing steps, and most plan
+# steps (epochs x horizon) its policy log may hold. Truth and log arrays grow
+# with them: 10^6 steps of four target states is 32 MB each.
 MAX_SENSE_STEPS = 1_000_000
 
 # Largest integer field: an int64, numpy's type for array sizes and counts.
@@ -88,20 +90,20 @@ class OcclusionForest:
     def __len__(self) -> int:
         return len(self.disks)
 
-    def occludes(self, x: float, y: float) -> bool:
-        """True if (x, y) lies strictly inside any disk (boundary is visible)."""
-        for cx, cy, r in self.disks:
-            if (x - cx) ** 2 + (y - cy) ** 2 < r * r:
-                return True
-        return False
+    @cached_property
+    def _disk_array(self) -> np.ndarray:
+        # (D, 3) rows (cx, cy, r^2), built on first use. Not a field, so
+        # equality and saved maps see only ``disks``.
+        disks = np.array(self.disks, dtype=float).reshape(-1, 3)
+        disks[:, 2] *= disks[:, 2]
+        return disks
 
-    def centers(self) -> np.ndarray:
-        if not self.disks:
-            return np.empty((0, 2))
-        return np.array([(cx, cy) for cx, cy, _ in self.disks])
-
-    def radii(self) -> np.ndarray:
-        return np.array([r for _, _, r in self.disks])
+    def occludes(self, points: np.ndarray) -> np.ndarray:
+        """Mask over points (..., 2) strictly inside any disk (a circle is visible)."""
+        disks = self._disk_array
+        d = np.asarray(points)[..., None, :] - disks[:, :2]
+        d *= d
+        return (d[..., 0] + d[..., 1] < disks[:, 2]).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,11 @@ class ScenarioConfig:
             raise ValueError(
                 f"duration={self.duration} at dt_sense={self.dt_sense} exceeds "
                 f"{MAX_SENSE_STEPS} sensing steps"
+            )
+        if round(epochs) * self.horizon > MAX_SENSE_STEPS:
+            raise ValueError(
+                f"horizon={self.horizon} over {round(epochs)} epochs exceeds "
+                f"{MAX_SENSE_STEPS} logged plan steps"
             )
         # Every Kalman update must stay finite. An update only shrinks a
         # covariance, so a track unobserved for t, the trial plus one planning

@@ -64,6 +64,17 @@ def information_fusion(xi, p, observations):
     return p_new @ vec, (p_new + p_new.T) / 2.0
 
 
+def in_square(tx, ty, ax, ay, half_width):
+    """Whether (tx, ty) lies in the closed square of the given half width
+    centered at (ax, ay)."""
+    return abs(tx - ax) <= half_width and abs(ty - ay) <= half_width
+
+
+def in_any_disk(x, y, disks):
+    """Whether (x, y) lies strictly inside any disk (cx, cy, r)."""
+    return any((x - cx) * (x - cx) + (y - cy) * (y - cy) < r * r for cx, cy, r in disks)
+
+
 def range_bearing_cov(sensor_xy, target_xy, alpha, r0):
     """R = G diag(0.1 alpha r, 0.1 pi alpha r) G^T, with G the rotation by
     the sensor-to-target bearing and r the range clamped below at r0."""
@@ -124,10 +135,9 @@ def rollout_cost(belief, joint, forest, model, h, beta=None):
         for j, (xi, p) in enumerate(tracks):
             xi, p = kalman_predict(xi, p, model.F, model.Q)
             tx, ty = float(xi[0]), float(xi[1])
-            hidden = any((tx - cx) ** 2 + (ty - cy) ** 2 < r * r for cx, cy, r in forest.disks)
+            hidden = in_any_disk(tx, ty, forest.disks)
             for agent, (ax, ay) in zip(belief.agents, agents):
-                hw = agent.fov_edge / 2.0
-                if not hidden and abs(tx - ax) <= hw and abs(ty - ay) <= hw:
+                if not hidden and in_square(tx, ty, ax, ay, agent.fov_edge / 2.0):
                     r = range_bearing_cov((ax, ay), (tx, ty), agent.alpha, agent.r0)
                     p = kalman_update_cov(p, r)
             tracks[j] = (xi, p)
@@ -139,8 +149,7 @@ def rollout_cost(belief, joint, forest, model, h, beta=None):
         (xi[:2], float(np.trace(p)))
         for xi, p in tracks
         if not any(
-            abs(xi[0] - ax) <= hw and abs(xi[1] - ay) <= hw
-            for (ax, ay), hw in zip(agents, half_widths)
+            in_square(xi[0], xi[1], ax, ay, hw) for (ax, ay), hw in zip(agents, half_widths)
         )
     ]
     penalty, _ = greedy_mwtp(

@@ -123,7 +123,7 @@ def test_criterion_2_rollout_matches_direct_filter_step():
         visible = (
             abs(pos[0] - moved.px) <= moved.half_width
             and abs(pos[1] - moved.py) <= moved.half_width
-            and not forest.occludes(*pos)
+            and not forest.occludes(pos)
         )
         if visible:
             p = kalman_update_cov(p, observation_covariance(moved, pos))
@@ -459,7 +459,7 @@ def test_criterion_10_occlusion_recovery_and_horizon_benefit():
     trace_ok = True
     for log in logs.values():
         occluded = np.array(
-            [forest.occludes(*log.truth[k, 0, :2]) for k in range(len(log.times))]
+            [forest.occludes(log.truth[k, 0, :2]) for k in range(len(log.times))]
         )
         inside = np.where(occluded)[0]
         trace = log.est_trace[:, 0]
@@ -468,7 +468,7 @@ def test_criterion_10_occlusion_recovery_and_horizon_benefit():
 
     def reacquired_step(log):
         occluded = np.array(
-            [forest.occludes(*log.truth[k, 0, :2]) for k in range(len(log.times))]
+            [forest.occludes(log.truth[k, 0, :2]) for k in range(len(log.times))]
         )
         last_occ = np.where(occluded)[0][-1]
         below = np.where((np.arange(len(log.ospa)) > last_occ) & (log.ospa < 1.0))[0]
@@ -477,7 +477,7 @@ def test_criterion_10_occlusion_recovery_and_horizon_benefit():
     # the deep lookahead drops the trace at its re-acquisition step
     log5 = logs[5]
     occluded5 = np.array(
-        [forest.occludes(*log5.truth[k, 0, :2]) for k in range(len(log5.times))]
+        [forest.occludes(log5.truth[k, 0, :2]) for k in range(len(log5.times))]
     )
     last_occ = np.where(occluded5)[0][-1]
     reacq5 = reacquired_step(log5)

@@ -3,6 +3,7 @@ import hashlib
 import re
 import string
 import tempfile
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -216,6 +217,32 @@ class TestRunExperiment:
         assert all(a <= b for a, b in zip(freqs, freqs[1:]))
         assert freqs[-1] == pytest.approx(1.0)
 
+    def test_pool_gets_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
+        # a stand-in pool that records its size and runs each job in place
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        run_experiment(tiny_spec(tmp_path / "one", workers=64))
+        run_experiment(tiny_spec(tmp_path / "two", n_maps=2, workers=64))
+        assert sizes == [2]
+        assert (tmp_path / "one" / "summary.csv").exists()
+        assert (tmp_path / "two" / "summary.csv").exists()
+
     def test_sweep_validation(self, tmp_path):
         with pytest.raises(ConfigError):
             tiny_spec(tmp_path, planners=())
@@ -345,6 +372,7 @@ class TestMain:
             pytest.param(f"--seed 1{'0' * 400}", id="--seed 10**400"),
             pytest.param(f"--horizon 1{'0' * 400}", id="--horizon 10**400"),
             "--planner dec-pomdp --horizon 1600",
+            "--horizon 1000000000000 --duration 1 --lambda 5",
         ],
     )
     def test_bad_flag_value_exits_before_any_trial(self, tmp_path, capsys, flags):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -184,7 +185,7 @@ class TestRolloutCost:
             inside = (
                 abs(pos[0] - agent.px) <= agent.half_width
                 and abs(pos[1] - agent.py) <= agent.half_width
-                and not forest.occludes(*pos)
+                and not forest.occludes(pos)
             )
             if inside:
                 p = kalman_update_cov(p, observation_covariance(agent, pos))
@@ -384,7 +385,7 @@ class TestBatchMatchesReference:
                     ]
                     for t in range(len(covs)):
                         tp = paths[s, t, l]
-                        if forest.occludes(tp[0], tp[1]):
+                        if forest.occludes(tp):
                             continue
                         for i, agent in enumerate(belief.agents):
                             apos = pos[i][0, l]
@@ -611,6 +612,18 @@ class TestSmaNbo:
         assert stats.rollout_evals == 1110
         for inc, best in zip(stats.stage_incumbent_costs, stats.stage_best_costs):
             assert best <= inc + 1e-9
+
+    def test_horizon_deeper_than_the_recursion_limit(self):
+        # a beam stage and the lone incumbent rollout descend level by level
+        h = sys.getrecursionlimit() + 100
+        belief, forest, _ = random_instance(np.random.default_rng(26), 1, 2, h)
+        _, stats = sma_nbo_plan(
+            belief, extend_intent(None, h, 1), h, action_set(5.0, 8, 1), forest,
+            ncv_model(1.0, 1.0),
+        )
+        assert stats.per_agent_evals == (9 + (h - 1) * 8 * 9 + 1,)
+        for inc, best in zip(stats.stage_incumbent_costs, stats.stage_best_costs):
+            assert math.isfinite(best) and best <= inc
 
 
 class TestDecPomdp:

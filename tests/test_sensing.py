@@ -6,10 +6,12 @@ from trackplan import (
     AgentState,
     OcclusionForest,
     in_fov,
-    is_observable,
     observation_covariance,
     sense,
 )
+from trackplan.sensing import _range_bearing_cov_batch
+
+from oracles import in_any_disk, in_square
 
 EMPTY = OcclusionForest(disks=())
 
@@ -18,26 +20,36 @@ def agent_at(x, y, fov_edge=20.0, alpha=0.1, r0=1.0):
     return AgentState(px=x, py=y, fov_edge=fov_edge, alpha=alpha, r0=r0)
 
 
+def fov(point, agent):
+    return bool(in_fov(np.subtract(point, agent.position), agent.half_width))
+
+
+def is_observable(point, agent, forest):
+    """Whether sense reports the point to the agent."""
+    truth = [(0, np.array([*point, 0.0, 0.0]))]
+    return len(sense([agent], truth, forest, np.random.default_rng(0))[0]) == 1
+
+
 class TestFov:
     def test_square_centered_on_agent(self):
         agent = agent_at(0.0, 0.0, fov_edge=20.0)
         assert agent.half_width == 10.0
         for corner in ((10.0, 10.0), (-10.0, 10.0), (-10.0, -10.0), (10.0, -10.0)):
-            assert in_fov(corner, agent)
-        assert not in_fov((10.0, 10.0 + 1e-9), agent)
-        assert not in_fov((-10.0 - 1e-9, 0.0), agent)
+            assert fov(corner, agent)
+        assert not fov((10.0, 10.0 + 1e-9), agent)
+        assert not fov((-10.0 - 1e-9, 0.0), agent)
 
     def test_translated_square(self):
         agent = agent_at(5.0, -3.0, fov_edge=2.0)
         assert agent.half_width == 1.0
         for corner in ((6.0, -2.0), (4.0, -2.0), (4.0, -4.0), (6.0, -4.0)):
-            assert in_fov(corner, agent)
-        assert not in_fov((0.0, 0.0), agent)
-        assert not in_fov((6.0 + 1e-9, -3.0), agent)
+            assert fov(corner, agent)
+        assert not fov((0.0, 0.0), agent)
+        assert not fov((6.0 + 1e-9, -3.0), agent)
 
     def test_boundary_counts_as_inside(self):
-        assert in_fov((10.0, 0.0), agent_at(0.0, 0.0, fov_edge=20.0))
-        assert not in_fov((10.0 + 1e-9, 0.0), agent_at(0.0, 0.0, fov_edge=20.0))
+        assert fov((10.0, 0.0), agent_at(0.0, 0.0, fov_edge=20.0))
+        assert not fov((10.0 + 1e-9, 0.0), agent_at(0.0, 0.0, fov_edge=20.0))
 
 
 class TestObservable:
@@ -115,17 +127,6 @@ class TestSense:
         )
         assert obs == [[]]
 
-    def test_zero_noise_mode_is_exact(self):
-        obs = sense(
-            [agent_at(0.0, 0.0)],
-            [(7, np.array([3.0, 4.0, 0.0, 0.0]))],
-            EMPTY,
-            np.random.default_rng(0),
-            noise_scale=0.0,
-        )
-        assert obs[0][0].target_id == 7
-        assert np.array_equal(obs[0][0].z, np.array([3.0, 4.0]))
-
     def test_two_covering_agents_give_two_observations(self):
         agents = [agent_at(0.0, 0.0), agent_at(2.0, 0.0)]
         obs = sense(agents, [(0, np.array([1.0, 0.0, 0.0, 0.0]))], EMPTY, np.random.default_rng(0))
@@ -153,3 +154,79 @@ class TestSense:
         emp = np.cov(draws.T)
         rel = np.linalg.norm(emp - r) / np.linalg.norm(r)
         assert rel < 0.05
+
+    def test_matches_scalar_loop(self):
+        # visible pairs in agent-then-target order, each drawing its own noise
+        rng = np.random.default_rng(4)
+        forest = OcclusionForest(disks=((30.0, 30.0, 6.0), (60.0, 20.0, 4.0)))
+        for _ in range(50):
+            agents = [
+                agent_at(*rng.uniform(0, 80, 2), fov_edge=rng.uniform(10, 60)) for _ in range(3)
+            ]
+            truths = [(7 + t, np.array([*rng.uniform(0, 80, 2), 0.0, 0.0])) for t in range(5)]
+            seed = int(rng.integers(1 << 30))
+            got = sense(agents, truths, forest, np.random.default_rng(seed))
+            draws = np.random.default_rng(seed)
+            for agent, obs in zip(agents, got):
+                expected = [
+                    (tid, state[:2])
+                    for tid, state in truths
+                    if in_square(*state[:2], agent.px, agent.py, agent.half_width)
+                    and not in_any_disk(*state[:2], forest.disks)
+                ]
+                assert [o.target_id for o in obs] == [tid for tid, _ in expected]
+                for o, (_, pos) in zip(obs, expected):
+                    r = observation_covariance(agent, tuple(pos))
+                    z = pos + np.linalg.cholesky(r) @ draws.standard_normal(2)
+                    assert np.array_equal(o.R, r) and np.array_equal(o.z, z)
+
+
+def _near(values):
+    """Each value and its two floating-point neighbours."""
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+
+
+class TestSensorModelMatchesScalarRule:
+    """in_fov, occludes and the batched covariance against literal scalar rules."""
+
+    def test_in_fov_on_square_edges(self):
+        rng = np.random.default_rng(5)
+        for ax, ay, hw in ((0.0, 0.0, 10.0), (5.0, -3.0, 1.0), (0.3, 0.7, 11.1)):
+            edges = _near([ax - hw, ax, ax + hw, ay - hw, ay, ay + hw])
+            grid = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
+            points = np.concatenate([grid, rng.uniform(-15, 15, (200, 2))])
+            mask = in_fov(points - np.array([ax, ay]), hw)
+            assert mask.shape == (len(points),)
+            assert mask.tolist() == [in_square(x, y, ax, ay, hw) for x, y in points]
+
+    def test_occludes_on_disk_circles(self):
+        disks = ((0.0, 0.0, 5.0), (20.0, 10.0, 2.5), (0.1, 30.3, 0.7))
+        forest = OcclusionForest(disks=disks)
+        rng = np.random.default_rng(6)
+        points = [rng.uniform(-10, 35, (300, 2))]
+        for cx, cy, r in disks:
+            # points on the circle, including the exact 3-4-5 ones
+            for dx, dy in ((r, 0.0), (0.0, -r), (0.6 * r, 0.8 * r), (-0.8 * r, 0.6 * r)):
+                points.append(np.stack(np.meshgrid(_near([cx + dx]), _near([cy + dy])), -1))
+        points = np.concatenate([p.reshape(-1, 2) for p in points])
+        mask = forest.occludes(points)
+        assert mask.shape == (len(points),)
+        assert mask.tolist() == [in_any_disk(x, y, disks) for x, y in points]
+        blocks = points[:300].reshape(5, 6, 10, 2)
+        assert np.array_equal(forest.occludes(blocks), mask[:300].reshape(5, 6, 10))
+        assert not EMPTY.occludes(points).any()
+
+    def test_batched_covariance_equals_scalar_form(self):
+        rng = np.random.default_rng(7)
+        special = [(0.0, 0.0), (0.3, -0.4), (5.0, 0.0), (-5.0, 0.0), (0.0, 7.0), (0.0, -7.0)]
+        for alpha, r0 in ((0.1, 1.0), (0.15, 2.5), (0.3, 0.5)):
+            offsets = np.concatenate([special, rng.uniform(-3 * r0, 3 * r0, (100, 2)),
+                                      rng.uniform(-60, 60, (100, 2))])
+            agent = agent_at(*rng.uniform(-20, 20, 2), alpha=alpha, r0=r0)
+            targets = agent.position + offsets
+            batch = _range_bearing_cov_batch(targets - agent.position, alpha, r0)
+            for target, r in zip(targets, batch):
+                scalar = observation_covariance(agent, tuple(target))
+                scale = np.abs(scalar).max()
+                np.testing.assert_allclose(r, scalar, rtol=1e-12, atol=1e-14 * scale)

@@ -9,7 +9,9 @@ from trackplan import (
     TargetTrajectory,
     generate_forest,
     run_trial,
+    sense,
 )
+import trackplan.sim
 from trackplan.sim import TrialLog, initial_agents
 
 from oracles import ospa_brute
@@ -85,11 +87,19 @@ class TestTrialStructure:
 
 
 class TestFilterBehavior:
-    def test_static_target_converges_monotonically(self):
+    def test_static_target_converges_monotonically(self, monkeypatch):
         # exact measurements of a stationary target: error shrinks to zero
+        class ZeroNoise:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        def exact_sense(agents, truths, forest, rng):
+            return sense(agents, truths, forest, ZeroNoise())
+
+        monkeypatch.setattr(trackplan.sim, "sense", exact_sense)
         cfg = small_config(sigma_a=0.0, fov_edges=(80.0,))
         traj = scripted_trajectory(0, (75.0, 50.0), (0.0, 0.0), cfg.duration, cfg.dt_sense)
-        log = run_trial(cfg, EMPTY, "sma-nbo", 0, trajectories=[traj], noise_scale=0.0)
+        log = run_trial(cfg, EMPTY, "sma-nbo", 0, trajectories=[traj])
         series = log.ospa
         assert series[-1] < 1e-3
         settled = series[5:]
@@ -103,7 +113,7 @@ class TestFilterBehavior:
         log = run_trial(cfg, forest, "sma-nbo", 3, trajectories=[traj])
         observed = np.array(
             [
-                not forest.occludes(*log.truth[k, 0, :2])
+                not forest.occludes(log.truth[k, 0, :2])
                 and bool(
                     np.all(
                         np.abs(log.truth[k, 0, :2] - log.agent_states[k, 0, :2])
@@ -115,7 +125,7 @@ class TestFilterBehavior:
         )
         trace = log.est_trace[:, 0]
         occluded = np.array(
-            [forest.occludes(*log.truth[k, 0, :2]) for k in range(len(log.times))]
+            [forest.occludes(log.truth[k, 0, :2]) for k in range(len(log.times))]
         )
         assert occluded.any() and not occluded.all()
         inside = np.where(occluded)[0]

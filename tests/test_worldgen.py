@@ -12,6 +12,7 @@ from trackplan import (
     load_map,
     save_map,
 )
+from trackplan.worldgen import MAX_SENSE_STEPS
 
 AOI = Aoi(150.0, 100.0)
 
@@ -151,3 +152,11 @@ class TestScenarioConfig:
     def test_per_agent_lists_must_match(self):
         with pytest.raises(ValueError):
             ScenarioConfig(n_agents=2, fov_edges=(20.0,), alphas=(0.1, 0.2))
+
+    def test_policy_log_bounded_by_epochs_times_horizon(self):
+        # every epoch logs a whole plan, so epochs x horizon is bounded
+        ScenarioConfig(duration=4.0, horizon=MAX_SENSE_STEPS // 4)
+        with pytest.raises(ValueError, match="logged plan steps"):
+            ScenarioConfig(duration=4.0, horizon=MAX_SENSE_STEPS // 4 + 1)
+        with pytest.raises(ValueError, match="logged plan steps"):
+            ScenarioConfig(duration=1.0, horizon=10**12)
