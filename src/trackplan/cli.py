@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -299,9 +300,17 @@ def _run_job(job: tuple) -> TrialLog:
     return run_trial(config, forest, planner, trial_ss, mcr_samples=mcr_samples)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or the machine's count where unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _trial_outcomes(jobs: list[tuple], workers: int):
     """Yield (key, TrialLog or the exception it raised) as each trial ends."""
-    workers = min(workers, len(jobs))  # a pool starts all its processes at once
+    # a pool starts all its processes at once
+    workers = min(workers, len(jobs), _usable_cpus())
     if workers <= 1:
         for job in jobs:
             try:

@@ -117,17 +117,6 @@ def propagate_agent(s: AgentState, u: Action, dt: float) -> AgentState:
     )
 
 
-def _clamp_toward(sensor_xy: np.ndarray, half_width: float, target_xy: np.ndarray) -> np.ndarray:
-    """Minimal per-axis displacement putting the target inside the square."""
-    out = sensor_xy.astype(float).copy()
-    for axis in range(2):
-        delta = target_xy[axis] - sensor_xy[axis]
-        excess = abs(delta) - half_width
-        if excess > 0:
-            out[axis] += math.copysign(excess, delta)
-    return out
-
-
 @dataclass(frozen=True)
 class MwtpStep:
     """One iteration of the terminal-penalty matching, for auditing."""
@@ -139,6 +128,54 @@ class MwtpStep:
     sensor_after: tuple[float, float]
 
 
+def _greedy_matching(
+    sensor_xy: np.ndarray,
+    half_widths: np.ndarray,
+    target_xy: np.ndarray,
+    traces: np.ndarray,
+    uncovered: np.ndarray,
+    beta: float,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """MWTP terminal penalty of a block of L leaves, matched all at once.
+
+    Leaf l has sensors (n, 2) at sensor_xy[l] with the (n,) half widths and
+    leaves uncovered the targets (T, 2) that uncovered[l] marks, of traces
+    traces[l]. It takes those targets in decreasing trace order; each picks
+    the sensor minimizing accumulated-distance-plus-distance (ties by index
+    throughout), a sensor contributes beta * distance * trace only while its
+    accumulated distance is 0.0, and the matched sensor moves to the minimal
+    pose covering the target. Returns the (L,) penalties and, per iteration,
+    the (L,) arrays (target, sensor, distance, contributed, sensor position
+    after); a leaf past its last uncovered target stays as it is.
+    """
+    rows = np.arange(len(sensor_xy))
+    pos = np.array(sensor_xy, dtype=float)
+    d_acc = np.zeros(pos.shape[:2])
+    penalty = np.zeros(len(rows))
+    steps = []
+    # covered targets sort last; the uncovered keep the order of a stable
+    # argsort over them alone
+    order = np.argsort(np.where(uncovered, -traces, np.inf), axis=1, kind="stable")
+    for t in order.T:
+        active = uncovered[rows, t]
+        tp = target_xy[t]
+        delta = pos - tp[:, None, :]
+        dists = np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
+        i = np.argmin(d_acc + dists, axis=1)
+        dist = dists[rows, i]
+        first = active & (d_acc[rows, i] == 0.0)
+        penalty[first] += beta * dist[first] * traces[rows, t][first]
+        d_acc[rows[active], i[active]] += dist[active]
+        before = pos[rows, i]
+        delta = tp - before
+        excess = np.abs(delta) - half_widths[i][:, None]
+        move = active[:, None] & (excess > 0)
+        after = np.where(move, before + np.copysign(excess, delta), before)
+        pos[rows, i] = after
+        steps.append((t, i, dist, first, after))
+    return penalty, steps
+
+
 def mwtp_detailed(
     sensor_xy: np.ndarray,
     half_widths: np.ndarray,
@@ -146,37 +183,22 @@ def mwtp_detailed(
     traces: np.ndarray,
     beta: float,
 ) -> tuple[float, list[MwtpStep]]:
-    """Weighted trace penalty with the full matching trace.
-
-    Targets are handled in decreasing order of covariance trace; each picks
-    the sensor minimizing accumulated-distance-plus-distance, a sensor
-    contributes a penalty term only on its first match, and the matched
-    sensor is repositioned to the minimal pose covering the target before
-    the next iteration.
-    """
-    pos = np.array(sensor_xy, dtype=float)
-    d_acc = np.zeros(len(pos))
-    penalty = 0.0
-    steps: list[MwtpStep] = []
-    for t in np.argsort(-np.asarray(traces, dtype=float), kind="stable"):
-        tp = np.asarray(target_xy[t], dtype=float)
-        dists = np.linalg.norm(pos - tp, axis=1)
-        i = int(np.argmin(d_acc + dists))
-        first = d_acc[i] == 0.0
-        if first:
-            penalty += beta * dists[i] * traces[t]
-        d_acc[i] += dists[i]
-        pos[i] = _clamp_toward(pos[i], float(half_widths[i]), tp)
-        steps.append(
-            MwtpStep(
-                target_index=int(t),
-                sensor_index=i,
-                distance=float(dists[i]),
-                contributed=bool(first),
-                sensor_after=(float(pos[i][0]), float(pos[i][1])),
-            )
-        )
-    return float(penalty), steps
+    """Weighted trace penalty with the full matching trace: the planner's
+    block matching (_greedy_matching) on one leaf that leaves every target
+    uncovered."""
+    traces = np.asarray(traces, dtype=float)
+    penalty, steps = _greedy_matching(
+        np.asarray(sensor_xy, dtype=float)[None],
+        np.asarray(half_widths, dtype=float),
+        np.asarray(target_xy, dtype=float).reshape(-1, 2),
+        traces[None],
+        np.ones((1, len(traces)), dtype=bool),
+        beta,
+    )
+    return float(penalty[0]), [
+        MwtpStep(int(t[0]), int(i[0]), float(d[0]), bool(c[0]), (float(a[0, 0]), float(a[0, 1])))
+        for t, i, d, c, a in steps
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +296,8 @@ class _PrefixTree:
         target_paths: np.ndarray,
         beta: float | None = None,
     ):
+        if beta is not None and target_paths.shape[0] != 1:
+            raise ValueError("the terminal penalty needs one nominal target path (S = 1)")
         self.belief, self.model, self.beta = belief, model, beta
         self.target_paths = target_paths
         self.free = ~forest.occludes(target_paths)
@@ -407,13 +431,11 @@ class _PrefixTree:
         )
         half_widths = np.array([a.half_width for a in self.belief.agents])
         offset = end_targets[None, None, :, :] - end_agent[:, :, None, :]
-        covered = in_fov(offset, half_widths[:, None]).any(1)
-        for c in np.flatnonzero(~covered.all(axis=1)):
-            mask = ~covered[c]
-            costs[c] += mwtp_detailed(
-                end_agent[c], half_widths, end_targets[mask], end_traces[c][mask], self.beta
-            )[0]
-        return costs
+        uncovered = ~in_fov(offset, half_widths[:, None]).any(1)
+        # a leaf that covers every target adds a penalty of 0.0
+        return costs + _greedy_matching(
+            end_agent, half_widths, end_targets, end_traces, uncovered, self.beta
+        )[0]
 
 
 def _search_stage(

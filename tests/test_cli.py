@@ -217,8 +217,10 @@ class TestRunExperiment:
         assert all(a <= b for a, b in zip(freqs, freqs[1:]))
         assert freqs[-1] == pytest.approx(1.0)
 
-    def test_pool_gets_no_more_workers_than_jobs(self, tmp_path, monkeypatch):
-        # a stand-in pool that records its size and runs each job in place
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Sizes of the pools run_experiment opens, on a stand-in pool that
+        runs each job in place and on a machine of 64 usable CPUs."""
         sizes = []
 
         class InlinePool:
@@ -237,11 +239,29 @@ class TestRunExperiment:
                 return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        return sizes
+
+    def test_pool_gets_no_more_workers_than_jobs(self, tmp_path, pool_sizes):
         run_experiment(tiny_spec(tmp_path / "one", workers=64))
         run_experiment(tiny_spec(tmp_path / "two", n_maps=2, workers=64))
-        assert sizes == [2]
+        assert pool_sizes == [2]
         assert (tmp_path / "one" / "summary.csv").exists()
         assert (tmp_path / "two" / "summary.csv").exists()
+
+    def test_pool_gets_no_more_workers_than_cpus(self, tmp_path, pool_sizes, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        run_experiment(tiny_spec(tmp_path / "out", n_maps=4, workers=100_000))
+        assert pool_sizes == [3]
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(cli.os, "sched_getaffinity"):
+            assert cli._usable_cpus() == len(cli.os.sched_getaffinity(0))
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+        assert cli._usable_cpus() == 5
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
     def test_sweep_validation(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -26,6 +26,7 @@ from trackplan import (
     propagate_agent,
     sma_nbo_plan,
 )
+from trackplan import planning
 from trackplan.planning import (
     EXHAUSTIVE_LIMIT,
     _nominal_paths,
@@ -349,6 +350,34 @@ class TestMwtp:
             beta=1.0,
         )
         assert [s.target_index for s in steps] == [1, 2, 0]
+
+    def test_penalty_scores_each_leaf_block_in_one_call(self, monkeypatch):
+        # the far target is uncovered at every leaf; the hover intents are
+        # leaves of each stage's tree, so no incumbent is scored alone
+        calls = []
+        matching = planning._greedy_matching
+
+        def counted(sensor_xy, *args):
+            calls.append(len(sensor_xy))
+            return matching(sensor_xy, *args)
+
+        monkeypatch.setattr(planning, "_greedy_matching", counted)
+        belief = FleetBelief(
+            tracks=(track_at(0, 500.0, 500.0), track_at(1, 5.0, 0.0)),
+            agents=(agent_at(0.0, 0.0), agent_at(40.0, 0.0), agent_at(0.0, 40.0)),
+        )
+        sma_nbo_plan(
+            belief, extend_intent(None, 3, 3), 3, action_set(5.0, 8, 1), EMPTY,
+            ncv_model(1.0, 1.0), beta=1.0,
+        )
+        assert calls == [9**3] * 3
+
+    def test_penalty_needs_one_target_path(self):
+        belief = FleetBelief(tracks=(track_at(0, 0.0, 0.0),), agents=(agent_at(0.0, 0.0),))
+        paths = np.zeros((2, 1, 3, 2))
+        with pytest.raises(ValueError, match="one nominal target path"):
+            _PrefixTree(belief, ncv_model(1.0, 1.0), EMPTY, paths, beta=1.0)
+        _PrefixTree(belief, ncv_model(1.0, 1.0), EMPTY, paths)  # sampled paths score no penalty
 
 
 class TestBatchMatchesReference:
