@@ -28,7 +28,6 @@ class NcvModel:
     F: np.ndarray = field(repr=False)
     Q: np.ndarray = field(repr=False)
     dt: float
-    sigma_a: float
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def ncv_model(dt: float, sigma_a: float) -> NcvModel:
             [0.0, d3, 0.0, d2],
         ]
     )
-    return NcvModel(F=f, Q=q, dt=dt, sigma_a=sigma_a)
+    return NcvModel(F=f, Q=q, dt=dt)
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
@@ -136,8 +135,6 @@ def fuse(
                 raise TrackAssociationError(
                     f"observation of unknown target id {obs.target_id}"
                 )
-    for agent_obs in per_agent_observations:
-        for obs in agent_obs:
             i = index[obs.target_id]
             tracks[i] = update(tracks[i], obs)
     return FleetBelief(

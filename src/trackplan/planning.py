@@ -1,5 +1,8 @@
 """Receding-horizon fleet planners over the shared target belief.
 
+Plans and intents are float (n_agents, h, 2) arrays: row i holds agent i's
+velocity commands (ux, uy), one per step, drawn from action_set's (|A|, 2).
+
 All planners score candidate action sequences by rolling the Kalman
 covariance recursion forward along the noise-free (nominal) propagation
 of the current track means: at each planning step agents move, every
@@ -57,25 +60,6 @@ class BudgetExceededError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Action:
-    """Horizontal velocity command (m/s)."""
-
-    ux: float
-    uy: float
-
-
-@dataclass(frozen=True)
-class PolicySeq:
-    """One agent's action sequence over the planning horizon."""
-
-    agent_id: int
-    actions: tuple[Action, ...]
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
-@dataclass(frozen=True)
 class PlanStats:
     """Instrumentation for one planning call."""
 
@@ -90,30 +74,32 @@ def action_count(n_headings: int, n_speeds: int) -> int:
     return 1 + n_headings * n_speeds
 
 
-def action_set(v_max: float, n_headings: int = 8, n_speeds: int = 1) -> list[Action]:
-    """Hover plus evenly spaced headings at evenly spaced speed fractions."""
+def action_set(v_max: float, n_headings: int = 8, n_speeds: int = 1) -> np.ndarray:
+    """Hover plus evenly spaced headings at evenly spaced speed fractions:
+    an (|A|, 2) array of horizontal velocity commands (ux, uy) in m/s."""
     if n_headings < 1 or n_speeds < 1:
         raise ValueError("n_headings and n_speeds must be >= 1")
-    actions = [Action(0.0, 0.0)]
+    actions = [(0.0, 0.0)]
     for j in range(1, n_speeds + 1):
         speed = v_max * j / n_speeds
         for k in range(n_headings):
             theta = 2.0 * math.pi * k / n_headings
-            actions.append(Action(speed * math.cos(theta), speed * math.sin(theta)))
-    return actions
+            actions.append((speed * math.cos(theta), speed * math.sin(theta)))
+    return np.array(actions)
 
 
-def propagate_agent(s: AgentState, u: Action, dt: float) -> AgentState:
-    """Deterministic kinematics: position integrates the command, yaw
-    follows the command direction (hover keeps the previous yaw)."""
-    hover = u.ux == 0.0 and u.uy == 0.0
+def propagate_agent(s: AgentState, u, dt: float) -> AgentState:
+    """Deterministic kinematics under the command u = (ux, uy): position
+    integrates it, yaw follows its direction (hover keeps the previous yaw)."""
+    ux, uy = u
+    hover = ux == 0.0 and uy == 0.0
     return replace(
         s,
-        px=s.px + u.ux * dt,
-        py=s.py + u.uy * dt,
-        psi=s.psi if hover else math.atan2(u.uy, u.ux),
-        vx=u.ux,
-        vy=u.uy,
+        px=s.px + ux * dt,
+        py=s.py + uy * dt,
+        psi=s.psi if hover else math.atan2(uy, ux),
+        vx=ux,
+        vy=uy,
     )
 
 
@@ -300,16 +286,17 @@ class _PrefixTree:
             raise ValueError("the terminal penalty needs one nominal target path (S = 1)")
         self.belief, self.model, self.beta = belief, model, beta
         self.target_paths = target_paths
-        self.free = ~forest.occludes(target_paths)
         self.h = target_paths.shape[2]
+        # one step at a time: occludes holds (D, 2) floats per point it tests
+        self.free = np.empty(target_paths.shape[:3], dtype=bool)
+        for l in range(self.h):
+            self.free[:, :, l] = ~forest.occludes(target_paths[:, :, l])
 
-    def positions(self, joint: list[PolicySeq]) -> list[np.ndarray]:
-        """Step positions (1, h, 2) of every agent flying its policy in ``joint``."""
-        vel = [np.array([[[a.ux, a.uy] for a in seq.actions]]) for seq in joint]
-        return [
-            agent.position + np.cumsum(v * self.model.dt, axis=1)
-            for agent, v in zip(self.belief.agents, vel)
-        ]
+    def positions(self, joint: np.ndarray) -> list[np.ndarray]:
+        """Step positions (1, h, 2) of every agent flying its row of the
+        (n_agents, h, 2) velocity plan ``joint``."""
+        steps = np.cumsum(joint * self.model.dt, axis=1)
+        return [agent.position + s[None] for agent, s in zip(self.belief.agents, steps)]
 
     def search(
         self,
@@ -439,13 +426,13 @@ class _PrefixTree:
 
 
 def _search_stage(
-    tree: _PrefixTree, agent_index: int, joint: list[PolicySeq], actions: list[Action]
-) -> tuple[PolicySeq, float, float, int]:
-    """Best sequence for one agent, every other agent flying its ``joint`` entry.
+    tree: _PrefixTree, agent_index: int, joint: np.ndarray, actions: np.ndarray
+) -> tuple[np.ndarray, float, float, int]:
+    """Best sequence for one agent, every other agent flying its ``joint`` row.
 
-    Returns the policy, its cost, the incumbent's cost and the sequences
-    scored. The stage expands the agent's whole tree while |A|^h <=
-    EXHAUSTIVE_LIMIT and runs a beam search beyond. The agent's entry in
+    Returns the (h, 2) sequence, its cost, the incumbent's cost and the
+    sequences scored. The stage expands the agent's whole tree while |A|^h
+    <= EXHAUSTIVE_LIMIT and runs a beam search beyond. The agent's row of
     ``joint`` is its incumbent. It is always scored, as a leaf of the whole
     tree or else alone, so the returned cost never exceeds it.
     """
@@ -453,15 +440,13 @@ def _search_stage(
     n_actions, h = len(actions), tree.h
     fixed = tree.positions(joint)
     movers = [None if i == agent_index else f for i, f in enumerate(fixed)]
-    index_of = {(a.ux, a.uy): i for i, a in enumerate(actions)}
-    inc_idx_seq = tuple(index_of.get((a.ux, a.uy)) for a in incumbent.actions)
+    in_set = (incumbent[:, None] == actions).all(-1)  # (h, |A|)
     exhaustive = n_actions**h <= EXHAUSTIVE_LIMIT
     watch = None
-    if exhaustive and None not in inc_idx_seq:
-        watch = int(np.ravel_multi_index(inc_idx_seq, (n_actions,) * h))
-    choice_xy = np.array([[[a.ux, a.uy]] for a in actions])
+    if exhaustive and in_set.any(1).all():
+        watch = int(np.ravel_multi_index(in_set.argmax(1), (n_actions,) * h))
     best_seq, best_cost, incumbent_cost, evaluations = tree.search(
-        movers, choice_xy, None if exhaustive else BEAM_WIDTH, watch
+        movers, actions[:, None], None if exhaustive else BEAM_WIDTH, watch
     )
     if math.isnan(incumbent_cost):
         lone = tree.search(fixed, np.zeros((1, 0, 2)), watch=0)
@@ -469,53 +454,38 @@ def _search_stage(
         evaluations += lone.scored
         if incumbent_cost < best_cost:
             best_cost, best_seq = incumbent_cost, None
-    if best_seq is None:
-        policy = replace(incumbent, agent_id=agent_index)
-    else:
-        policy = PolicySeq(agent_id=agent_index, actions=tuple(actions[a] for a in best_seq))
-    return policy, best_cost, incumbent_cost, evaluations
+    seq = incumbent if best_seq is None else actions[best_seq]
+    return seq, best_cost, incumbent_cost, evaluations
 
 
-def extend_intent(
-    previous: list[PolicySeq] | None, h: int, n_agents: int
-) -> tuple[PolicySeq, ...]:
-    """Per-agent policies of intent: last epoch's policies shifted by one
-    step and extended by repeating their last action.
+def extend_intent(previous: np.ndarray | None, h: int, n_agents: int) -> np.ndarray:
+    """Per-agent policies of intent, an (n_agents, h, 2) velocity array: last
+    epoch's plan shifted by one step and extended by repeating its last action.
 
     With no previous plan (first epoch) every intent is all-hover.
     """
     if previous is None:
-        hover = Action(0.0, 0.0)
-        return tuple(PolicySeq(agent_id=i, actions=(hover,) * h) for i in range(n_agents))
-    if len(previous) != n_agents:
-        raise ValueError("previous joint policy must cover every agent")
-    if any(len(seq) != h for seq in previous):
-        raise ValueError("previous policies must have length h")
-    return tuple(
-        PolicySeq(agent_id=i, actions=seq.actions[1:] + seq.actions[-1:])
-        for i, seq in enumerate(previous)
-    )
+        return np.zeros((n_agents, h, 2))
+    if np.shape(previous) != (n_agents, h, 2):
+        raise ValueError(f"previous plan must have shape {(n_agents, h, 2)}")
+    return np.concatenate((previous[:, 1:], previous[:, -1:]), axis=1)
 
 
 def _sweep(
     belief: FleetBelief,
-    intents: tuple[PolicySeq, ...],
-    h: int,
-    actions: list[Action],
+    intents: np.ndarray,
+    actions: np.ndarray,
     forest: OcclusionForest,
     model: NcvModel,
     target_paths: np.ndarray,
     beta: float | None,
-) -> tuple[list[PolicySeq], PlanStats]:
-    n_agents = len(belief.agents)
-    if len(intents) != n_agents:
-        raise ValueError("intents must cover every agent")
-    if any(len(p) != h for p in intents):
-        raise ValueError("intent policies must have length h")
+) -> tuple[np.ndarray, PlanStats]:
+    joint = np.array(intents, dtype=float)  # the caller's intents stay as they are
+    if joint.shape != (len(belief.agents), target_paths.shape[2], 2):
+        raise ValueError(f"intents must have shape (n_agents, h, 2), got {joint.shape}")
     tree = _PrefixTree(belief, model, forest, target_paths, beta)
-    joint = list(intents)
     stages = []
-    for i in range(n_agents):
+    for i in range(len(joint)):
         joint[i], *result = _search_stage(tree, i, joint, actions)
         stages.append(result)
     best_costs, incumbent_costs, evals = zip(*stages)
@@ -524,35 +494,34 @@ def _sweep(
 
 def sma_nbo_plan(
     belief: FleetBelief,
-    intents: tuple[PolicySeq, ...],
-    h: int,
-    actions: list[Action],
+    intents: np.ndarray,
+    actions: np.ndarray,
     forest: OcclusionForest,
     model: NcvModel,
     beta: float | None = None,
-) -> tuple[list[PolicySeq], PlanStats]:
+) -> tuple[np.ndarray, PlanStats]:
     """Sequential sweep: agents optimize in index order, each against its
     predecessors' fresh plans and its successors' intents.
 
-    ``beta`` weights the MWTP terminal penalty; None scores none.
+    The horizon h is the intents' length; ``beta`` weights the MWTP
+    terminal penalty, None scores none.
 
     Incumbent inclusion makes the joint objective non-increasing stage by
     stage, so the result is never worse than executing the intents.
     """
-    paths = _nominal_paths(belief, model, h)
-    return _sweep(belief, intents, h, actions, forest, model, paths, beta)
+    paths = _nominal_paths(belief, model, intents.shape[1])
+    return _sweep(belief, intents, actions, forest, model, paths, beta)
 
 
 def mcr_plan(
     belief: FleetBelief,
-    h: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    intents: tuple[PolicySeq, ...],
-    actions: list[Action],
+    intents: np.ndarray,
+    actions: np.ndarray,
     forest: OcclusionForest,
     model: NcvModel,
-) -> tuple[list[PolicySeq], PlanStats]:
+    n_samples: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, PlanStats]:
     """Monte-Carlo rollout: the sequential sweep scored on sampled targets.
 
     One batch of target trajectories is drawn from the belief per call and
@@ -561,8 +530,8 @@ def mcr_plan(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    paths = _sample_target_paths(belief, model, h, n_samples, rng)
-    return _sweep(belief, intents, h, actions, forest, model, paths, None)
+    paths = _sample_target_paths(belief, model, intents.shape[1], n_samples, rng)
+    return _sweep(belief, intents, actions, forest, model, paths, None)
 
 
 def dec_pomdp_joint_count(n_actions: int, n_agents: int, h: int) -> int:
@@ -586,10 +555,10 @@ def dec_pomdp_joint_count(n_actions: int, n_agents: int, h: int) -> int:
 def dec_pomdp_plan(
     belief: FleetBelief,
     h: int,
-    actions: list[Action],
+    actions: np.ndarray,
     forest: OcclusionForest,
     model: NcvModel,
-) -> tuple[list[PolicySeq], PlanStats]:
+) -> tuple[np.ndarray, PlanStats]:
     """Joint exhaustive optimization that every agent solves on its own.
 
     In this architecture each agent enumerates the full joint sequence
@@ -612,13 +581,7 @@ def dec_pomdp_plan(
         return digits[paths].transpose(0, 2, 1).reshape(len(paths), -1) @ place
 
     tree = _PrefixTree(belief, model, forest, _nominal_paths(belief, model, h))
-    choice_xy = np.array([[a.ux, a.uy] for a in actions])[digits]
-    found = tree.search([None] * n_agents, choice_xy, rank=agent_major)
+    found = tree.search([None] * n_agents, actions[digits], rank=agent_major)
     assert found.path is not None
-    seqs = digits[found.path]
-    joint = [
-        PolicySeq(agent_id=i, actions=tuple(actions[a] for a in seqs[:, i]))
-        for i in range(n_agents)
-    ]
     stats = PlanStats(n_agents * joint_count, (joint_count,) * n_agents, (), (found.cost,))
-    return joint, stats
+    return actions[digits[found.path]].transpose(1, 0, 2), stats

@@ -7,6 +7,7 @@ never influences the targets.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -15,8 +16,6 @@ import numpy as np
 from .estimation import FleetBelief, NcvModel, initialize_track, fuse, ncv_model
 from .metrics import OspaParams, ospa
 from .planning import (
-    Action,
-    PolicySeq,
     action_set,
     dec_pomdp_plan,
     extend_intent,
@@ -33,7 +32,7 @@ class _PlanInputs:
     """Planner inputs that stay fixed for a whole trial."""
 
     h: int
-    actions: list[Action]
+    actions: np.ndarray
     forest: OcclusionForest
     model: NcvModel
     beta: float
@@ -45,16 +44,16 @@ class _PlanInputs:
 # up in this module when called, so rebinding them here takes effect.
 _EPOCH_CALLS = {
     "sma-nbo": lambda belief, intents, p: sma_nbo_plan(
-        belief, intents, p.h, p.actions, p.forest, p.model
+        belief, intents, p.actions, p.forest, p.model
     ),
     "sma-nbo-mwtp": lambda belief, intents, p: sma_nbo_plan(
-        belief, intents, p.h, p.actions, p.forest, p.model, beta=p.beta
+        belief, intents, p.actions, p.forest, p.model, beta=p.beta
     ),
     "dec-pomdp": lambda belief, intents, p: dec_pomdp_plan(
         belief, p.h, p.actions, p.forest, p.model
     ),
     "mcr": lambda belief, intents, p: mcr_plan(
-        belief, p.h, p.mcr_samples, p.rng, intents, p.actions, p.forest, p.model
+        belief, intents, p.actions, p.forest, p.model, p.mcr_samples, p.rng
     ),
 }
 PLANNERS = tuple(_EPOCH_CALLS)
@@ -125,7 +124,7 @@ def run_trial(
 
     ``seed`` may be an int or a numpy SeedSequence; identical seeds yield
     bit-identical logs apart from wall-clock. ``trajectories`` overrides
-    the Levy-walk target truth with scripted paths.
+    the Levy-walk target truth with scripted paths sampled every dt_sense.
     """
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; choose from {PLANNERS}")
@@ -153,6 +152,11 @@ def run_trial(
             for t in range(config.n_targets)
         ]
     for traj in trajectories:
+        if not math.isclose(traj.dt, config.dt_sense, rel_tol=1e-9):
+            raise ValueError(
+                f"trajectory of target {traj.target_id} is sampled every {traj.dt} s, "
+                f"not every dt_sense = {config.dt_sense} s"
+            )
         if len(traj) < n_steps + 1:
             raise ValueError(
                 f"trajectory of target {traj.target_id} too short: "
@@ -191,7 +195,7 @@ def run_trial(
         epoch_rollout_evals=np.empty(n_epochs, dtype=np.int64),
     )
 
-    previous: list[PolicySeq] | None = None
+    previous = None
     for m in range(n_epochs):
         intents = extend_intent(previous, h, config.n_agents)
         start = time.perf_counter()
@@ -200,10 +204,9 @@ def run_trial(
         previous = joint
         log.epoch_times[m] = m * config.dt_plan
         log.epoch_rollout_evals[m] = stats.rollout_evals
-        for i, policy in enumerate(joint):
-            log.epoch_policies[m, i] = [[a.ux, a.uy] for a in policy.actions]
+        log.epoch_policies[m] = joint
 
-        held = [policy.actions[0] for policy in joint]
+        held = joint[:, 0].tolist()
         for sub in range(ratio):
             k = m * ratio + sub
             j = k + 1  # truth sample index; sample 0 is the initial state

@@ -116,10 +116,11 @@ def greedy_mwtp(sensor_xy, half_widths, target_xy, traces, beta):
 
 
 def rollout_cost(belief, joint, forest, model, h, beta=None):
-    """Nominal-belief rollout cost of one joint policy, one scalar step at a time.
+    """Nominal-belief rollout cost of one joint plan, one scalar step at a time.
 
-    Every step moves each agent by its action (p + u dt), predicts every
-    track's mean and covariance, and gives each track one information-form
+    ``joint[i][l]`` is agent i's velocity (ux, uy) at step l. Every step
+    moves each agent by its action (p + u dt), predicts every track's
+    mean and covariance, and gives each track one information-form
     covariance update per agent whose square footprint holds the track's
     mean, unless the mean lies strictly inside a forest disk. The cost is
     the sum over steps of the covariance traces, plus, with ``beta``, the
@@ -129,9 +130,10 @@ def rollout_cost(belief, joint, forest, model, h, beta=None):
     tracks = [(t.xi, t.P) for t in belief.tracks]
     cost = 0.0
     for l in range(h):
-        for i, policy in enumerate(joint):
-            agents[i][0] += policy.actions[l].ux * model.dt
-            agents[i][1] += policy.actions[l].uy * model.dt
+        for i in range(len(joint)):
+            ux, uy = joint[i][l]
+            agents[i][0] += ux * model.dt
+            agents[i][1] += uy * model.dt
         for j, (xi, p) in enumerate(tracks):
             xi, p = kalman_predict(xi, p, model.F, model.Q)
             tx, ty = float(xi[0]), float(xi[1])

@@ -18,7 +18,6 @@ from trackplan import (
     FleetBelief,
     OcclusionForest,
     OspaParams,
-    PolicySeq,
     ScenarioConfig,
     TargetTrack,
     TargetTrajectory,
@@ -113,10 +112,10 @@ def test_criterion_2_rollout_matches_direct_filter_step():
         belief = FleetBelief(tracks=(track,), agents=(agent,))
         act = actions[rng.integers(len(actions))]
         # the planner's own kernel, with one action to choose from
-        _, stats = sma_nbo_plan(belief, (PolicySeq(0, (act,)),), 1, [act], forest, model)
+        _, stats = sma_nbo_plan(belief, act[None, None], act[None], forest, model)
         got = stats.stage_best_costs[0]
         # independent path: one explicit predict, then one covariance update
-        moved = replace(agent, px=agent.px + act.ux * model.dt, py=agent.py + act.uy * model.dt)
+        moved = replace(agent, px=agent.px + act[0] * model.dt, py=agent.py + act[1] * model.dt)
         pred = predict(track, model)
         pos = (float(pred.xi[0]), float(pred.xi[1]))
         p = pred.P
@@ -237,10 +236,9 @@ def _random_epoch(rng, n_agents, n_targets, h, n_headings=8):
     )
     actions = action_set(5.0, n_headings, 1)
     belief = FleetBelief(tracks=tracks, agents=agents)
-    prev = [
-        PolicySeq(i, tuple(actions[rng.integers(len(actions))] for _ in range(h)))
-        for i in range(n_agents)
-    ]
+    prev = np.array(
+        [[actions[rng.integers(len(actions))] for _ in range(h)] for _ in range(n_agents)]
+    )
     return belief, forest, extend_intent(prev, h, n_agents), actions
 
 
@@ -253,7 +251,7 @@ def test_criterion_5_sweep_objective_is_monotone():
         h = int(rng.integers(1, 3))
         belief, forest, intents, actions = _random_epoch(rng, n_agents, 3, h)
         beta = 1.0 if rng.random() < 0.5 else None
-        _, stats = sma_nbo_plan(belief, intents, h, actions, forest, model, beta=beta)
+        _, stats = sma_nbo_plan(belief, intents, actions, forest, model, beta=beta)
         chain = [stats.stage_incumbent_costs[0]]
         for inc, best in zip(stats.stage_incumbent_costs, stats.stage_best_costs):
             ok &= best <= inc + 1e-9
@@ -277,7 +275,7 @@ def test_criterion_6_rollout_counts_exact():
                     rng, n_agents, 2, h, n_headings=n_headings
                 )
                 n_act = len(actions)
-                _, sweep_stats = sma_nbo_plan(belief, intents, h, actions, forest, model)
+                _, sweep_stats = sma_nbo_plan(belief, intents, actions, forest, model)
                 sweep_ok = sweep_stats.rollout_evals == n_agents * n_act**h
                 _, joint_stats = dec_pomdp_plan(belief, h, actions, forest, model)
                 joint_ok = joint_stats.per_agent_evals == (n_act ** (n_agents * h),) * n_agents
@@ -319,17 +317,16 @@ def test_criterion_7_sampled_planner_degenerates_to_nominal():
         belief = FleetBelief(tracks=tracks, agents=agents)
         forest = generate_forest(10.0, 5.0, Aoi(150, 100), rng)
         h = int(rng.integers(1, 3))
-        prev = [
-            PolicySeq(i, tuple(actions[rng.integers(len(actions))] for _ in range(h)))
-            for i in range(n_agents)
-        ]
+        prev = np.array(
+            [[actions[rng.integers(len(actions))] for _ in range(h)] for _ in range(n_agents)]
+        )
         intents = extend_intent(prev, h, n_agents)
         joint_mcr, _ = mcr_plan(
-            belief, h, 10, np.random.default_rng(rng.integers(1 << 31)), intents,
-            actions, forest, model,
+            belief, intents, actions, forest, model, 10,
+            np.random.default_rng(rng.integers(1 << 31)),
         )
-        joint_nom, _ = sma_nbo_plan(belief, intents, h, actions, forest, model)
-        ok &= joint_mcr == joint_nom
+        joint_nom, _ = sma_nbo_plan(belief, intents, actions, forest, model)
+        ok &= np.array_equal(joint_mcr, joint_nom)
         if not ok:
             break
     _report(7, "degenerate sampling reproduces nominal decisions", ok)

@@ -172,6 +172,11 @@ class TestFuse:
         model = ncv_model(0.2, 1.0)
         with pytest.raises(TrackAssociationError):
             fuse([[obs(99, [0.0, 0.0], np.eye(2))]], belief, model)
+        # after updates from earlier observations, too; the belief stays as it was
+        p0 = [t.P.copy() for t in belief.tracks]
+        with pytest.raises(TrackAssociationError, match="unknown target id 99"):
+            fuse([[obs(0, [1.0, 2.0], np.eye(2))], [obs(99, [0.0, 0.0], np.eye(2))]], belief, model)
+        assert all(np.array_equal(t.P, p) for t, p in zip(belief.tracks, p0))
 
     def test_deterministic_replay_is_bit_identical(self):
         belief = two_track_belief()

@@ -1,19 +1,21 @@
+import inspect
 import itertools
 import math
+import re
 import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trackplan import (
-    Action,
     AgentState,
     Aoi,
     BudgetExceededError,
     FleetBelief,
     OcclusionForest,
-    PolicySeq,
     TargetTrack,
     action_set,
     dec_pomdp_plan,
@@ -26,6 +28,8 @@ from trackplan import (
     propagate_agent,
     sma_nbo_plan,
 )
+import trackplan
+import trackplan.sim
 from trackplan import planning
 from trackplan.planning import (
     EXHAUSTIVE_LIMIT,
@@ -51,8 +55,8 @@ def agent_at(x, y, fov_edge=20.0, alpha=0.1):
     return AgentState(px=x, py=y, fov_edge=fov_edge, alpha=alpha)
 
 
-def hover_policy(agent_id, h):
-    return PolicySeq(agent_id=agent_id, actions=(Action(0.0, 0.0),) * h)
+def hover_plan(n_agents, h):
+    return np.zeros((n_agents, h, 2))
 
 
 def random_instance(rng, n_agents, n_targets, h, with_forest=True):
@@ -84,13 +88,9 @@ def random_instance(rng, n_agents, n_targets, h, with_forest=True):
     )
     belief = FleetBelief(tracks=tracks, agents=agents)
     actions = action_set(5.0, 4, 1)
-    joint = [
-        PolicySeq(
-            agent_id=i,
-            actions=tuple(actions[rng.integers(len(actions))] for _ in range(h)),
-        )
-        for i in range(n_agents)
-    ]
+    joint = np.array(
+        [[actions[rng.integers(len(actions))] for _ in range(h)] for _ in range(n_agents)]
+    )
     return belief, forest, joint
 
 
@@ -108,17 +108,17 @@ class TestActionSet:
     def test_cardinal_headings(self):
         acts = action_set(5.0, 4, 1)
         expected = [(0, 0), (5, 0), (0, 5), (-5, 0), (0, -5)]
-        assert len(acts) == 5
+        assert acts.shape == (5, 2) and acts.dtype == float
         for act, (ux, uy) in zip(acts, expected):
-            assert act.ux == pytest.approx(ux, abs=1e-12)
-            assert act.uy == pytest.approx(uy, abs=1e-12)
+            assert act[0] == pytest.approx(ux, abs=1e-12)
+            assert act[1] == pytest.approx(uy, abs=1e-12)
 
     def test_count_with_speeds(self):
         assert len(action_set(5.0, 8, 2)) == 17
 
     def test_speed_limit(self):
         for act in action_set(5.0, 8, 2):
-            assert math.hypot(act.ux, act.uy) <= 5.0 + 1e-9
+            assert math.hypot(*act) <= 5.0 + 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,23 +127,23 @@ class TestActionSet:
 
 class TestPropagateAgent:
     def test_straight_motion(self):
-        out = propagate_agent(agent_at(0.0, 0.0), Action(5.0, 0.0), 1.0)
+        out = propagate_agent(agent_at(0.0, 0.0), (5.0, 0.0), 1.0)
         assert (out.px, out.py) == (5.0, 0.0)
         assert out.psi == 0.0 and (out.vx, out.vy) == (5.0, 0.0)
 
     def test_hover_keeps_yaw_and_position(self):
         start = replace(agent_at(3.0, 4.0), psi=1.2)
-        out = propagate_agent(start, Action(0.0, 0.0), 1.0)
+        out = propagate_agent(start, (0.0, 0.0), 1.0)
         assert (out.px, out.py) == (3.0, 4.0) and out.psi == 1.2
 
     def test_half_step_north(self):
-        out = propagate_agent(agent_at(0.0, 0.0), Action(0.0, 5.0), 0.5)
+        out = propagate_agent(agent_at(0.0, 0.0), (0.0, 5.0), 0.5)
         assert (out.px, out.py) == (0.0, 2.5)
         assert out.psi == pytest.approx(math.pi / 2)
 
     def test_sensor_parameters_unchanged(self):
         start = agent_at(0.0, 0.0, fov_edge=22.0, alpha=0.12)
-        out = propagate_agent(start, Action(1.0, 2.0), 1.0)
+        out = propagate_agent(start, (1.0, 2.0), 1.0)
         assert out.fov_edge == 22.0 and out.alpha == 0.12 and out.r0 == start.r0
 
 
@@ -179,7 +179,7 @@ class TestRolloutCost:
         for _ in range(20):
             belief, forest, joint = random_instance(rng, 1, 1, 1)
             res = engine_cost(belief, joint, forest, model, 1)
-            agent = propagate_agent(belief.agents[0], joint[0].actions[0], model.dt)
+            agent = propagate_agent(belief.agents[0], joint[0, 0], model.dt)
             track = predict(belief.tracks[0], model)
             pos = (float(track.xi[0]), float(track.xi[1]))
             p = track.P
@@ -196,7 +196,7 @@ class TestRolloutCost:
         belief = FleetBelief(tracks=(track_at(0, 1000.0, 1000.0),), agents=(agent_at(0, 0),))
         model = ncv_model(1.0, 1.0)
         actions = action_set(5.0, 4, 1)
-        costs = {engine_cost(belief, [PolicySeq(0, (a,) * 3)], EMPTY, model, 3) for a in actions}
+        costs = {engine_cost(belief, np.tile(a, (1, 3, 1)), EMPTY, model, 3) for a in actions}
         assert len(costs) == 1
         # pure prediction: sum of predicted traces
         track = belief.tracks[0]
@@ -212,7 +212,7 @@ class TestRolloutCost:
             agents=(agent_at(0.0, 0.0, fov_edge=40.0),),
         )
         model = ncv_model(1.0, 1.0)
-        joint = [hover_policy(0, 2)]
+        joint = hover_plan(1, 2)
         plain = engine_cost(belief, joint, EMPTY, model, 2)
         with_pen = engine_cost(belief, joint, EMPTY, model, 2, beta=1.0)
         assert with_pen == plain  # no target is uncovered, so no penalty term
@@ -230,13 +230,13 @@ class TestRolloutCost:
             assert traces == pytest.approx(ref_traces, abs=1e-9)
             assert penalty == pytest.approx(ref_penalty, abs=1e-9)
 
-    def test_policy_length_validated(self):
+    def test_intent_shape_validated(self):
         belief = FleetBelief(tracks=(track_at(0, 0, 0),), agents=(agent_at(0, 0),))
-        with pytest.raises(ValueError):
-            sma_nbo_plan(
-                belief, (hover_policy(0, 2),), 3, action_set(5.0, 4, 1), EMPTY,
-                ncv_model(1.0, 1.0),
-            )
+        for shape in ((2, 3, 2), (1, 3, 3)):  # a row per agent, a (ux, uy) per step
+            with pytest.raises(ValueError, match="intents must have shape"):
+                sma_nbo_plan(
+                    belief, np.zeros(shape), action_set(5.0, 4, 1), EMPTY, ncv_model(1.0, 1.0)
+                )
 
 
 def mdo_position(sensor, target):
@@ -367,7 +367,7 @@ class TestMwtp:
             agents=(agent_at(0.0, 0.0), agent_at(40.0, 0.0), agent_at(0.0, 40.0)),
         )
         sma_nbo_plan(
-            belief, extend_intent(None, 3, 3), 3, action_set(5.0, 8, 1), EMPTY,
+            belief, extend_intent(None, 3, 3), action_set(5.0, 8, 1), EMPTY,
             ncv_model(1.0, 1.0), beta=1.0,
         )
         assert calls == [9**3] * 3
@@ -426,6 +426,25 @@ class TestBatchMatchesReference:
             assert fast == pytest.approx(total / n_samples, rel=1e-9, abs=1e-9)
 
 
+def test_occlusion_mask_is_built_one_step_at_a_time():
+    # all steps at once, the disk test held an (S, T, h, D, 2) float array:
+    # 15 MB here, for a 20 kB mask
+    rng = np.random.default_rng(27)
+    disks = tuple((float(x), float(y), 2.0) for x, y in rng.uniform(0, 150, (48, 2)))
+    forest = OcclusionForest(disks=disks)
+    paths = rng.uniform(0, 150, (1, 4, 5000, 2))
+    belief = FleetBelief(tracks=(), agents=(agent_at(0.0, 0.0),))
+    forest.occludes(paths[:, :, 0])  # builds the forest's cached disk array
+    tracemalloc.start()
+    try:
+        tree = _PrefixTree(belief, ncv_model(1.0, 1.0), forest, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert np.array_equal(tree.free, ~forest.occludes(paths))
+
+
 class TestOptimizeSingle:
     """One agent's optimization stage, read from the sweep's first stage."""
 
@@ -433,9 +452,7 @@ class TestOptimizeSingle:
         rng = np.random.default_rng(7)
         belief, forest, joint = random_instance(rng, 2, 2, 1)
         actions = action_set(5.0, 8, 1)
-        _, stats = sma_nbo_plan(
-            belief, tuple(joint), 1, actions, forest, ncv_model(1.0, 1.0)
-        )
+        _, stats = sma_nbo_plan(belief, joint, actions, forest, ncv_model(1.0, 1.0))
         assert stats.per_agent_evals[0] == 9
         assert stats.stage_best_costs[0] <= stats.stage_incumbent_costs[0] + 1e-9
 
@@ -444,21 +461,17 @@ class TestOptimizeSingle:
             tracks=(track_at(0, 0.0, 13.0),), agents=(agent_at(0.0, 0.0, fov_edge=20.0),)
         )
         actions = action_set(5.0, 4, 1)
-        joint, _ = sma_nbo_plan(
-            belief, (hover_policy(0, 1),), 1, actions, EMPTY, ncv_model(1.0, 1.0)
-        )
-        assert joint[0].actions[0].ux == pytest.approx(0.0, abs=1e-12)
-        assert joint[0].actions[0].uy == pytest.approx(5.0, abs=1e-12)
+        joint, _ = sma_nbo_plan(belief, hover_plan(1, 1), actions, EMPTY, ncv_model(1.0, 1.0))
+        assert joint[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert joint[0, 0, 1] == pytest.approx(5.0, abs=1e-12)
 
     def test_all_equal_costs_return_first_action(self):
         belief = FleetBelief(
             tracks=(track_at(0, 1000.0, 1000.0),), agents=(agent_at(0.0, 0.0),)
         )
         actions = action_set(5.0, 8, 1)
-        joint, _ = sma_nbo_plan(
-            belief, (hover_policy(0, 2),), 2, actions, EMPTY, ncv_model(1.0, 1.0)
-        )
-        assert joint[0].actions == (Action(0.0, 0.0), Action(0.0, 0.0))
+        joint, _ = sma_nbo_plan(belief, hover_plan(1, 2), actions, EMPTY, ncv_model(1.0, 1.0))
+        assert np.array_equal(joint[0], [[0.0, 0.0], [0.0, 0.0]])
 
     def test_beam_search_path(self, monkeypatch):
         monkeypatch.setattr("trackplan.planning.EXHAUSTIVE_LIMIT", 10)
@@ -468,9 +481,9 @@ class TestOptimizeSingle:
         )
         actions = action_set(5.0, 4, 1)
         joint, stats = sma_nbo_plan(
-            belief, (hover_policy(0, 2),), 2, actions, EMPTY, ncv_model(1.0, 1.0)
+            belief, hover_plan(1, 2), actions, EMPTY, ncv_model(1.0, 1.0)
         )
-        assert joint[0].actions[0].uy == pytest.approx(5.0, abs=1e-12)
+        assert joint[0, 0, 1] == pytest.approx(5.0, abs=1e-12)
         assert stats.stage_best_costs[0] <= stats.stage_incumbent_costs[0] + 1e-9
         # beam path: 5 prefixes, then the 3 kept x 5, plus the incumbent
         assert stats.per_agent_evals[0] == 5 + 3 * 5 + 1
@@ -483,18 +496,16 @@ class TestOptimizeSingle:
         # and is seen only from (15, 20) at step 2 and (20, 20) at step 3.
         # Every level ties (H hover, E east): all level-1 prefixes, HE with EH
         # at level 2, and HEE with EHE at the leaves.
-        actions = [Action(0.0, 0.0), Action(5.0, 0.0), Action(-5.0, 0.0),
-                   Action(0.0, 5.0), Action(0.0, -5.0)]
+        actions = np.array([(0.0, 0.0), (5.0, 0.0), (-5.0, 0.0), (0.0, 5.0), (0.0, -5.0)])
         belief = FleetBelief(
             tracks=(track_at(0, 1000.0, 1000.0), track_at(1, 1.0, 20.0, vx=6.5)),
             agents=(agent_at(10.0, 20.0, fov_edge=4.0),),
         )
         model = ncv_model(1.0, 1.0)
-        joint, stats = sma_nbo_plan(belief, (hover_policy(0, 3),), 3, actions, EMPTY, model)
+        joint, stats = sma_nbo_plan(belief, hover_plan(1, 3), actions, EMPTY, model)
 
         def cost(seq):
-            policy = PolicySeq(0, tuple(actions[a] for a in seq))
-            return rollout_cost(belief, [policy], EMPTY, model, len(seq))
+            return rollout_cost(belief, actions[list(seq)][None], EMPTY, model, len(seq))
 
         # literal beam: re-score every prefix, keep the 3 best by (cost,
         # position), expand the survivors in that rank order
@@ -506,7 +517,7 @@ class TestOptimizeSingle:
             beam = [expanded[i] for i in ranked[:3]]
         assert costs.count(min(costs)) == 2
         assert beam[0] == (0, 1, 1)
-        assert joint[0].actions == tuple(actions[a] for a in beam[0])
+        assert np.array_equal(joint[0], actions[list(beam[0])])
         assert stats.stage_best_costs[0] < stats.stage_incumbent_costs[0]
 
     def test_incumbent_outside_action_set_can_win(self):
@@ -516,46 +527,41 @@ class TestOptimizeSingle:
             tracks=(track_at(0, 10.0, 12.0),), agents=(agent_at(0.0, 0.0, fov_edge=20.0),)
         )
         actions = action_set(5.0, 4, 1)
-        incumbent = PolicySeq(0, (Action(3.0, 4.0),))
-        joint, stats = sma_nbo_plan(
-            belief, (incumbent,), 1, actions, EMPTY, ncv_model(1.0, 1.0)
-        )
+        incumbent = np.array([[(3.0, 4.0)]])
+        joint, stats = sma_nbo_plan(belief, incumbent, actions, EMPTY, ncv_model(1.0, 1.0))
         assert stats.per_agent_evals[0] == len(actions) + 1
-        assert joint[0].actions == incumbent.actions
+        assert np.array_equal(joint, incumbent)
         assert stats.stage_best_costs[0] == stats.stage_incumbent_costs[0]
 
     def test_zero_track_belief_keeps_intents(self):
         belief = FleetBelief(tracks=(), agents=(agent_at(0.0, 0.0), agent_at(5.0, 5.0)))
         actions = action_set(5.0, 4, 1)
         intents = extend_intent(None, 2, 2)
-        joint, stats = sma_nbo_plan(belief, intents, 2, actions, EMPTY, ncv_model(1.0, 1.0))
+        joint, stats = sma_nbo_plan(belief, intents, actions, EMPTY, ncv_model(1.0, 1.0))
         # nothing to track: every candidate costs zero, first one wins
-        assert all(seq.actions == (Action(0.0, 0.0),) * 2 for seq in joint)
+        assert np.array_equal(joint, np.zeros((2, 2, 2)))
         assert stats.stage_best_costs == (0.0, 0.0)
 
 
 class TestExtendIntent:
     def test_shift_and_repeat_last(self):
-        a, b, c = Action(1.0, 0.0), Action(0.0, 1.0), Action(-1.0, 0.0)
-        previous = [PolicySeq(0, (a, b, c))]
-        intents = extend_intent(previous, 3, 1)
-        assert intents[0].actions == (b, c, c)
+        a, b, c = (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)
+        intents = extend_intent(np.array([[a, b, c]]), 3, 1)
+        assert np.array_equal(intents, [[b, c, c]])
 
     def test_first_epoch_is_hover(self):
         intents = extend_intent(None, 3, 2)
-        for seq in intents:
-            assert seq.actions == (Action(0.0, 0.0),) * 3
+        assert np.array_equal(intents, np.zeros((2, 3, 2)))
 
     def test_length_always_h(self):
         rng = np.random.default_rng(8)
         actions = action_set(5.0, 8, 1)
         for h in (1, 2, 5):
-            prev = [
-                PolicySeq(0, tuple(actions[rng.integers(9)] for _ in range(h))),
-                PolicySeq(1, tuple(actions[rng.integers(9)] for _ in range(h))),
-            ]
+            prev = np.array([[actions[rng.integers(9)] for _ in range(h)] for _ in range(2)])
             intents = extend_intent(prev, h, 2)
-            assert all(len(p) == h for p in intents)
+            assert intents.shape == (2, h, 2)
+            with pytest.raises(ValueError, match="previous plan must have shape"):
+                extend_intent(prev, h + 1, 2)
 
 
 class TestSmaNbo:
@@ -567,20 +573,14 @@ class TestSmaNbo:
         actions = action_set(5.0, 4, 1)
         model = ncv_model(1.0, 1.0)
         intents = extend_intent(None, 1, 2)
-        joint, _ = sma_nbo_plan(belief, intents, 1, actions, EMPTY, model)
+        joint, _ = sma_nbo_plan(belief, intents, actions, EMPTY, model)
         # agent 1 cannot reach anything: keeps the first (hover) action
-        assert joint[0].actions[0] == Action(0.0, 0.0)
-        assert joint[1].actions[0].uy == pytest.approx(5.0, abs=1e-12)
+        assert np.array_equal(joint[0, 0], [0.0, 0.0])
+        assert joint[1, 0, 1] == pytest.approx(5.0, abs=1e-12)
         # exhaustive joint-space oracle
         best = min(
             (
-                rollout_cost(
-                    belief,
-                    [PolicySeq(0, (a0,)), PolicySeq(1, (a1,))],
-                    EMPTY,
-                    model,
-                    1,
-                )
+                rollout_cost(belief, np.array([[a0], [a1]]), EMPTY, model, 1)
                 for a0 in actions
                 for a1 in actions
             )
@@ -595,8 +595,8 @@ class TestSmaNbo:
         for _ in range(10):
             belief, forest, prev = random_instance(rng, 2, 3, 2)
             intents = extend_intent(prev, 2, 2)
-            joint, stats = sma_nbo_plan(belief, intents, 2, actions, forest, model)
-            j_intents = rollout_cost(belief, list(intents), forest, model, 2)
+            joint, stats = sma_nbo_plan(belief, intents, actions, forest, model)
+            j_intents = rollout_cost(belief, intents, forest, model, 2)
             j_plan = rollout_cost(belief, joint, forest, model, 2)
             assert j_plan <= j_intents + 1e-9
             # stage chain: objective never increases within the sweep
@@ -613,19 +613,18 @@ class TestSmaNbo:
         actions = action_set(5.0, 8, 1)
         model = ncv_model(1.0, 1.0)
         intents = extend_intent(prev, 2, 3)
-        a, _ = sma_nbo_plan(belief, intents, 2, actions, forest, model)
-        b, _ = sma_nbo_plan(belief, intents, 2, actions, forest, model)
-        assert a == b
+        a, _ = sma_nbo_plan(belief, intents, actions, forest, model)
+        b, _ = sma_nbo_plan(belief, intents, actions, forest, model)
+        assert np.array_equal(a, b)
 
     def test_action_feasibility(self):
         rng = np.random.default_rng(13)
         belief, forest, prev = random_instance(rng, 2, 2, 2)
         actions = action_set(5.0, 8, 1)
         intents = extend_intent(prev, 2, 2)
-        joint, _ = sma_nbo_plan(belief, intents, 2, actions, forest, ncv_model(1.0, 1.0))
-        for seq in joint:
-            for act in seq.actions:
-                assert math.hypot(act.ux, act.uy) <= 5.0 + 1e-9
+        joint, _ = sma_nbo_plan(belief, intents, actions, forest, ncv_model(1.0, 1.0))
+        for act in joint.reshape(-1, 2):
+            assert math.hypot(*act) <= 5.0 + 1e-9
 
     def test_beam_fallback_at_shipped_limits(self):
         # |A| = 9: H5 is still enumerated, H6 falls back to beam search
@@ -634,7 +633,7 @@ class TestSmaNbo:
         rng = np.random.default_rng(25)
         belief, forest, _ = random_instance(rng, 3, 3, 6)
         _, stats = sma_nbo_plan(
-            belief, extend_intent(None, 6, 3), 6, actions, forest, ncv_model(1.0, 1.0)
+            belief, extend_intent(None, 6, 3), actions, forest, ncv_model(1.0, 1.0)
         )
         # level 1 scores 9 prefixes, levels 2-6 the 8 kept x 9, plus the incumbent
         assert stats.per_agent_evals == (9 + 5 * 8 * 9 + 1,) * 3
@@ -647,7 +646,7 @@ class TestSmaNbo:
         h = sys.getrecursionlimit() + 100
         belief, forest, _ = random_instance(np.random.default_rng(26), 1, 2, h)
         _, stats = sma_nbo_plan(
-            belief, extend_intent(None, h, 1), h, action_set(5.0, 8, 1), forest,
+            belief, extend_intent(None, h, 1), action_set(5.0, 8, 1), forest,
             ncv_model(1.0, 1.0),
         )
         assert stats.per_agent_evals == (9 + (h - 1) * 8 * 9 + 1,)
@@ -662,10 +661,8 @@ class TestDecPomdp:
         actions = action_set(5.0, 4, 1)
         model = ncv_model(1.0, 1.0)
         joint_dec, _ = dec_pomdp_plan(belief, 1, actions, forest, model)
-        joint_sma, _ = sma_nbo_plan(
-            belief, extend_intent(None, 1, 1), 1, actions, forest, model
-        )
-        assert joint_dec == joint_sma
+        joint_sma, _ = sma_nbo_plan(belief, extend_intent(None, 1, 1), actions, forest, model)
+        assert np.array_equal(joint_dec, joint_sma)
 
     def test_matches_joint_brute_force(self):
         rng = np.random.default_rng(15)
@@ -675,16 +672,14 @@ class TestDecPomdp:
         joint, stats = dec_pomdp_plan(belief, 1, actions, forest, model)
         combos = list(itertools.product(actions, repeat=2))
         costs = [
-            rollout_cost(
-                belief, [PolicySeq(0, (a0,)), PolicySeq(1, (a1,))], forest, model, 1
-            )
+            rollout_cost(belief, np.array([[a0], [a1]]), forest, model, 1)
             for a0, a1 in combos
         ]
         best_idx = int(np.argmin(costs))
         assert stats.per_agent_evals == (9, 9)
         got = rollout_cost(belief, joint, forest, model, 1)
         assert got == pytest.approx(costs[best_idx], abs=1e-9)
-        assert (joint[0].actions[0], joint[1].actions[0]) == combos[best_idx]
+        assert np.array_equal(joint[:, 0], combos[best_idx])
 
     def test_joint_cost_dominates_sequential(self):
         rng = np.random.default_rng(16)
@@ -694,7 +689,7 @@ class TestDecPomdp:
             belief, forest, prev = random_instance(rng, 2, 2, 1)
             intents = extend_intent(prev, 1, 2)
             joint_dec, _ = dec_pomdp_plan(belief, 1, actions, forest, model)
-            joint_sma, _ = sma_nbo_plan(belief, intents, 1, actions, forest, model)
+            joint_sma, _ = sma_nbo_plan(belief, intents, actions, forest, model)
             j_dec = rollout_cost(belief, joint_dec, forest, model, 1)
             j_sma = rollout_cost(belief, joint_sma, forest, model, 1)
             assert j_dec <= j_sma + 1e-9
@@ -720,7 +715,7 @@ class TestDecPomdp:
         # 81 leaves in blocks of 4 (smaller than one parent's 9 children) or
         # 50: the two tied leaves, 31st and 39th, in different blocks or one
         monkeypatch.setattr("trackplan.planning.SCAN_CHUNK", chunk)
-        actions = [Action(0.0, 0.0), Action(5.0, 0.0), Action(-5.0, 0.0)]
+        actions = np.array([(0.0, 0.0), (5.0, 0.0), (-5.0, 0.0)])
         # Track 0 is never seen. Agent 0 sees track 1 only after moving east
         # twice. Agent 1 sees track 2 only from (105, 60) at step 2, which
         # hover-east and east-hover reach alike: the minima tie exactly.
@@ -737,23 +732,13 @@ class TestDecPomdp:
         # agent-major: (agent 0 step 0, agent 0 step 1, agent 1 step 0, agent 1 step 1)
         combos = list(itertools.product(range(len(actions)), repeat=4))
         costs = [
-            rollout_cost(
-                belief,
-                [PolicySeq(0, (actions[c[0]], actions[c[1]])),
-                 PolicySeq(1, (actions[c[2]], actions[c[3]]))],
-                EMPTY,
-                model,
-                2,
-            )
+            rollout_cost(belief, actions[list(c)].reshape(2, 2, 2), EMPTY, model, 2)
             for c in combos
         ]
         best = combos[costs.index(min(costs))]
         assert costs.count(min(costs)) == 2
         assert best == (1, 1, 0, 1)
-        assert [seq.actions for seq in joint] == [
-            (actions[best[0]], actions[best[1]]),
-            (actions[best[2]], actions[best[3]]),
-        ]
+        assert np.array_equal(joint, actions[list(best)].reshape(2, 2, 2))
         assert stats.per_agent_evals == (81, 81)
 
     def test_budget_guard_names_required_count(self):
@@ -790,10 +775,10 @@ class TestMcr:
             forest = generate_forest(10.0, 5.0, Aoi(150, 100), rng)
             intents = extend_intent(None, 2, 2)
             joint_mcr, _ = mcr_plan(
-                belief, 2, 5, np.random.default_rng(0), intents, actions, forest, model
+                belief, intents, actions, forest, model, 5, np.random.default_rng(0)
             )
-            joint_sma, _ = sma_nbo_plan(belief, intents, 2, actions, forest, model)
-            assert joint_mcr == joint_sma
+            joint_sma, _ = sma_nbo_plan(belief, intents, actions, forest, model)
+            assert np.array_equal(joint_mcr, joint_sma)
 
     def test_single_noise_free_sample_equals_nominal(self):
         rng = np.random.default_rng(19)
@@ -802,10 +787,10 @@ class TestMcr:
         belief = self._degenerate_belief(rng)
         intents = extend_intent(None, 1, 2)
         joint_mcr, _ = mcr_plan(
-            belief, 1, 1, np.random.default_rng(1), intents, actions, EMPTY, model
+            belief, intents, actions, EMPTY, model, 1, np.random.default_rng(1)
         )
-        joint_sma, _ = sma_nbo_plan(belief, intents, 1, actions, EMPTY, model)
-        assert joint_mcr == joint_sma
+        joint_sma, _ = sma_nbo_plan(belief, intents, actions, EMPTY, model)
+        assert np.array_equal(joint_mcr, joint_sma)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(20)
@@ -813,17 +798,17 @@ class TestMcr:
         model = ncv_model(1.0, 1.0)
         actions = action_set(5.0, 4, 1)
         intents = extend_intent(prev, 2, 2)
-        a, _ = mcr_plan(belief, 2, 8, np.random.default_rng(5), intents, actions, forest, model)
-        b, _ = mcr_plan(belief, 2, 8, np.random.default_rng(5), intents, actions, forest, model)
-        assert a == b
+        a, _ = mcr_plan(belief, intents, actions, forest, model, 8, np.random.default_rng(5))
+        b, _ = mcr_plan(belief, intents, actions, forest, model, 8, np.random.default_rng(5))
+        assert np.array_equal(a, b)
 
     def test_sample_count_validated(self):
         rng = np.random.default_rng(21)
         belief, forest, prev = random_instance(rng, 1, 1, 1)
         with pytest.raises(ValueError):
             mcr_plan(
-                belief, 1, 0, np.random.default_rng(0), extend_intent(prev, 1, 1),
-                action_set(5.0, 4, 1), forest, ncv_model(1.0, 1.0),
+                belief, extend_intent(prev, 1, 1), action_set(5.0, 4, 1), forest,
+                ncv_model(1.0, 1.0), 0, np.random.default_rng(0),
             )
 
 
@@ -835,7 +820,7 @@ class TestComplexityCounts:
             actions = action_set(5.0, headings, 1)
             belief, forest, prev = random_instance(rng, n, 2, h)
             intents = extend_intent(prev, h, n)
-            _, stats = sma_nbo_plan(belief, intents, h, actions, forest, model)
+            _, stats = sma_nbo_plan(belief, intents, actions, forest, model)
             assert stats.rollout_evals == n * len(actions) ** h
             assert stats.per_agent_evals == (len(actions) ** h,) * n
 
@@ -848,3 +833,43 @@ class TestComplexityCounts:
             _, stats = dec_pomdp_plan(belief, h, actions, forest, model)
             assert stats.per_agent_evals == (len(actions) ** (n * h),) * n
             assert stats.rollout_evals == n * len(actions) ** (n * h)
+
+
+class TestPlanFormat:
+    """Plans are float (n_agents, h, 2) velocity arrays, in and out."""
+
+    def _epoch(self):
+        rng = np.random.default_rng(28)
+        belief, forest, joint = random_instance(rng, 2, 3, 2)
+        inputs = trackplan.sim._PlanInputs(
+            h=2, actions=action_set(5.0, 4, 1), forest=forest, model=ncv_model(1.0, 1.0),
+            beta=1.0, mcr_samples=4, rng=np.random.default_rng(0),
+        )
+        return belief, extend_intent(joint, 2, 2), inputs
+
+    @pytest.mark.parametrize("planner", trackplan.sim.PLANNERS)
+    def test_each_planner_returns_a_float_plan_array(self, planner):
+        belief, intents, inputs = self._epoch()
+        joint, _ = trackplan.sim._EPOCH_CALLS[planner](belief, intents, inputs)
+        assert isinstance(joint, np.ndarray)
+        assert joint.dtype == float and joint.shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("planner", ["sma-nbo", "sma-nbo-mwtp", "mcr"])
+    def test_sweep_planners_leave_the_intents_unchanged(self, planner):
+        belief, intents, inputs = self._epoch()
+        before = intents.copy()
+        joint, _ = trackplan.sim._EPOCH_CALLS[planner](belief, intents, inputs)
+        assert not np.array_equal(joint, before)  # so a write into the intents would show
+        assert np.array_equal(intents, before)
+
+    def test_readme_lists_each_planner_signature(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        calls = re.findall(r"^tp\.(\w+_plan)\((.*)\)$", readme, re.M)
+        assert [name for name, _ in calls] == ["sma_nbo_plan", "mcr_plan", "dec_pomdp_plan"]
+        for name, args in calls:
+            documented = [arg.strip().partition("=") for arg in args.split(",")]
+            in_code = [
+                (p.name, *(("", "") if p.default is p.empty else ("=", repr(p.default))))
+                for p in inspect.signature(getattr(trackplan, name)).parameters.values()
+            ]
+            assert in_code == documented

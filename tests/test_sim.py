@@ -85,6 +85,16 @@ class TestTrialStructure:
         with pytest.raises(ValueError, match="too short"):
             run_trial(small_config(), EMPTY, "sma-nbo", 0, trajectories=[traj])
 
+    def test_scripted_trajectory_must_be_sampled_every_dt_sense(self):
+        # sampled at 0.1 s and stepped at 0.2 s, the truth would move at half
+        # its logged velocity
+        traj = scripted_trajectory(0, (10.0, 10.0), (1.0, 0.0), 20.0, 0.1)
+        with pytest.raises(ValueError, match="sampled every 0.1 s"):
+            run_trial(small_config(), EMPTY, "sma-nbo", 0, trajectories=[traj])
+        # a period that differs in the last digits only is the same period
+        traj = scripted_trajectory(0, (10.0, 10.0), (1.0, 0.0), 10.0, 0.2)
+        run_trial(small_config(), EMPTY, "sma-nbo", 0, trajectories=[replace(traj, dt=0.2 + 1e-15)])
+
 
 class TestFilterBehavior:
     def test_static_target_converges_monotonically(self, monkeypatch):
@@ -169,6 +179,24 @@ class TestAgentMotion:
                 assert np.allclose(log.agent_states[k, :, :2], expected, atol=1e-9)
                 assert np.allclose(log.agent_states[k, :, 3:5], held, atol=1e-12)
                 prev = log.agent_states[k, :, :2]
+
+    def test_logs_exactly_the_plans_the_planner_returns(self, monkeypatch):
+        returned = []
+        plan = trackplan.sim.sma_nbo_plan
+
+        def recorded(*args, **kwargs):
+            joint, stats = plan(*args, **kwargs)
+            returned.append(joint.copy())
+            return joint, stats
+
+        monkeypatch.setattr(trackplan.sim, "sma_nbo_plan", recorded)
+        cfg = small_config(
+            duration=5.0, horizon=2, n_targets=2, n_agents=2, fov_edges=(20.0, 25.0),
+            alphas=(0.1, 0.15),
+        )
+        log = run_trial(cfg, EMPTY, "sma-nbo", 9)
+        assert len(returned) == 5
+        assert np.array_equal(log.epoch_policies, np.stack(returned))
 
     def test_all_planners_run(self):
         cfg = small_config(
