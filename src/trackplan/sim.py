@@ -220,10 +220,9 @@ def run_trial(
                 FleetBelief(tracks=belief.tracks, agents=agents, timestamp=belief.timestamp),
                 model_fine,
             )
-            est_pos = np.array([t.xi[:2] for t in belief.tracks])
             log.times[k] = j * config.dt_sense
             log.est_mean[k] = [t.xi for t in belief.tracks]
             log.est_trace[k] = [t.trace for t in belief.tracks]
-            log.ospa[k] = ospa(est_pos, log.truth[k, :, :2], params)
             log.agent_states[k] = [[a.px, a.py, a.psi, a.vx, a.vy] for a in agents]
+    log.ospa[:] = ospa(log.est_mean[..., :2], log.truth[..., :2], params)
     return log

@@ -5,9 +5,11 @@ import pytest
 
 from trackplan import (
     OcclusionForest,
+    OspaParams,
     ScenarioConfig,
     TargetTrajectory,
     generate_forest,
+    ospa,
     run_trial,
     sense,
 )
@@ -156,6 +158,21 @@ class TestFilterBehavior:
             for est, truth in zip(log.est_mean, log.truth)
         ]
         assert np.allclose(series, log.ospa, atol=1e-12)
+
+    def test_ospa_scored_once_per_trial_as_per_step(self, monkeypatch):
+        calls = []
+
+        def recorded(x, y, params):
+            calls.append(np.shape(x))
+            return ospa(x, y, params)
+
+        monkeypatch.setattr(trackplan.sim, "ospa", recorded)
+        cfg = small_config(n_targets=3, duration=4.0)
+        log = run_trial(cfg, EMPTY, "sma-nbo", 6)
+        assert calls == [(20, 3, 2)]
+        params = OspaParams(cfg.ospa_c, cfg.ospa_p)
+        per_step = [ospa(e[:, :2], t[:, :2], params) for e, t in zip(log.est_mean, log.truth)]
+        assert log.ospa.tolist() == per_step
 
 
 class TestAgentMotion:
