@@ -42,7 +42,9 @@ from .worldgen import OcclusionForest
 
 _EYE4 = np.eye(4)
 
-# Most prefixes or leaves one search step extends and scores at once.
+# Most (prefix, sample) rows one search step extends and scores at once. A
+# block holds max(1, SCAN_CHUNK // S) prefixes, each carrying S target
+# samples, so its largest array holds max(SCAN_CHUNK, S) x T (4, 4) blocks.
 SCAN_CHUNK = 4096
 
 # Largest joint sequence space dec_pomdp_plan will enumerate.
@@ -259,6 +261,18 @@ class _Found(NamedTuple):
     scored: int  # leaves plus ranked beam prefixes
 
 
+@dataclass
+class _Search:
+    """What one _PrefixTree.search varies: the agents that move, their
+    choices, the block size, and the sequences scored so far."""
+
+    fixed: list[np.ndarray | None]  # (1, h, 2) step positions, None for a mover
+    movers: list[int]
+    step_xy: np.ndarray  # (b, movers, 2) each choice's v*dt
+    block: int  # most prefixes extended or scored at once
+    scored: int = 0
+
+
 class _PrefixTree:
     """The covariance rollouts of one planning call, expanded level by level.
 
@@ -272,6 +286,8 @@ class _PrefixTree:
     summed v*dt of its prefix, the sums np.cumsum forms, so each leaf costs
     exactly what a rollout of its whole sequence costs. A leaf adds the
     terminal penalty weighted by ``beta``, or none if ``beta`` is None.
+    The tree holds only what is fixed for the plan; each search keeps its
+    own state in a _Search.
     """
 
     def __init__(
@@ -306,7 +322,8 @@ class _PrefixTree:
         watch: int | None = None,
         rank: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> _Found:
-        """Lowest-cost leaf, scored in blocks of at most SCAN_CHUNK.
+        """Lowest-cost leaf, scored in blocks of at most SCAN_CHUNK (prefix,
+        sample) rows, or of one prefix if it has more samples than that.
 
         With ``keep`` None every prefix is expanded; otherwise a beam keeps
         the ``keep`` best prefixes per level by (mean cost, position) and
@@ -314,20 +331,22 @@ class _PrefixTree:
         ties go to the earliest leaf or, given ``rank``, to the lowest
         rank(paths).
         """
-        self.fixed = fixed
-        self.movers = [i for i, f in enumerate(fixed) if f is None]
-        self.step_xy = choice_xy * self.model.dt
-        self.scored = 0
         n_samples, n_tracks = self.target_paths.shape[:2]
+        run = _Search(
+            fixed,
+            [i for i, f in enumerate(fixed) if f is None],
+            choice_xy * self.model.dt,
+            max(1, SCAN_CHUNK // n_samples),
+        )
         p0 = np.array([t.P for t in self.belief.tracks]).reshape(n_tracks, 4, 4)
         root = _Nodes(
             np.zeros((1, 0), dtype=int),
-            np.full((1, len(self.movers), 2), -0.0),  # -0.0 + x == x, as cumsum starts
+            np.full((1, len(run.movers), 2), -0.0),  # -0.0 + x == x, as cumsum starts
             np.broadcast_to(p0, (1, n_samples, n_tracks, 4, 4)).copy(),
             np.zeros((1, n_samples)),
         )
         best, best_cost, best_rank, watched, lo = None, math.inf, 0, math.nan, 0
-        for paths, costs in self._expand(root, 0, keep):
+        for paths, costs in self._expand(run, root, 0, keep):
             j = int(np.argmin(costs))
             r = lo + j
             if rank is not None:
@@ -340,54 +359,55 @@ class _PrefixTree:
             if watch is not None and lo <= watch < lo + len(costs):
                 watched = float(costs[watch - lo])
             lo += len(costs)
-        return _Found(best, best_cost, watched, self.scored)
+        return _Found(best, best_cost, watched, run.scored)
 
-    def _expand(self, nodes: _Nodes, level: int, keep: int | None):
+    def _expand(self, run: _Search, nodes: _Nodes, level: int, keep: int | None):
         """Leaf blocks (paths, costs) below ``nodes``, depth first. A beam level or
         one whose children fit one block is descended in a loop; only a level
         that splits into several blocks recurses, once per block."""
         while level + 1 < self.h:
-            blocks = self._children(nodes, level)
+            blocks = self._children(run, nodes, level)
             if keep is not None:
                 kids = _Nodes(*map(np.concatenate, zip(*blocks)))
                 mean = kids.cost.mean(axis=1)
-                self.scored += len(mean)
+                run.scored += len(mean)
                 ranked = sorted(range(len(mean)), key=lambda i: (mean[i], i))[:keep]
                 nodes = _Nodes(*(a[ranked] for a in kids))
-            elif len(nodes.cost) * len(self.step_xy) <= SCAN_CHUNK:
+            elif len(nodes.cost) * len(run.step_xy) <= run.block:
                 nodes = next(blocks)
             else:
                 for block in blocks:
-                    yield from self._expand(block, level + 1, keep)
+                    yield from self._expand(run, block, level + 1, keep)
                 return
             level += 1
-        for leaves in self._children(nodes, level):
-            self.scored += len(leaves.cost)
-            yield leaves.paths, self._leaf_costs(leaves)
+        for leaves in self._children(run, nodes, level):
+            run.scored += len(leaves.cost)
+            yield leaves.paths, self._leaf_costs(run, leaves)
 
-    def _children(self, nodes: _Nodes, level: int):
-        """Children of ``nodes`` after step ``level``, SCAN_CHUNK at a time."""
+    def _children(self, run: _Search, nodes: _Nodes, level: int):
+        """Children of ``nodes`` after step ``level``, ``run.block`` prefixes
+        (SCAN_CHUNK (prefix, sample) rows) at a time."""
         pred = self.model.F @ nodes.p @ self.model.F.T + self.model.Q
-        n_choices = len(self.step_xy)
+        n_choices = len(run.step_xy)
         total = len(pred) * n_choices
-        for lo in range(0, total, SCAN_CHUNK):
-            parent, choice = np.divmod(np.arange(lo, min(lo + SCAN_CHUNK, total)), n_choices)
-            offset = nodes.offset[parent] + self.step_xy[choice]
+        for lo in range(0, total, run.block):
+            parent, choice = np.divmod(np.arange(lo, min(lo + run.block, total)), n_choices)
+            offset = nodes.offset[parent] + run.step_xy[choice]
             p = pred[parent]
-            cost = nodes.cost[parent] + self._update(p, offset, level)
+            cost = nodes.cost[parent] + self._update(p, self._agent_xy(run, offset, level), level)
             yield _Nodes(np.column_stack((nodes.paths[parent], choice)), offset, p, cost)
 
-    def _agent_xy(self, offset: np.ndarray, level: int) -> list[np.ndarray]:
+    def _agent_xy(self, run: _Search, offset: np.ndarray, level: int) -> list[np.ndarray]:
         """Each agent's position after step ``level``: (1, 2) fixed, (N, 2) moving."""
-        pos = [f if f is None else f[:, level, :] for f in self.fixed]
-        for k, i in enumerate(self.movers):
+        pos = [f if f is None else f[:, level, :] for f in run.fixed]
+        for k, i in enumerate(run.movers):
             pos[i] = self.belief.agents[i].position + offset[:, k, :]
         return pos
 
-    def _update(self, p: np.ndarray, offset: np.ndarray, level: int) -> np.ndarray:
-        """Step ``level``'s measurement updates of p in place; the (N, S) trace."""
+    def _update(self, p: np.ndarray, agent_xy: list[np.ndarray], level: int) -> np.ndarray:
+        """Step ``level``'s measurement updates of p in place, every agent at
+        its ``agent_xy``; the (N, S) trace."""
         n, n_samples = p.shape[:2]
-        agent_xy = self._agent_xy(offset, level)
         for t in range(p.shape[2]):
             tp = self.target_paths[:, t, level, :]
             ft = self.free[:, t, level]
@@ -405,7 +425,7 @@ class _PrefixTree:
                 pt[vis] = _joseph_update_batch(pt[vis], r)
         return np.trace(p, axis1=-2, axis2=-1).sum(axis=2)
 
-    def _leaf_costs(self, leaves: _Nodes) -> np.ndarray:
+    def _leaf_costs(self, run: _Search, leaves: _Nodes) -> np.ndarray:
         """Mean cost over target samples plus the terminal penalty, if any."""
         costs = leaves.cost.mean(axis=1)
         if self.beta is None:
@@ -413,7 +433,7 @@ class _PrefixTree:
         end_targets = self.target_paths[0, :, -1, :]
         end_traces = np.trace(leaves.p[:, 0], axis1=-2, axis2=-1)
         end_agent = np.stack(
-            [np.broadcast_to(a, (len(costs), 2)) for a in self._agent_xy(leaves.offset, -1)],
+            [np.broadcast_to(a, (len(costs), 2)) for a in self._agent_xy(run, leaves.offset, -1)],
             axis=1,
         )
         half_widths = np.array([a.half_width for a in self.belief.agents])

@@ -239,24 +239,42 @@ def generate_forest(
 ) -> OcclusionForest:
     """Draw a Poisson number of disks, placed uniformly without overlap.
 
-    Placement uses rejection sampling with a fixed retry budget per disk;
-    exceeding the budget raises ForestPlacementError rather than silently
-    under-placing. Coordinates are quantized to 6 decimals so saved maps
-    reload bit-exactly.
+    Placement uses rejection sampling with a fixed retry budget per disk,
+    testing each candidate against the placed disks near it; exceeding the
+    budget raises ForestPlacementError rather than silently under-placing.
+    Coordinates are quantized to 6 decimals so saved maps reload bit-exactly.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    if radius <= 0:
+    if not radius > 0:  # NaN too: the cell index of a centre must be an integer
         raise ValueError("radius must be positive")
     count = int(rng.poisson(lam))
     placed: list[tuple[float, float, float]] = []
     min_gap_sq = (2.0 * radius) ** 2
+    # Cell list: a candidate is tested only against the disks in its own and
+    # the eight neighbouring square cells, which accepts exactly what testing
+    # every placed disk accepts. Cells are at least 4r wide, and so coarse
+    # that at most 2^20 span the longer side: then x / width is off by under
+    # 2^-31 of a cell, and two centres two cells apart on an axis lie more
+    # than (1 - 2^-31) 4r apart, so their squared distance passes the strict
+    # (2r)^2 test. Being at least 1e-100 wide keeps those squares normal
+    # floats, free of underflow.
+    width = max(4.0 * radius, max(aoi.width, aoi.height) / 2**20, 1e-100)
+    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for _ in range(count):
         for _attempt in range(PLACEMENT_RETRY_BUDGET):
             cx = _q6(rng.uniform(0.0, aoi.width))
             cy = _q6(rng.uniform(0.0, aoi.height))
-            if all((cx - px) ** 2 + (cy - py) ** 2 > min_gap_sq for px, py, _ in placed):
+            kx, ky = math.floor(cx / width), math.floor(cy / width)
+            near = (
+                centre
+                for i in (kx - 1, kx, kx + 1)
+                for j in (ky - 1, ky, ky + 1)
+                for centre in cells.get((i, j), ())
+            )
+            if all((cx - px) ** 2 + (cy - py) ** 2 > min_gap_sq for px, py in near):
                 placed.append((cx, cy, _q6(radius)))
+                cells.setdefault((kx, ky), []).append((cx, cy))
                 break
         else:
             raise ForestPlacementError(

@@ -158,3 +158,27 @@ def rollout_cost(belief, joint, forest, model, h, beta=None):
         agents, half_widths, [xy for xy, _ in uncovered], [tr for _, tr in uncovered], beta
     )
     return cost + penalty
+
+
+def forest_all_pairs(lam, radius, width, height, rng, retry_budget):
+    """Poisson forest placed by rejection sampling, each candidate tested
+    against every placed disk.
+
+    Draws a Poisson(lam) count, then per disk up to ``retry_budget``
+    candidate centres uniform on [0, width] x [0, height], rounded to 6
+    decimals; a candidate is kept when its squared distance to every placed
+    centre exceeds (2 radius)^2. Returns the placed (cx, cy, r) disks and
+    whether all of them were placed.
+    """
+    count = int(rng.poisson(lam))
+    placed = []
+    for _ in range(count):
+        for _attempt in range(retry_budget):
+            cx = float(f"{rng.uniform(0.0, width):.6f}")
+            cy = float(f"{rng.uniform(0.0, height):.6f}")
+            if all((cx - px) ** 2 + (cy - py) ** 2 > (2.0 * radius) ** 2 for px, py, _ in placed):
+                placed.append((cx, cy, float(f"{radius:.6f}")))
+                break
+        else:
+            return placed, False
+    return placed, True

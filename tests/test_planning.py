@@ -16,6 +16,7 @@ from trackplan import (
     BudgetExceededError,
     FleetBelief,
     OcclusionForest,
+    ScenarioConfig,
     TargetTrack,
     action_set,
     dec_pomdp_plan,
@@ -31,6 +32,7 @@ from trackplan import (
 import trackplan
 import trackplan.sim
 from trackplan import planning
+from trackplan.sim import initial_agents
 from trackplan.planning import (
     EXHAUSTIVE_LIMIT,
     _nominal_paths,
@@ -810,6 +812,101 @@ class TestMcr:
                 belief, extend_intent(prev, 1, 1), action_set(5.0, 4, 1), forest,
                 ncv_model(1.0, 1.0), 0, np.random.default_rng(0),
             )
+
+
+class TestBlocks:
+    """SCAN_CHUNK bounds the (prefix, sample) rows one block holds; no plan
+    or count depends on it."""
+
+    @staticmethod
+    def _crowded_instance(rng, n_agents, n_targets, h):
+        # tracks start near the agents, so most steps update some blocks
+        belief, forest, joint = random_instance(rng, n_agents, n_targets, h)
+        tracks = tuple(
+            replace(track, xi=np.array([
+                *(belief.agents[t % n_agents].position[0] + rng.uniform(-12, 12, 2)),
+                *track.xi[2:],
+            ]))
+            for t, track in enumerate(belief.tracks)
+        )
+        return replace(belief, tracks=tracks), forest, extend_intent(joint, h, n_agents)
+
+    def _plans(self):
+        rng = np.random.default_rng(29)
+        model = ncv_model(1.0, 1.0)
+        actions = action_set(5.0, 4, 1)
+        plans = []
+        for k in range(9):
+            n_agents, h = 1 + k % 3, 1 + k // 3
+            belief, forest, intents = self._crowded_instance(
+                rng, n_agents, int(rng.integers(1, 5)), h
+            )
+            plans.append(sma_nbo_plan(belief, intents, actions, forest, model))
+            plans.append(sma_nbo_plan(belief, intents, actions, forest, model, beta=0.8))
+            for n_samples in (1, 7, 50):
+                plans.append(mcr_plan(
+                    belief, intents, actions, forest, model, n_samples, np.random.default_rng(k)
+                ))
+            if n_agents * h <= 4:
+                plans.append(dec_pomdp_plan(belief, h, actions, forest, model))
+        return plans
+
+    def test_plans_do_not_depend_on_the_block_size(self, monkeypatch):
+        monkeypatch.setattr("trackplan.planning.SCAN_CHUNK", 4096)
+        reference = self._plans()
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr("trackplan.planning.SCAN_CHUNK", chunk)
+            for (joint, stats), (want_joint, want_stats) in zip(self._plans(), reference):
+                assert np.array_equal(joint, want_joint)
+                assert stats == want_stats  # stage costs bit for bit
+
+    @staticmethod
+    def _default_mcr_epoch():
+        """One epoch of the paper's scenario at H3: 3 agents, 9 actions and
+        4 tracks, each starting near an agent."""
+        config = ScenarioConfig(horizon=3)
+        rng = np.random.default_rng(30)
+        forest = generate_forest(config.lam, config.tree_radius, config.aoi, rng)
+        agents = initial_agents(config)
+        tracks = tuple(
+            track_at(t, *(agents[t % len(agents)].position[0] + rng.uniform(-8, 8, 2)),
+                     *rng.uniform(-2, 2, 2))
+            for t in range(config.n_targets)
+        )
+        actions = action_set(config.v_max, config.n_headings, config.n_speeds)
+        model = ncv_model(config.dt_plan, config.sigma_a)
+        belief = FleetBelief(tracks=tracks, agents=agents)
+        return belief, extend_intent(None, 3, 3), actions, forest, model
+
+    def test_mcr_plan_streams_its_leaf_level(self):
+        # one block of all 729 leaves of 50 samples would hold 18.7 MB of
+        # covariances, and its update temporaries more
+        epoch = self._default_mcr_epoch()
+        mcr_plan(*epoch, 50, np.random.default_rng(1))  # lazy set-up outside the count
+        tracemalloc.start()
+        try:
+            mcr_plan(*epoch, 50, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("chunk, n_samples", [(4096, 50), (4096, 1), (7, 50), (64, 7)])
+    def test_no_update_gets_more_rows_than_a_block(self, monkeypatch, chunk, n_samples):
+        monkeypatch.setattr("trackplan.planning.SCAN_CHUNK", chunk)
+        rows = []
+        update = _PrefixTree._update
+
+        def counting(tree, p, *args):
+            rows.append(p.shape[0] * p.shape[1])
+            return update(tree, p, *args)
+
+        monkeypatch.setattr(_PrefixTree, "_update", counting)
+        mcr_plan(*self._default_mcr_epoch(), n_samples, np.random.default_rng(1))
+        assert max(rows) <= max(chunk, n_samples)
+        # the blocks are as full as the bound and the 9^3 leaves allow: 81
+        # prefixes of 50 samples at the default 4096, one when S exceeds it
+        assert max(rows) == min(max(chunk // n_samples, 1), 9**3) * n_samples
 
 
 class TestComplexityCounts:

@@ -12,7 +12,9 @@ from trackplan import (
     load_map,
     save_map,
 )
-from trackplan.worldgen import MAX_SENSE_STEPS
+from trackplan.worldgen import MAX_SENSE_STEPS, PLACEMENT_RETRY_BUDGET
+
+from oracles import forest_all_pairs
 
 AOI = Aoi(150.0, 100.0)
 
@@ -55,12 +57,43 @@ class TestForest:
         with pytest.raises(ForestPlacementError):
             generate_forest(60.0, 5.0, tiny, np.random.default_rng(1))
 
+    @pytest.mark.parametrize(
+        "lam, radius, aoi, seeds, jams",
+        [
+            (45.0, 5.0, AOI, 40, False),  # the paper's scenario
+            (75.0, 5.0, AOI, 10, False),
+            (70.0, 1.0, Aoi(20.0, 20.0), 10, True),  # near the jamming limit
+            (40.0, 0.7, Aoi(13.3, 7.1), 10, True),  # cells that do not tile the AOI
+            (3.0, 40.0, AOI, 10, True),  # disks wider than the AOI
+            (40.0, 5e-7, Aoi(1e-5, 1e-5), 10, False),  # 1e-6 grid: centres exactly 2r apart
+            (200.0, 1e-9, AOI, 4, False),  # cells capped at 2^20 across
+        ],
+    )
+    def test_cell_list_places_what_all_pairs_places(self, lam, radius, aoi, seeds, jams):
+        failed = 0
+        for seed in range(seeds):
+            expected, complete = forest_all_pairs(
+                lam, radius, aoi.width, aoi.height, np.random.default_rng(seed),
+                PLACEMENT_RETRY_BUDGET,
+            )
+            if complete:
+                forest = generate_forest(lam, radius, aoi, np.random.default_rng(seed))
+                assert forest.disks == tuple(expected)
+            else:
+                failed += 1
+                with pytest.raises(ForestPlacementError, match=f"disk {len(expected) + 1}/"):
+                    generate_forest(lam, radius, aoi, np.random.default_rng(seed))
+        # the jamming cases run out of room on some seeds, never on all
+        assert 0 < failed < seeds if jams else failed == 0
+
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             generate_forest(-1.0, 5.0, AOI, rng)
         with pytest.raises(ValueError):
             generate_forest(1.0, 0.0, AOI, rng)
+        with pytest.raises(ValueError, match="radius"):
+            generate_forest(1.0, float("nan"), AOI, rng)
 
 
 class TestLevyTrajectory:
