@@ -43,6 +43,10 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
+class TrialError(RuntimeError):
+    """A trial raised; the message names its cell and file stem."""
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A full experiment: base scenario plus sweep lists."""
@@ -71,6 +75,15 @@ class ExperimentSpec:
             configs = _cell_configs(self)
         except ValueError as exc:
             raise ConfigError(f"invalid sweep: {exc}") from exc
+        # A repeat would write two trials to the same files.
+        for label, values in (
+            ("planners", self.planners),
+            ("horizons", self.horizons),
+            ("lambdas and radii", [f"cell {_cell_name(*cell)}" for cell in _cells(self)]),
+        ):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{label} list {repeated[0]} twice")
         if "dec-pomdp" in self.planners:
             n_actions = action_count(self.base.n_headings, self.base.n_speeds)
             for config in configs.values():
@@ -263,6 +276,12 @@ def _cell_name(lam: float, radius: float) -> str:
     return f"lam{lam:g}_r{radius:g}"
 
 
+def _trial_name(cells: list[tuple[float, float]], key: tuple) -> str:
+    """'<cell>/<stem>' of the trial at job key (cell index, planner, horizon, map)."""
+    ci, planner, h, mi = key
+    return f"{_cell_name(*cells[ci])}/{planner}_H{h}_map{mi:03d}"
+
+
 def _cells(spec: ExperimentSpec) -> list[tuple[float, float]]:
     return [(lam, radius) for lam in spec.lambdas for radius in spec.radii]
 
@@ -359,7 +378,8 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         forests[ci, mi] = load_map(str(path))
 
     # Each trial's CSVs are written as it finishes, so a failing trial
-    # loses no finished ones; the first failure in job order is re-raised.
+    # loses no finished ones; the first failure in job order is raised as
+    # a TrialError.
     jobs = _trial_jobs(spec, forests)
     results: dict[tuple, TrialLog] = {}
     failures: dict[tuple, Exception] = {}
@@ -368,15 +388,15 @@ def run_experiment(spec: ExperimentSpec) -> Path:
             failures[key] = outcome
             continue
         results[key] = outcome
-        ci, planner, h, mi = key
-        cell_dir = trials_dir / _cell_name(*cells[ci])
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        stem = f"{planner}_H{h}_map{mi:03d}"
-        write_trial_csv(outcome, cell_dir / f"{stem}.csv")
-        write_epoch_csv(outcome, cell_dir / f"{stem}_epochs.csv")
-    for job in jobs:
-        if job[0] in failures:
-            raise failures[job[0]]
+        name = _trial_name(cells, key)
+        (trials_dir / name).parent.mkdir(parents=True, exist_ok=True)
+        write_trial_csv(outcome, trials_dir / f"{name}.csv")
+        write_epoch_csv(outcome, trials_dir / f"{name}_epochs.csv")
+    for key, *_ in jobs:
+        if key in failures:
+            exc = failures[key]
+            message = " ".join(str(exc).splitlines())
+            raise TrialError(f"{_trial_name(cells, key)}: {type(exc).__name__}: {message}") from exc
 
     summary_rows = []
     timing_rows = []
@@ -458,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except ForestPlacementError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (TrialError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote artifacts to {out}")

@@ -65,10 +65,14 @@ class BudgetExceededError(RuntimeError):
 class PlanStats:
     """Instrumentation for one planning call."""
 
-    rollout_evals: int
     per_agent_evals: tuple[int, ...]
     stage_incumbent_costs: tuple[float, ...] = ()
     stage_best_costs: tuple[float, ...] = ()
+
+    @property
+    def rollout_evals(self) -> int:
+        """Sequences scored by all agents together."""
+        return sum(self.per_agent_evals)
 
 
 def action_count(n_headings: int, n_speeds: int) -> int:
@@ -105,18 +109,7 @@ def propagate_agent(s: AgentState, u, dt: float) -> AgentState:
     )
 
 
-@dataclass(frozen=True)
-class MwtpStep:
-    """One iteration of the terminal-penalty matching, for auditing."""
-
-    target_index: int
-    sensor_index: int
-    distance: float
-    contributed: bool
-    sensor_after: tuple[float, float]
-
-
-def _greedy_matching(
+def mwtp_detailed(
     sensor_xy: np.ndarray,
     half_widths: np.ndarray,
     target_xy: np.ndarray,
@@ -135,6 +128,7 @@ def _greedy_matching(
     pose covering the target. Returns the (L,) penalties and, per iteration,
     the (L,) arrays (target, sensor, distance, contributed, sensor position
     after); a leaf past its last uncovered target stays as it is.
+    _PrefixTree._leaf_costs calls it once per block of leaves.
     """
     rows = np.arange(len(sensor_xy))
     pos = np.array(sensor_xy, dtype=float)
@@ -162,31 +156,6 @@ def _greedy_matching(
         pos[rows, i] = after
         steps.append((t, i, dist, first, after))
     return penalty, steps
-
-
-def mwtp_detailed(
-    sensor_xy: np.ndarray,
-    half_widths: np.ndarray,
-    target_xy: np.ndarray,
-    traces: np.ndarray,
-    beta: float,
-) -> tuple[float, list[MwtpStep]]:
-    """Weighted trace penalty with the full matching trace: the planner's
-    block matching (_greedy_matching) on one leaf that leaves every target
-    uncovered."""
-    traces = np.asarray(traces, dtype=float)
-    penalty, steps = _greedy_matching(
-        np.asarray(sensor_xy, dtype=float)[None],
-        np.asarray(half_widths, dtype=float),
-        np.asarray(target_xy, dtype=float).reshape(-1, 2),
-        traces[None],
-        np.ones((1, len(traces)), dtype=bool),
-        beta,
-    )
-    return float(penalty[0]), [
-        MwtpStep(int(t[0]), int(i[0]), float(d[0]), bool(c[0]), (float(a[0, 0]), float(a[0, 1])))
-        for t, i, d, c, a in steps
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +409,7 @@ class _PrefixTree:
         offset = end_targets[None, None, :, :] - end_agent[:, :, None, :]
         uncovered = ~in_fov(offset, half_widths[:, None]).any(1)
         # a leaf that covers every target adds a penalty of 0.0
-        return costs + _greedy_matching(
+        return costs + mwtp_detailed(
             end_agent, half_widths, end_targets, end_traces, uncovered, self.beta
         )[0]
 
@@ -509,7 +478,7 @@ def _sweep(
         joint[i], *result = _search_stage(tree, i, joint, actions)
         stages.append(result)
     best_costs, incumbent_costs, evals = zip(*stages)
-    return joint, PlanStats(sum(evals), evals, incumbent_costs, best_costs)
+    return joint, PlanStats(evals, incumbent_costs, best_costs)
 
 
 def sma_nbo_plan(
@@ -603,5 +572,5 @@ def dec_pomdp_plan(
     tree = _PrefixTree(belief, model, forest, _nominal_paths(belief, model, h))
     found = tree.search([None] * n_agents, actions[digits], rank=agent_major)
     assert found.path is not None
-    stats = PlanStats(n_agents * joint_count, (joint_count,) * n_agents, (), (found.cost,))
+    stats = PlanStats((joint_count,) * n_agents, (), (found.cost,))
     return actions[digits[found.path]].transpose(1, 0, 2), stats

@@ -35,9 +35,9 @@ from trackplan import (
     update,
 )
 from trackplan.cli import ExperimentSpec, run_experiment, write_trial_csv
-from trackplan.planning import mwtp_detailed
 from trackplan.sensing import Observation
 
+from mwtp_leaf import mwtp_leaf
 from oracles import kalman_update_cov
 
 
@@ -163,7 +163,7 @@ def test_criterion_3_filter_psd_and_trace_contraction():
 def test_criterion_4_mwtp_matches_hand_executed_algorithm():
     # crossed matching: the higher-trace target takes the nearer sensor
     # (sensor 2), leaving sensor 1 to the remaining target
-    j, steps = mwtp_detailed(
+    j, steps = mwtp_leaf(
         sensor_xy=np.array([[20.0, 0.0], [0.0, 10.0]]),
         half_widths=np.array([5.0, 5.0]),
         target_xy=np.array([[0.0, 25.0], [40.0, 5.0]]),
@@ -182,7 +182,7 @@ def test_criterion_4_mwtp_matches_hand_executed_algorithm():
     )
     # single sensor, two targets: the guard blocks the second contribution
     # but distance still accumulates and the sensor is repositioned twice
-    j2, steps2 = mwtp_detailed(
+    j2, steps2 = mwtp_leaf(
         sensor_xy=np.array([[0.0, 0.0]]),
         half_widths=np.array([5.0]),
         target_xy=np.array([[10.0, 0.0], [20.0, 0.0]]),
@@ -197,7 +197,7 @@ def test_criterion_4_mwtp_matches_hand_executed_algorithm():
         and steps2[1].sensor_after == (15.0, 0.0)
     )
     # sort order on a three-target instance
-    _, steps3 = mwtp_detailed(
+    _, steps3 = mwtp_leaf(
         sensor_xy=np.array([[0.0, 0.0]]),
         half_widths=np.array([5.0]),
         target_xy=np.array([[10.0, 0.0], [11.0, 0.0], [12.0, 0.0]]),

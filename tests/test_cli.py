@@ -308,28 +308,52 @@ class TestMain:
         # the dec-pomdp H3 trial raises; the other three run. Pool workers
         # fork after the patch, so they see it too.
         real_run_trial = cli.run_trial
+        raised = []
 
         def failing_run_trial(config, forest, planner, seed, **kwargs):
             if planner == "dec-pomdp" and config.horizon == 3:
-                raise OSError("injected trial failure")
+                raise raised[-1]("injected trial failure")
             return real_run_trial(config, forest, planner, seed, **kwargs)
 
         monkeypatch.setattr("trackplan.cli.run_trial", failing_run_trial)
-        cfg = tmp_path / "c.ini"
-        cfg.write_text(
-            "[scenario]\nseed = 1\nduration = 2\nlambda = 5\n"
-            "n_agents = 2\nfov_edges = 20,25\nalphas = 0.1,0.15\n"
-            "[experiment]\nplanners = sma-nbo,dec-pomdp\nhorizons = 1,3\n"
-            f"out_dir = {tmp_path / 'out'}\nworkers = {workers}\n"
-        )
-        assert main(["--config", str(cfg)]) == 2
-        assert "runtime error" in capsys.readouterr().err
-        cell = tmp_path / "out" / "trials" / "lam5_r5"
-        for stem in ("sma-nbo_H1_map000", "sma-nbo_H3_map000", "dec-pomdp_H1_map000"):
-            assert (cell / f"{stem}.csv").exists()
-            assert (cell / f"{stem}_epochs.csv").exists()
-        assert not (cell / "dec-pomdp_H3_map000.csv").exists()
-        assert not (tmp_path / "out" / "summary.csv").exists()
+        for error in (OSError, ValueError, MemoryError):
+            raised.append(error)
+            out = tmp_path / error.__name__
+            cfg = tmp_path / "c.ini"
+            cfg.write_text(
+                "[scenario]\nseed = 1\nduration = 2\nlambda = 5\n"
+                "n_agents = 2\nfov_edges = 20,25\nalphas = 0.1,0.15\n"
+                "[experiment]\nplanners = sma-nbo,dec-pomdp\nhorizons = 1,3\n"
+                f"out_dir = {out}\nworkers = {workers}\n"
+            )
+            assert main(["--config", str(cfg)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"runtime error: lam5_r5/dec-pomdp_H3_map000: {error.__name__}: "
+                "injected trial failure"
+            ]
+            cell = out / "trials" / "lam5_r5"
+            for stem in ("sma-nbo_H1_map000", "sma-nbo_H3_map000", "dec-pomdp_H1_map000"):
+                assert (cell / f"{stem}.csv").exists()
+                assert (cell / f"{stem}_epochs.csv").exists()
+            assert not (cell / "dec-pomdp_H3_map000.csv").exists()
+            assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--lambda 5,5",
+            "--lambda 45,45.0000001",
+            "--radius 5,5.0",
+            "--planner sma-nbo,sma-nbo",
+            "--planner sma-nbo,mcr,sma-nbo --horizon 1,2",
+            "--horizon 1,2,1",
+        ],
+    )
+    def test_repeated_sweep_entry_exits_before_any_trial(self, tmp_path, capsys, flags):
+        # two trials of one name would write the same files
+        argv = ["--duration", "2", "--out", str(tmp_path / "out"), *flags.split()]
+        assert main(argv) == 1
+        assert "twice" in self._assert_one_config_error(capsys, tmp_path)
 
     @pytest.mark.parametrize(
         "line",

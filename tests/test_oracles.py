@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 
-from trackplan.planning import _greedy_matching, mwtp_detailed
+from trackplan.planning import mwtp_detailed
 
+from mwtp_leaf import mwtp_leaf
 from oracles import greedy_mwtp
 
 
@@ -53,7 +54,7 @@ def _penalty_instances():
 def test_greedy_mwtp_matches_mwtp_detailed_bit_for_bit():
     counts = {"tied traces": 0, "equidistant sensors": 0, "no targets": 0, "more targets": 0}
     for sensors, half_widths, targets, traces, beta in _penalty_instances():
-        penalty, steps = mwtp_detailed(sensors, half_widths, targets, traces, beta)
+        penalty, steps = mwtp_leaf(sensors, half_widths, targets, traces, beta)
         ref_penalty, ref_steps = greedy_mwtp(sensors, half_widths, targets, traces, beta)
         assert penalty == ref_penalty
         assert [
@@ -113,7 +114,7 @@ def test_block_matching_matches_per_leaf_greedy_mwtp_bit_for_bit():
         "target on a sensor": 0,
     }
     for sensors, half_widths, targets, traces, uncovered, beta in _penalty_blocks():
-        penalty, steps = _greedy_matching(sensors, half_widths, targets, traces, uncovered, beta)
+        penalty, steps = mwtp_detailed(sensors, half_widths, targets, traces, uncovered, beta)
         for leaf, mask in enumerate(uncovered):
             idx = np.flatnonzero(mask)
             ref_penalty, ref_steps = greedy_mwtp(

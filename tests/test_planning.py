@@ -37,9 +37,9 @@ from trackplan.planning import (
     EXHAUSTIVE_LIMIT,
     _nominal_paths,
     _PrefixTree,
-    mwtp_detailed,
 )
 
+from mwtp_leaf import mwtp_leaf
 from oracles import kalman_update_cov, rollout_cost
 
 EMPTY = OcclusionForest(disks=())
@@ -243,7 +243,7 @@ class TestRolloutCost:
 
 def mdo_position(sensor, target):
     """Where the terminal penalty moves one sensor to cover one target."""
-    _, steps = mwtp_detailed(
+    _, steps = mwtp_leaf(
         np.array([[sensor.px, sensor.py]]),
         np.array([sensor.half_width]),
         np.array([target], dtype=float),
@@ -284,12 +284,12 @@ class TestMdoPosition:
 
 class TestMwtp:
     def test_empty_set_costs_nothing(self):
-        assert mwtp_detailed(
+        assert mwtp_leaf(
             np.array([[0.0, 0.0]]), np.array([10.0]), np.zeros((0, 2)), np.zeros(0), beta=1.0
         ) == (0.0, [])
 
     def test_single_sensor_two_targets_guard(self):
-        j, steps = mwtp_detailed(
+        j, steps = mwtp_leaf(
             sensor_xy=np.array([[0.0, 0.0]]),
             half_widths=np.array([5.0]),
             target_xy=np.array([[10.0, 0.0], [20.0, 0.0]]),
@@ -309,7 +309,7 @@ class TestMwtp:
         # other sensor to the remaining target: s2 -> t1, s1 -> t2
         sensors = [agent_at(20.0, 0.0, fov_edge=10.0), agent_at(0.0, 10.0, fov_edge=10.0)]
         uncovered = [((0.0, 25.0), 100.0), ((40.0, 5.0), 50.0)]
-        j, steps = mwtp_detailed(
+        j, steps = mwtp_leaf(
             sensor_xy=np.array([[20.0, 0.0], [0.0, 10.0]]),
             half_widths=np.array([5.0, 5.0]),
             target_xy=np.array([[0.0, 25.0], [40.0, 5.0]]),
@@ -319,7 +319,7 @@ class TestMwtp:
         assert [s.sensor_index for s in steps] == [1, 0]
         expected = 15.0 * 100.0 + math.sqrt(425.0) * 50.0
         assert j == pytest.approx(expected, abs=1e-9)
-        j_agents, _ = mwtp_detailed(
+        j_agents, _ = mwtp_leaf(
             sensor_xy=np.array([[a.px, a.py] for a in sensors]),
             half_widths=np.array([a.half_width for a in sensors]),
             target_xy=np.array([pos for pos, _ in uncovered]),
@@ -333,7 +333,7 @@ class TestMwtp:
         for _ in range(100):
             n_sensors = rng.integers(1, 4)
             n_targets = rng.integers(0, 6)
-            j, steps = mwtp_detailed(
+            j, steps = mwtp_leaf(
                 sensor_xy=rng.uniform(0, 100, (n_sensors, 2)),
                 half_widths=rng.uniform(5, 15, n_sensors),
                 target_xy=rng.uniform(0, 100, (n_targets, 2)),
@@ -344,7 +344,7 @@ class TestMwtp:
             assert sum(s.contributed for s in steps) <= n_sensors
 
     def test_sorted_by_decreasing_trace(self):
-        _, steps = mwtp_detailed(
+        _, steps = mwtp_leaf(
             sensor_xy=np.array([[0.0, 0.0]]),
             half_widths=np.array([5.0]),
             target_xy=np.array([[10.0, 0.0], [11.0, 0.0], [12.0, 0.0]]),
@@ -357,13 +357,13 @@ class TestMwtp:
         # the far target is uncovered at every leaf; the hover intents are
         # leaves of each stage's tree, so no incumbent is scored alone
         calls = []
-        matching = planning._greedy_matching
+        matching = planning.mwtp_detailed
 
         def counted(sensor_xy, *args):
             calls.append(len(sensor_xy))
             return matching(sensor_xy, *args)
 
-        monkeypatch.setattr(planning, "_greedy_matching", counted)
+        monkeypatch.setattr(planning, "mwtp_detailed", counted)
         belief = FleetBelief(
             tracks=(track_at(0, 500.0, 500.0), track_at(1, 5.0, 0.0)),
             agents=(agent_at(0.0, 0.0), agent_at(40.0, 0.0), agent_at(0.0, 40.0)),
