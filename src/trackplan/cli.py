@@ -6,8 +6,8 @@ planners, and emits CSV artifacts: per-trial logs, a deterministic
 summary, wall-clock timings and per-cell OSPA ECDFs.
 
 Exit codes: 0 success, 1 configuration error (a bad key or value, a
-dec-pomdp joint search over its budget, or a forest that cannot be
-placed), 2 runtime error (a failing trial or write).
+dec-pomdp joint search or an mcr kernel over its budget, or a forest that
+cannot be placed), 2 runtime error (a failing trial or write).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .metrics import ecdf
-from .planning import BudgetExceededError, action_count, dec_pomdp_joint_count
+from .planning import BudgetExceededError, action_count, dec_pomdp_joint_count, mcr_memory
 from .sim import PLANNERS, TrialLog, run_trial
 from .worldgen import (
     MAX_INT,
@@ -91,6 +91,12 @@ class ExperimentSpec:
                     dec_pomdp_joint_count(n_actions, config.n_agents, config.horizon)
                 except BudgetExceededError as exc:
                     raise ConfigError(f"dec-pomdp at horizon {config.horizon}: {exc}") from exc
+        if "mcr" in self.planners:
+            for config in configs.values():
+                try:
+                    mcr_memory(self.mcr_samples, config.n_targets, config.horizon)
+                except BudgetExceededError as exc:
+                    raise ConfigError(f"mcr_samples: {exc}") from exc
 
 
 def _keys(cls) -> dict[str, tuple[str, object]]:

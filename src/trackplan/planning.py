@@ -44,11 +44,18 @@ _EYE4 = np.eye(4)
 
 # Most (prefix, sample) rows one search step extends and scores at once. A
 # block holds max(1, SCAN_CHUNK // S) prefixes, each carrying S target
-# samples, so its largest array holds max(SCAN_CHUNK, S) x T (4, 4) blocks.
+# samples, and a level's parents fit one block, so the kernel's largest
+# array holds max(SCAN_CHUNK, S) x T (4, 4) covariances: the parents'
+# shared blocks, or one inner level's children. Leaves hold only traces.
 SCAN_CHUNK = 4096
 
 # Largest joint sequence space dec_pomdp_plan will enumerate.
 DEC_POMDP_BUDGET = 1_000_000
+
+# Most bytes mcr_plan's kernel may need for its largest block, max(SCAN_CHUNK,
+# S) x T (4, 4) float covariances, plus its S x T x h sampled (x, y) target
+# positions: 1 GiB, about 1.5 million samples of 4 targets at H3.
+MCR_MEMORY_BUDGET = 1 << 30
 
 # A sweep stage enumerates all |A|^h sequences while that count is at most
 # EXHAUSTIVE_LIMIT (h <= 5 with |A| = 9); beyond it, it runs a greedy
@@ -58,7 +65,7 @@ BEAM_WIDTH = 8
 
 
 class BudgetExceededError(RuntimeError):
-    """A joint optimization would exceed the configured rollout budget."""
+    """A planner would exceed its rollout or memory budget."""
 
 
 @dataclass(frozen=True)
@@ -219,8 +226,23 @@ class _Nodes(NamedTuple):
 
     paths: np.ndarray  # (N, level) choice index at each step
     offset: np.ndarray  # (N, movers, 2) each moving agent's summed v*dt
-    p: np.ndarray  # (N, S, T, 4, 4) covariances after the level's step
+    p: np.ndarray | None  # (N, S, T, 4, 4) covariances after the level's step, None for leaves
+    traces: np.ndarray | None  # (N, S, T) their traces, None at the root
     cost: np.ndarray  # (N, S) accumulated trace per target sample
+
+
+class _Level(NamedTuple):
+    """What every block of one level's children shares."""
+
+    p: np.ndarray  # (N, S, T, 4, 4) parents predicted and updated by every
+    #                fixed agent: what a child takes where no mover sees
+    traces: np.ndarray  # (N, S, T) traces of p
+    # Per track, its (N, S, 4, 4) parent blocks as the first mover finds them,
+    # and the updates left for the rows a mover sees, in agent order: a
+    # mover's index, or a later fixed agent's (S,) visibility and (S, 2, 2)
+    # R per sample, zero where it sees nothing. Empty where the track is
+    # hidden at this level or no agent moves.
+    tracks: list[tuple[np.ndarray, list[int | tuple[np.ndarray, np.ndarray]]]]
 
 
 class _Found(NamedTuple):
@@ -250,9 +272,13 @@ class _PrefixTree:
     every other agent i flies the step positions ``fixed[i]`` (1, h, 2).
     Each level predicts the surviving prefixes' covariances once, extends
     every prefix by every choice in (parent, choice) order, applies that
-    step's covariance-only updates (tracks, then agents, in index order)
-    and adds the step's trace. A mover's position is its start plus the
-    summed v*dt of its prefix, the sums np.cumsum forms, so each leaf costs
+    step's covariance-only updates (each block by the agents in index
+    order) and adds the step's trace. A fixed agent sees the same for
+    every child of a parent, so it updates each parent's shared (sample,
+    track) block once; only the (child, sample) rows a mover sees get
+    their own block, and leaves keep only their traces. A mover's position
+    is its start plus the summed v*dt of its prefix, the sums np.cumsum
+    forms, so each leaf costs
     exactly what a rollout of its whole sequence costs. A leaf adds the
     terminal penalty weighted by ``beta``, or none if ``beta`` is None.
     The tree holds only what is fixed for the plan; each search keeps its
@@ -312,6 +338,7 @@ class _PrefixTree:
             np.zeros((1, 0), dtype=int),
             np.full((1, len(run.movers), 2), -0.0),  # -0.0 + x == x, as cumsum starts
             np.broadcast_to(p0, (1, n_samples, n_tracks, 4, 4)).copy(),
+            None,
             np.zeros((1, n_samples)),
         )
         best, best_cost, best_rank, watched, lo = None, math.inf, 0, math.nan, 0
@@ -356,15 +383,15 @@ class _PrefixTree:
     def _children(self, run: _Search, nodes: _Nodes, level: int):
         """Children of ``nodes`` after step ``level``, ``run.block`` prefixes
         (SCAN_CHUNK (prefix, sample) rows) at a time."""
-        pred = self.model.F @ nodes.p @ self.model.F.T + self.model.Q
+        shared = self._level(run, nodes.p, level)
         n_choices = len(run.step_xy)
-        total = len(pred) * n_choices
+        total = len(shared.p) * n_choices
         for lo in range(0, total, run.block):
             parent, choice = np.divmod(np.arange(lo, min(lo + run.block, total)), n_choices)
             offset = nodes.offset[parent] + run.step_xy[choice]
-            p = pred[parent]
-            cost = nodes.cost[parent] + self._update(p, self._agent_xy(run, offset, level), level)
-            yield _Nodes(np.column_stack((nodes.paths[parent], choice)), offset, p, cost)
+            p, traces = self._update(shared, parent, self._agent_xy(run, offset, level), level)
+            cost = nodes.cost[parent] + traces.sum(axis=2)
+            yield _Nodes(np.column_stack((nodes.paths[parent], choice)), offset, p, traces, cost)
 
     def _agent_xy(self, run: _Search, offset: np.ndarray, level: int) -> list[np.ndarray]:
         """Each agent's position after step ``level``: (1, 2) fixed, (N, 2) moving."""
@@ -373,26 +400,84 @@ class _PrefixTree:
             pos[i] = self.belief.agents[i].position + offset[:, k, :]
         return pos
 
-    def _update(self, p: np.ndarray, agent_xy: list[np.ndarray], level: int) -> np.ndarray:
-        """Step ``level``'s measurement updates of p in place, every agent at
-        its ``agent_xy``; the (N, S) trace."""
-        n, n_samples = p.shape[:2]
-        for t in range(p.shape[2]):
+    def _level(self, run: _Search, p: np.ndarray, level: int) -> _Level:
+        """Predict the parents' covariances p once and apply every fixed
+        agent's updates once per parent: it sees the same for every child.
+        Fixed agents' visibility and R are worked out here, once per level,
+        for all blocks of children."""
+        pre = self.model.F @ p @ self.model.F.T + self.model.Q
+        first = run.movers[0] if run.movers else len(run.fixed)
+        tracks = []
+        for t in range(pre.shape[2]):
             tp = self.target_paths[:, t, level, :]
             ft = self.free[:, t, level]
+            before, steps = None, []
+            tracks.append((pre[:, :, t], steps))
             if not ft.any():
                 continue
-            for agent, apos in zip(self.belief.agents, agent_xy):
-                delta = tp[None, :, :] - apos[:, None, :]
-                vis = in_fov(delta, agent.half_width) & ft[None, :]
-                vis = np.broadcast_to(vis, (n, n_samples))
+            for i, (agent, f) in enumerate(zip(self.belief.agents, run.fixed)):
+                if f is None:
+                    steps.append(i)
+                    continue
+                delta = tp - f[0, level]
+                vis = in_fov(delta, agent.half_width) & ft
                 if not vis.any():
                     continue
-                delta_full = np.broadcast_to(delta, (n, n_samples, 2))
-                r = _range_bearing_cov_batch(delta_full[vis], agent.alpha, agent.r0)
-                pt = p[:, :, t]
-                pt[vis] = _joseph_update_batch(pt[vis], r)
-        return np.trace(p, axis1=-2, axis2=-1).sum(axis=2)
+                r = _range_bearing_cov_batch(delta[vis], agent.alpha, agent.r0)
+                if i > first:
+                    if before is None:  # keep the blocks as the first mover finds them
+                        before = pre[:, :, t].copy()
+                        tracks[-1] = (before, steps)
+                    by_sample = np.zeros((len(vis), 2, 2))
+                    by_sample[vis] = r
+                    steps.append((vis, by_sample))
+                pt = pre[:, vis, t]  # (parents, visible samples, 4, 4)
+                r = np.broadcast_to(r, pt.shape[:2] + (2, 2)).reshape(-1, 2, 2)
+                pre[:, vis, t] = _joseph_update_batch(pt.reshape(-1, 4, 4), r).reshape(pt.shape)
+        return _Level(pre, np.trace(pre, axis1=-2, axis2=-1), tracks)
+
+    def _update(
+        self, shared: _Level, parent: np.ndarray, agent_xy: list[np.ndarray], level: int
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Step ``level``'s updates of the (child, sample) rows a mover sees,
+        for the children of ``parent``; their (C, S, T, 4, 4) covariances
+        (None at the leaf level) and (C, S, T) traces.
+
+        A child takes its parent's shared blocks except where a mover sees
+        the track: that row starts from the parent's block as the first
+        mover finds it, and each later agent that sees it updates it.
+        """
+        traces = shared.traces[parent]
+        p = shared.p[parent] if level + 1 < self.h else None
+        for t, (before, steps) in enumerate(shared.tracks):
+            if not steps:
+                continue
+            tp = self.target_paths[:, t, level, :]
+            ft = self.free[:, t, level]
+            delta, vis = {}, {}
+            for i in steps:
+                if isinstance(i, int):
+                    delta[i] = tp[None, :, :] - agent_xy[i][:, None, :]
+                    vis[i] = in_fov(delta[i], self.belief.agents[i].half_width) & ft[None, :]
+            seen = np.logical_or.reduce(list(vis.values()))
+            if not seen.any():
+                continue
+            own = np.nonzero(seen)
+            pool = before[parent[own[0]], own[1]]
+            for step in steps:
+                if isinstance(step, int):
+                    agent = self.belief.agents[step]
+                    rows = np.flatnonzero(vis[step][own])
+                    r = _range_bearing_cov_batch(delta[step][vis[step]], agent.alpha, agent.r0)
+                else:
+                    rows = np.flatnonzero(step[0][own[1]])
+                    r = step[1][own[1][rows]]
+                if len(rows):
+                    pool[rows] = _joseph_update_batch(pool[rows], r)
+            traces[own[0], own[1], t] = np.trace(pool, axis1=1, axis2=2)
+            if p is not None:
+                p[own[0], own[1], t] = pool
+        return p, traces
 
     def _leaf_costs(self, run: _Search, leaves: _Nodes) -> np.ndarray:
         """Mean cost over target samples plus the terminal penalty, if any."""
@@ -400,7 +485,7 @@ class _PrefixTree:
         if self.beta is None:
             return costs
         end_targets = self.target_paths[0, :, -1, :]
-        end_traces = np.trace(leaves.p[:, 0], axis1=-2, axis2=-1)
+        end_traces = leaves.traces[:, 0]
         end_agent = np.stack(
             [np.broadcast_to(a, (len(costs), 2)) for a in self._agent_xy(run, leaves.offset, -1)],
             axis=1,
@@ -539,6 +624,21 @@ def dec_pomdp_joint_count(n_actions: int, n_agents: int, h: int) -> int:
                 f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {DEC_POMDP_BUDGET}"
             )
     return joint_count
+
+
+def mcr_memory(n_samples: int, n_tracks: int, h: int) -> int:
+    """Bytes of mcr_plan's largest kernel block plus its sampled paths.
+
+    Raises BudgetExceededError when they exceed MCR_MEMORY_BUDGET.
+    """
+    need = max(SCAN_CHUNK, n_samples) * n_tracks * 128 + n_samples * n_tracks * h * 16
+    if need > MCR_MEMORY_BUDGET:
+        raise BudgetExceededError(
+            f"{n_samples} samples of {n_tracks} targets at horizon {h} need "
+            f"{need / 2**30:.1f} GiB of rollout memory, budget is "
+            f"{MCR_MEMORY_BUDGET / 2**30:g} GiB"
+        )
+    return need
 
 
 def dec_pomdp_plan(

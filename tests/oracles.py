@@ -160,6 +160,129 @@ def rollout_cost(belief, joint, forest, model, h, beta=None):
     return cost + penalty
 
 
+def joseph_update_batch(p, r):
+    """Joseph-form covariance update of (M, 4, 4) covariances by (M, 2, 2)
+    position-measurement covariances, written out exactly as the planner's
+    kernel computes it, so the two agree bit for bit."""
+    s = p[:, :2, :2] + r
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    s_inv = np.empty_like(s)
+    s_inv[:, 0, 0] = s[:, 1, 1]
+    s_inv[:, 1, 1] = s[:, 0, 0]
+    s_inv[:, 0, 1] = -s[:, 0, 1]
+    s_inv[:, 1, 0] = -s[:, 1, 0]
+    s_inv /= det[:, None, None]
+    k = p[:, :, :2] @ s_inv
+    a = np.broadcast_to(np.eye(4), p.shape).copy()
+    a[:, :, :2] -= k
+    p_new = a @ p @ a.transpose(0, 2, 1) + k @ r @ k.transpose(0, 2, 1)
+    return (p_new + p_new.transpose(0, 2, 1)) / 2.0
+
+
+def range_bearing_cov_batch(delta, alpha, r0):
+    """range_bearing_cov in closed form for sensor-to-target offsets (M, 2):
+    c and s are the bearing's cosine and sine, taken as (1, 0) at range 0."""
+    dx, dy = delta[:, 0], delta[:, 1]
+    rng_true = np.hypot(dx, dy)
+    r = np.maximum(rng_true, r0)
+    safe = rng_true > 0.0
+    denom = np.where(safe, rng_true, 1.0)
+    c = np.where(safe, dx / denom, 1.0)
+    s = np.where(safe, dy / denom, 0.0)
+    k = 0.1 * alpha * r
+    out = np.empty((len(delta), 2, 2))
+    out[:, 0, 0] = k * (c * c + math.pi * s * s)
+    out[:, 1, 1] = k * (s * s + math.pi * c * c)
+    off = k * (1.0 - math.pi) * c * s
+    out[:, 0, 1] = off
+    out[:, 1, 0] = off
+    return out
+
+
+def dense_prefix_tree(p0, f, q, target_paths, free, sensors, fixed, step_xy, beta=None):
+    """Every leaf cost of one prefix-tree search by the dense schedule: each
+    child copies its parent's predicted covariances and every agent updates
+    every (child, sample, track) block it sees.
+
+    p0 (T, 4, 4) are the track covariances, ``target_paths`` (S, T, h, 2)
+    the target positions and ``free`` (S, T, h) where they are not occluded.
+    Agent i is ``sensors[i]`` = (x, y, half width, alpha, r0); it flies the
+    (h, 2) step positions ``fixed[i]``, or, if that is None, it moves: at
+    each step every prefix takes each row of ``step_xy`` (b, movers, 2) in
+    turn, a row holding each mover's displacement. Leaves come in
+    enumeration order, the first step's choice most significant; a leaf
+    costs its step traces summed over tracks, averaged over samples, plus
+    with ``beta`` the greedy MWTP penalty (S = 1). Also returns the Joseph
+    rows this schedule updates and those a per-parent schedule updates:
+    fixed agents before the first mover once per (parent, sample, track),
+    a mover once per row it sees, and later fixed agents once per (parent,
+    sample, track) plus once per row some mover sees.
+    """
+    n_samples, n_tracks, h = target_paths.shape[:3]
+    movers = [i for i, fx in enumerate(fixed) if fx is None]
+    first = movers[0] if movers else len(fixed)
+    p = np.broadcast_to(p0, (1, n_samples, n_tracks, 4, 4)).copy()
+    offset = np.full((1, len(movers), 2), -0.0)
+    cost = np.zeros((1, n_samples))
+    dense_rows = per_parent_rows = 0
+    for level in range(h):
+        n_parents = len(p)
+        parent = np.repeat(np.arange(n_parents), len(step_xy))
+        choice = np.tile(np.arange(len(step_xy)), n_parents)
+        offset = offset[parent] + step_xy[choice]
+        p = (f @ p @ f.T + q)[parent]
+        pos = [
+            np.broadcast_to(fx[level], (len(parent), 2)) if fx is not None
+            else np.array(sensors[i][:2]) + offset[:, movers.index(i)]
+            for i, fx in enumerate(fixed)
+        ]
+        for t in range(n_tracks):
+            tp = target_paths[:, t, level]
+            deltas, views = [], []
+            for (_, _, half_width, _, _), xy in zip(sensors, pos):
+                delta = tp[None, :, :] - xy[:, None, :]
+                deltas.append(delta)
+                views.append(
+                    (np.abs(delta[..., 0]) <= half_width)
+                    & (np.abs(delta[..., 1]) <= half_width)
+                    & free[None, :, t, level]
+                )
+            seen = np.zeros((len(parent), n_samples), dtype=bool)
+            for i in movers:
+                seen |= views[i]
+            for i, (delta, vis) in enumerate(zip(deltas, views)):
+                dense_rows += int(vis.sum())
+                if fixed[i] is None:
+                    per_parent_rows += int(vis.sum())
+                else:
+                    per_parent_rows += n_parents * int(vis[0].sum())
+                    if i > first:
+                        per_parent_rows += int((vis & seen).sum())
+                if vis.any():
+                    r = range_bearing_cov_batch(delta[vis], sensors[i][3], sensors[i][4])
+                    pt = p[:, :, t]
+                    pt[vis] = joseph_update_batch(pt[vis], r)
+        cost = cost[parent] + np.trace(p, axis1=-2, axis2=-1).sum(axis=2)
+    costs = cost.mean(axis=1)
+    if beta is not None:
+        half_widths = [sensor[2] for sensor in sensors]
+        for leaf in range(len(costs)):
+            end = [tuple(xy[leaf]) for xy in pos]
+            uncovered = [
+                t for t in range(n_tracks)
+                if not any(
+                    in_square(*target_paths[0, t, -1], ax, ay, hw)
+                    for (ax, ay), hw in zip(end, half_widths)
+                )
+            ]
+            penalty, _ = greedy_mwtp(
+                end, half_widths, [target_paths[0, t, -1] for t in uncovered],
+                [float(np.trace(p[leaf, 0, t])) for t in uncovered], beta,
+            )
+            costs[leaf] += penalty
+    return costs, dense_rows, per_parent_rows
+
+
 def forest_all_pairs(lam, radius, width, height, rng, retry_budget):
     """Poisson forest placed by rejection sampling, each candidate tested
     against every placed disk.

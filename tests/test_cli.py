@@ -417,6 +417,8 @@ class TestMain:
             pytest.param(f"--horizon 1{'0' * 400}", id="--horizon 10**400"),
             "--planner dec-pomdp --horizon 1600",
             "--horizon 1000000000000 --duration 1 --lambda 5",
+            # 59.6 GiB of sampled paths alone
+            "--planner mcr --mcr-samples 1000000000 --duration 1 --lambda 5",
         ],
     )
     def test_bad_flag_value_exits_before_any_trial(self, tmp_path, capsys, flags):

@@ -40,7 +40,7 @@ from trackplan.planning import (
 )
 
 from mwtp_leaf import mwtp_leaf
-from oracles import kalman_update_cov, rollout_cost
+from oracles import dense_prefix_tree, kalman_update_cov, rollout_cost
 
 EMPTY = OcclusionForest(disks=())
 
@@ -814,6 +814,13 @@ class TestMcr:
             )
 
 
+def test_mcr_memory_is_bounded_before_planning():
+    # the largest block (4096 rows of 4 tracks) plus 50 x 4 x 3 sampled positions
+    assert planning.mcr_memory(50, 4, 3) == 4096 * 4 * 128 + 50 * 4 * 3 * 16
+    with pytest.raises(BudgetExceededError, match="536.4 GiB .* budget is 1 GiB"):
+        planning.mcr_memory(10**9, 4, 1)
+
+
 class TestBlocks:
     """SCAN_CHUNK bounds the (prefix, sample) rows one block holds; no plan
     or count depends on it."""
@@ -824,7 +831,7 @@ class TestBlocks:
         belief, forest, joint = random_instance(rng, n_agents, n_targets, h)
         tracks = tuple(
             replace(track, xi=np.array([
-                *(belief.agents[t % n_agents].position[0] + rng.uniform(-12, 12, 2)),
+                *(belief.agents[t % n_agents].position + rng.uniform(-12, 12, 2)),
                 *track.xi[2:],
             ]))
             for t, track in enumerate(belief.tracks)
@@ -869,7 +876,7 @@ class TestBlocks:
         forest = generate_forest(config.lam, config.tree_radius, config.aoi, rng)
         agents = initial_agents(config)
         tracks = tuple(
-            track_at(t, *(agents[t % len(agents)].position[0] + rng.uniform(-8, 8, 2)),
+            track_at(t, *(agents[t % len(agents)].position + rng.uniform(-8, 8, 2)),
                      *rng.uniform(-2, 2, 2))
             for t in range(config.n_targets)
         )
@@ -897,9 +904,9 @@ class TestBlocks:
         rows = []
         update = _PrefixTree._update
 
-        def counting(tree, p, *args):
-            rows.append(p.shape[0] * p.shape[1])
-            return update(tree, p, *args)
+        def counting(tree, shared, parent, *args):
+            rows.append(len(parent) * shared.p.shape[1])  # (child, sample) rows
+            return update(tree, shared, parent, *args)
 
         monkeypatch.setattr(_PrefixTree, "_update", counting)
         mcr_plan(*self._default_mcr_epoch(), n_samples, np.random.default_rng(1))
@@ -907,6 +914,86 @@ class TestBlocks:
         # the blocks are as full as the bound and the 9^3 leaves allow: 81
         # prefixes of 50 samples at the default 4096, one when S exceeds it
         assert max(rows) == min(max(chunk // n_samples, 1), 9**3) * n_samples
+
+
+def spy_searches(monkeypatch) -> list:
+    """Record each search's tree, its _Search and the leaf costs of each of
+    its blocks, in order."""
+    searches = []
+    leaf_costs = _PrefixTree._leaf_costs
+
+    def spy(tree, run, leaves):
+        costs = leaf_costs(tree, run, leaves)
+        if not searches or searches[-1][1] is not run:
+            searches.append((tree, run, []))
+        searches[-1][2].append(costs)
+        return costs
+
+    monkeypatch.setattr(_PrefixTree, "_leaf_costs", spy)
+    return searches
+
+
+def dense_reference(tree, run):
+    """tests/oracles.py's dense schedule run on one search's inputs."""
+    return dense_prefix_tree(
+        np.array([t.P for t in tree.belief.tracks]).reshape(-1, 4, 4),
+        tree.model.F,
+        tree.model.Q,
+        tree.target_paths,
+        tree.free,
+        [(a.px, a.py, a.half_width, a.alpha, a.r0) for a in tree.belief.agents],
+        [None if f is None else f[0] for f in run.fixed],
+        run.step_xy,
+        tree.beta,
+    )
+
+
+class TestDenseSchedule:
+    """The kernel updates a fixed agent's blocks once per parent and keeps
+    only traces at the leaves; every leaf still costs what the dense
+    schedule (each child a full copy, every agent updating every copy)
+    gives, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [4096, 7])
+    def test_leaf_costs_match_dense_schedule_bit_for_bit(self, monkeypatch, chunk):
+        monkeypatch.setattr("trackplan.planning.SCAN_CHUNK", chunk)
+        searches = spy_searches(monkeypatch)
+        rng = np.random.default_rng(31)
+        model = ncv_model(1.0, 1.0)
+        actions = action_set(5.0, 4, 1)
+        for k in range(9):
+            n_agents, h = 1 + k % 3, 1 + k // 3
+            belief, forest, intents = TestBlocks._crowded_instance(
+                rng, n_agents, int(rng.integers(1, 5)), h
+            )
+            sma_nbo_plan(belief, intents, actions, forest, model)
+            sma_nbo_plan(belief, intents, actions, forest, model, beta=0.8)
+            for n_samples in (1, 7):
+                mcr_plan(
+                    belief, intents, actions, forest, model, n_samples, np.random.default_rng(k)
+                )
+            if n_agents * h <= 4:
+                dec_pomdp_plan(belief, h, actions, forest, model)
+        # one search per sweep stage (18 stages x 4 plans) and per dec-pomdp plan (6)
+        assert len(searches) >= 78
+        for tree, run, blocks in searches:
+            costs = np.concatenate(blocks)
+            assert costs.tobytes() == dense_reference(tree, run)[0].tobytes()
+
+    def test_fixed_agents_update_each_parent_once(self, monkeypatch):
+        searches = spy_searches(monkeypatch)
+        rows = []
+        joseph = planning._joseph_update_batch
+
+        def counting(p, r):
+            rows.append(len(p))
+            return joseph(p, r)
+
+        monkeypatch.setattr(planning, "_joseph_update_batch", counting)
+        mcr_plan(*TestBlocks._default_mcr_epoch(), 50, np.random.default_rng(1))
+        counts = [dense_reference(tree, run)[1:] for tree, run, _ in searches]
+        dense, per_parent = map(sum, zip(*counts))
+        assert sum(rows) == per_parent < dense
 
 
 class TestComplexityCounts:
