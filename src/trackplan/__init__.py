@@ -3,10 +3,8 @@
 from .estimation import (
     FleetBelief,
     NcvModel,
-    TargetTrack,
     TrackAssociationError,
     fuse,
-    initialize_track,
     ncv_model,
     predict,
     update,
@@ -19,12 +17,11 @@ from .planning import (
     dec_pomdp_plan,
     extend_intent,
     mcr_plan,
-    propagate_agent,
     sma_nbo_plan,
 )
 from .sensing import (
     AgentState,
-    Observation,
+    Observations,
     in_fov,
     observation_covariance,
     sense,
@@ -51,13 +48,12 @@ __all__ = [
     "ForestPlacementError",
     "MapFormatError",
     "NcvModel",
-    "Observation",
+    "Observations",
     "OcclusionForest",
     "OspaParams",
     "PLANNERS",
     "PlanStats",
     "ScenarioConfig",
-    "TargetTrack",
     "TargetTrajectory",
     "TrackAssociationError",
     "TrialLog",
@@ -69,14 +65,12 @@ __all__ = [
     "generate_forest",
     "generate_levy_trajectory",
     "in_fov",
-    "initialize_track",
     "load_map",
     "mcr_plan",
     "ncv_model",
     "observation_covariance",
     "ospa",
     "predict",
-    "propagate_agent",
     "run_trial",
     "save_map",
     "sense",

@@ -1,18 +1,20 @@
 """Nearly-constant-velocity Kalman filtering and multi-sensor fusion.
 
 Each target carries an independent 4-state (px, py, vx, vy) Gaussian
-track. Fusion applies every agent's observations to a shared fleet
-belief; because position measurements are linear, sequential updates are
-order-invariant up to floating-point noise.
+track. The fleet belief holds them as stacks, means (T, 4) and
+covariances (T, 4, 4), and predict and update work on such stacks.
+Fusion applies every agent's observations to the shared belief; because
+position measurements are linear, sequential updates are order-invariant
+up to floating-point noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensing import AgentState, Observation
-from .worldgen import DEFAULT_P0
+from .sensing import AgentState, Observations
 
 H_POS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
@@ -31,47 +33,26 @@ class NcvModel:
 
 
 @dataclass(frozen=True)
-class TargetTrack:
-    """Posterior Gaussian of one target: mean xi (4,) and covariance P (4,4)."""
-
-    target_id: int
-    xi: np.ndarray = field(repr=False)
-    P: np.ndarray = field(repr=False)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.P))
-
-
-@dataclass(frozen=True)
 class FleetBelief:
-    """Shared fleet belief: all tracks plus the agent states, timestamped."""
+    """Shared fleet belief: track target_ids[t] has mean xi[t] (4,) and
+    covariance P[t] (4, 4); plus the agent states."""
 
-    tracks: tuple[TargetTrack, ...]
+    target_ids: tuple[int, ...]
+    xi: np.ndarray = field(repr=False)  # (T, 4)
+    P: np.ndarray = field(repr=False)  # (T, 4, 4)
     agents: tuple[AgentState, ...]
-    timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        ids = [t.target_id for t in self.tracks]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate target ids in belief: {ids}")
-
-    def track_index(self) -> dict[int, int]:
-        return {t.target_id: i for i, t in enumerate(self.tracks)}
+        if len(set(self.target_ids)) != len(self.target_ids):
+            raise ValueError(f"duplicate target ids in belief: {self.target_ids}")
 
 
 def ncv_model(dt: float, sigma_a: float) -> NcvModel:
     """Build F and Q for a given step and white-acceleration scale."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    f = np.array(
-        [
-            [1.0, 0.0, dt, 0.0],
-            [0.0, 1.0, 0.0, dt],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    f = np.eye(4)
+    f[0, 2] = f[1, 3] = dt
     d2, d3, d4 = dt * dt, dt**3 / 2.0, dt**4 / 4.0
     q = sigma_a**2 * np.array(
         [
@@ -85,58 +66,59 @@ def ncv_model(dt: float, sigma_a: float) -> NcvModel:
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    return (p + p.swapaxes(-1, -2)) / 2.0
 
 
-def predict(track: TargetTrack, model: NcvModel) -> TargetTrack:
-    """Kalman time update: xi <- F xi, P <- F P F^T + Q."""
-    xi = model.F @ track.xi
-    p = _symmetrize(model.F @ track.P @ model.F.T + model.Q)
-    return replace(track, xi=xi, P=p)
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for each row x (..., n) of a stack, as one matrix-vector product each."""
+    return (m @ x[..., None])[..., 0]
 
 
-def update(track: TargetTrack, obs: Observation) -> TargetTrack:
-    """Kalman measurement update with the position-selecting H.
+def predict(xi: np.ndarray, p: np.ndarray, model: NcvModel) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman time update of stacked tracks, means (T, 4) and covariances
+    (T, 4, 4): xi <- F xi, P <- F P F^T + Q."""
+    return _apply(model.F, xi), _symmetrize(model.F @ p @ model.F.T + model.Q)
+
+
+def update(
+    xi: np.ndarray, p: np.ndarray, z: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman measurement update of stacked tracks by one position
+    measurement each, z (M, 2) of covariance r (M, 2, 2).
 
     Uses the Joseph-form covariance update so P stays symmetric PSD even
     after long predict/update chains. A singular innovation covariance
     (impossible for positive-definite R) raises numpy.linalg.LinAlgError.
     """
-    p = track.P
-    s = H_POS @ p @ H_POS.T + obs.R
-    k = np.linalg.solve(s.T, (p @ H_POS.T).T).T
-    xi = track.xi + k @ (obs.z - H_POS @ track.xi)
+    s = H_POS @ p @ H_POS.T + r
+    k = np.linalg.solve(s.swapaxes(-1, -2), (p @ H_POS.T).swapaxes(-1, -2)).swapaxes(-1, -2)
+    xi_new = xi + _apply(k, z - _apply(H_POS, xi))
     a = np.eye(4) - k @ H_POS
-    p_new = _symmetrize(a @ p @ a.T + k @ obs.R @ k.T)
-    return replace(track, xi=xi, P=p_new)
-
-
-def initialize_track(target_id: int, position: np.ndarray) -> TargetTrack:
-    """New track at a known position with zero velocity prior."""
-    xi = np.array([position[0], position[1], 0.0, 0.0])
-    return TargetTrack(target_id=target_id, xi=xi, P=np.diag(DEFAULT_P0).astype(float))
+    p_new = _symmetrize(a @ p @ a.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2))
+    return xi_new, p_new
 
 
 def fuse(
-    per_agent_observations: list[list[Observation]],
-    belief: FleetBelief,
-    model: NcvModel,
-) -> FleetBelief:
-    """One predict per track, then apply every agent's observations.
+    per_agent_observations: list[Observations], target_ids: Sequence[int],
+    xi: np.ndarray, p: np.ndarray, model: NcvModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One predict of the tracks of target_ids, means xi (T, 4) and
+    covariances p (T, 4, 4), then each agent's observations in agent order.
 
-    Sequential Joseph-form updates realize centralized (converged
-    information) fusion directly.
+    A batch names each target at most once, as sense's do, so it updates
+    distinct tracks in one step. Sequential Joseph-form updates realize
+    centralized (converged information) fusion directly. The inputs are
+    not modified.
     """
-    index = belief.track_index()
-    tracks = [predict(t, model) for t in belief.tracks]
-    for agent_obs in per_agent_observations:
-        for obs in agent_obs:
-            if obs.target_id not in index:
-                raise TrackAssociationError(
-                    f"observation of unknown target id {obs.target_id}"
-                )
-            i = index[obs.target_id]
-            tracks[i] = update(tracks[i], obs)
-    return FleetBelief(
-        tracks=tuple(tracks), agents=belief.agents, timestamp=belief.timestamp + model.dt
-    )
+    index = {tid: row for row, tid in enumerate(target_ids)}
+    xi, p = predict(xi, p, model)
+    for obs in per_agent_observations:
+        if not len(obs):
+            continue
+        try:
+            rows = [index[tid] for tid in obs.target_ids.tolist()]
+        except KeyError as err:
+            message = f"observation of unknown target id {err.args[0]}"
+            raise TrackAssociationError(message) from None
+        xi[rows], p[rows] = update(xi[rows], p[rows], obs.z, obs.R)
+    return xi, p

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import FleetBelief, NcvModel
-from .sensing import AgentState, _range_bearing_cov_batch, in_fov
+from .estimation import FleetBelief, NcvModel, _apply
+from .sensing import _range_bearing_cov_batch, in_fov
 from .worldgen import OcclusionForest
 
 _EYE4 = np.eye(4)
@@ -99,21 +99,6 @@ def action_set(v_max: float, n_headings: int = 8, n_speeds: int = 1) -> np.ndarr
             theta = 2.0 * math.pi * k / n_headings
             actions.append((speed * math.cos(theta), speed * math.sin(theta)))
     return np.array(actions)
-
-
-def propagate_agent(s: AgentState, u, dt: float) -> AgentState:
-    """Deterministic kinematics under the command u = (ux, uy): position
-    integrates it, yaw follows its direction (hover keeps the previous yaw)."""
-    ux, uy = u
-    hover = ux == 0.0 and uy == 0.0
-    return replace(
-        s,
-        px=s.px + ux * dt,
-        py=s.py + uy * dt,
-        psi=s.psi if hover else math.atan2(uy, ux),
-        vx=ux,
-        vy=uy,
-    )
 
 
 def mwtp_detailed(
@@ -189,15 +174,14 @@ def _joseph_update_batch(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _nominal_paths(belief: FleetBelief, model: NcvModel, h: int) -> np.ndarray:
     """Noise-free propagation of every track mean over h steps: the mean
-    positions as a (1, T, h, 2) sample block, tracks ordered like belief.tracks."""
+    positions as a (1, T, h, 2) sample block, tracks ordered like the belief's."""
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    out = np.zeros((1, len(belief.tracks), h, 2))
-    for t, track in enumerate(belief.tracks):
-        xi = track.xi
-        for l in range(h):
-            xi = model.F @ xi
-            out[0, t, l] = xi[:2]
+    out = np.zeros((1, len(belief.xi), h, 2))
+    xi = belief.xi
+    for l in range(h):
+        xi = _apply(model.F, xi)
+        out[0, :, l] = xi[:, :2]
     return out
 
 
@@ -205,16 +189,16 @@ def _sample_target_paths(
     belief: FleetBelief, model: NcvModel, h: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Target trajectories drawn from the belief with process noise, (S, T, h, 2)."""
-    n_tracks = len(belief.tracks)
+    n_tracks = len(belief.xi)
     if n_tracks == 0:
         return np.zeros((n_samples, 0, h, 2))
     evals_q, vecs_q = np.linalg.eigh(model.Q)
     lq = vecs_q * np.sqrt(np.clip(evals_q, 0.0, None))
     out = np.empty((n_samples, n_tracks, h, 2))
-    for t, track in enumerate(belief.tracks):
-        evals_p, vecs_p = np.linalg.eigh(track.P)
+    for t, (xi, p) in enumerate(zip(belief.xi, belief.P)):
+        evals_p, vecs_p = np.linalg.eigh(p)
         lp = vecs_p * np.sqrt(np.clip(evals_p, 0.0, None))
-        x = track.xi + rng.standard_normal((n_samples, 4)) @ lp.T
+        x = xi + rng.standard_normal((n_samples, 4)) @ lp.T
         for l in range(h):
             x = x @ model.F.T + rng.standard_normal((n_samples, 4)) @ lq.T
             out[:, t, l, :] = x[:, :2]
@@ -333,11 +317,10 @@ class _PrefixTree:
             choice_xy * self.model.dt,
             max(1, SCAN_CHUNK // n_samples),
         )
-        p0 = np.array([t.P for t in self.belief.tracks]).reshape(n_tracks, 4, 4)
         root = _Nodes(
             np.zeros((1, 0), dtype=int),
             np.full((1, len(run.movers), 2), -0.0),  # -0.0 + x == x, as cumsum starts
-            np.broadcast_to(p0, (1, n_samples, n_tracks, 4, 4)).copy(),
+            np.broadcast_to(self.belief.P, (1, n_samples, n_tracks, 4, 4)).copy(),
             None,
             np.zeros((1, n_samples)),
         )

@@ -5,12 +5,13 @@ range-bearing noise model: measurement covariance grows with range and is
 oriented along the sensor-to-target bearing. A target is seen when it is in
 the footprint (in_fov) and not occluded (OcclusionForest.occludes); the
 sensing loop and the planner's rollouts both decide it with these two.
+sense returns one Observations batch per agent, its measurements stacked.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -48,12 +49,19 @@ class AgentState:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Position measurement of one identified target with its covariance."""
+class Observations:
+    """One agent's position measurements of identified targets, stacked:
+    target_ids (M,), z (M, 2) and their covariances R (M, 2, 2)."""
 
-    target_id: int
-    z: np.ndarray = field(repr=False)  # (2,)
-    R: np.ndarray = field(repr=False)  # (2, 2)
+    target_ids: np.ndarray = field(repr=False)
+    z: np.ndarray = field(repr=False)
+    R: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.target_ids)
+
+
+_NO_OBSERVATIONS = Observations(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros((0, 2, 2)))
 
 
 def in_fov(offset: np.ndarray, half_width: float | np.ndarray) -> np.ndarray:
@@ -73,14 +81,20 @@ def observation_covariance(
     rotation. Eigenvalues are therefore 0.1*alpha*r along the bearing and
     0.1*pi*alpha*r across it.
     """
-    dx = target_pos[0] - agent.px
-    dy = target_pos[1] - agent.py
-    r = max(math.hypot(dx, dy), agent.r0)
-    rho = math.atan2(dy, dx)
-    c, s = math.cos(rho), math.sin(rho)
-    g = np.array([[c, -s], [s, c]])
-    core = np.diag([0.1 * r, 0.1 * math.pi * r])
-    return agent.alpha * (g @ core @ g.T)
+    return _covariances(np.subtract([target_pos], agent.position), [agent.alpha], [agent.r0])[0]
+
+
+def _covariances(delta: np.ndarray, alpha, r0) -> np.ndarray:
+    """observation_covariance of offsets delta (M, 2) with alpha and r0 (M,):
+    range and bearing in scalar math, the rotations as one stacked product."""
+    g, core = np.zeros((2, len(delta), 2, 2))
+    for j, ((dx, dy), r_min) in enumerate(zip(delta.tolist(), r0)):
+        r = max(math.hypot(dx, dy), r_min)
+        rho = math.atan2(dy, dx)
+        c, s = math.cos(rho), math.sin(rho)
+        g[j] = ((c, -s), (s, c))
+        core[j] = ((0.1 * r, 0.0), (0.0, 0.1 * math.pi * r))
+    return np.reshape(alpha, (-1, 1, 1)) * (g @ core @ g.transpose(0, 2, 1))
 
 
 def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.ndarray:
@@ -108,28 +122,31 @@ def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.n
 
 
 def sense(
-    agents: list[AgentState],
-    truths: list[tuple[int, np.ndarray]],
-    forest: OcclusionForest,
-    rng: np.random.Generator,
-) -> list[list[Observation]]:
-    """Generate per-agent observations of every target in the agent's FoV and
-    not occluded.
+    agents: Sequence[AgentState], xy: np.ndarray, target_ids: Sequence[int],
+    target_xy: np.ndarray, forest: OcclusionForest, rng: np.random.Generator,
+) -> list[Observations]:
+    """Noisy observations, one batch per agent, of every target in the
+    agent's FoV and not occluded.
 
-    Detection is perfect within that region (no misses, no false alarms) and
-    observations are tagged with the true target id. Noise is Gaussian with
-    the range-bearing covariance, drawn agent by agent, then target by target.
+    Agent i senses from xy[i] (n, 2) with the footprint, alpha and r0 of
+    agents[i]; target_ids[t] is at target_xy[t] (T, 2). Detection is perfect
+    within that region (no misses, no false alarms) and observations are
+    tagged with the true target id. Noise is Gaussian with the
+    range-bearing covariance, drawn agent by agent, then target by target.
     """
-    pos = np.array([(s[0], s[1]) for _, s in truths], dtype=float).reshape(-1, 2)
-    fov = np.array([(a.px, a.py, a.half_width) for a in agents]).reshape(-1, 3)
-    visible = in_fov(pos - fov[:, None, :2], fov[:, 2:])
+    xy = np.reshape(xy, (len(agents), 2))
+    pos = np.reshape(target_xy, (len(target_ids), 2))
+    half_widths = np.array([a.half_width for a in agents]).reshape(-1, 1)
+    visible = in_fov(pos - xy[:, None, :], half_widths)
     if visible.any():
         visible &= ~forest.occludes(pos)
-    out: list[list[Observation]] = []
-    for agent, row in zip(agents, visible.tolist()):
-        out.append([])
-        for t in compress(range(len(row)), row):
-            cov = observation_covariance(agent, pos[t])
-            z = pos[t] + np.linalg.cholesky(cov) @ rng.standard_normal(2)
-            out[-1].append(Observation(target_id=truths[t][0], z=z, R=cov))
-    return out
+    seer, seen = np.nonzero(visible)  # agent-then-target order
+    if not len(seen):  # most steps: no draws, no batch arithmetic
+        return [_NO_OBSERVATIONS] * len(agents)
+    seers = [agents[i] for i in seer.tolist()]
+    r = _covariances(pos[seen] - xy[seer], [a.alpha for a in seers], [a.r0 for a in seers])
+    noise = rng.standard_normal((len(seen), 2))
+    z = pos[seen] + (np.linalg.cholesky(r) @ noise[..., None])[..., 0]
+    ids = np.array(target_ids, dtype=int)[seen]
+    ends = np.cumsum(visible.sum(axis=1)).tolist()
+    return [Observations(ids[a:b], z[a:b], r[a:b]) for a, b in zip([0, *ends], ends)]

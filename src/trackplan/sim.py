@@ -3,7 +3,9 @@
 Agents execute only the first action of each freshly planned policy and
 hold it (zero-order) across the fine sensing sub-steps until the next
 decision epoch. Target truth is precomputed and open loop: agent motion
-never influences the targets.
+never influences the targets. The loop keeps the agents' poses as one
+(n, 5) array and the tracks as stacks; the planners' AgentStates and
+FleetBelief are built once per epoch.
 """
 from __future__ import annotations
 
@@ -13,18 +15,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .estimation import FleetBelief, NcvModel, initialize_track, fuse, ncv_model
+from .estimation import FleetBelief, NcvModel, fuse, ncv_model
 from .metrics import OspaParams, ospa
-from .planning import (
-    action_set,
-    dec_pomdp_plan,
-    extend_intent,
-    mcr_plan,
-    propagate_agent,
-    sma_nbo_plan,
-)
+from .planning import action_set, dec_pomdp_plan, extend_intent, mcr_plan, sma_nbo_plan
 from .sensing import AgentState, sense
-from .worldgen import OcclusionForest, ScenarioConfig, TargetTrajectory, generate_levy_trajectory
+from .worldgen import DEFAULT_P0, OcclusionForest, ScenarioConfig, TargetTrajectory
+from .worldgen import generate_levy_trajectory
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,8 @@ def run_trial(
 
     ``seed`` may be an int or a numpy SeedSequence; identical seeds yield
     bit-identical logs apart from wall-clock. ``trajectories`` overrides
-    the Levy-walk target truth with scripted paths sampled every dt_sense.
+    the Levy-walk target truth with scripted paths of finite (n, 4)
+    samples taken every dt_sense; an empty list runs with no targets.
     """
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; choose from {PLANNERS}")
@@ -152,16 +149,16 @@ def run_trial(
             for t in range(config.n_targets)
         ]
     for traj in trajectories:
-        if not math.isclose(traj.dt, config.dt_sense, rel_tol=1e-9):
-            raise ValueError(
-                f"trajectory of target {traj.target_id} is sampled every {traj.dt} s, "
-                f"not every dt_sense = {config.dt_sense} s"
-            )
-        if len(traj) < n_steps + 1:
-            raise ValueError(
-                f"trajectory of target {traj.target_id} too short: "
-                f"{len(traj)} samples, need {n_steps + 1}"
-            )
+        samples = np.asarray(traj.samples, dtype=float)
+        if samples.ndim != 2 or samples.shape[1] != 4 or not np.isfinite(samples).all():
+            problem = f"must hold finite (n, 4) samples, got shape {samples.shape}"
+        elif not math.isclose(traj.dt, config.dt_sense, rel_tol=1e-9):
+            problem = f"is sampled every {traj.dt} s, not every dt_sense = {config.dt_sense} s"
+        elif len(traj) < n_steps + 1:
+            problem = f"too short: {len(traj)} samples, need {n_steps + 1}"
+        else:
+            continue
+        raise ValueError(f"trajectory of target {traj.target_id} {problem}")
     target_ids = tuple(traj.target_id for traj in trajectories)
     n_targets = len(trajectories)
 
@@ -174,22 +171,25 @@ def run_trial(
         mcr_samples=mcr_samples, rng=np.random.default_rng(mcr_ss),
     )
 
-    tracks = tuple(
-        initialize_track(traj.target_id, traj.samples[0, :2]) for traj in trajectories
-    )
-    belief = FleetBelief(tracks=tracks, agents=agents, timestamp=0.0)
+    truth = np.empty((n_steps + 1, n_targets, 4))
+    for t, traj in enumerate(trajectories):
+        truth[:, t] = traj.samples[: n_steps + 1]
+    # tracks start at the first truth sample with zero velocity
+    xi = np.pad(truth[0, :, :2], ((0, 0), (0, 2)))
+    p = np.tile(np.diag(DEFAULT_P0), (n_targets, 1, 1))
+    poses = np.array([[a.px, a.py, a.psi, a.vx, a.vy] for a in agents]).reshape(-1, 5)
 
     log = TrialLog(
         target_ids=target_ids,
         dt_sense=config.dt_sense,
         dt_plan=config.dt_plan,
-        times=np.empty(n_steps),
-        truth=np.stack([traj.samples[1 : n_steps + 1] for traj in trajectories], axis=1),
+        times=np.arange(1, n_steps + 1) * config.dt_sense,
+        truth=truth[1:],
         est_mean=np.empty((n_steps, n_targets, 4)),
         est_trace=np.empty((n_steps, n_targets)),
         ospa=np.empty(n_steps),
         agent_states=np.empty((n_steps, config.n_agents, 5)),
-        epoch_times=np.empty(n_epochs),
+        epoch_times=np.arange(n_epochs) * config.dt_plan,
         epoch_policies=np.empty((n_epochs, config.n_agents, h, 2)),
         epoch_plan_seconds=np.empty(n_epochs),
         epoch_rollout_evals=np.empty(n_epochs, dtype=np.int64),
@@ -198,31 +198,31 @@ def run_trial(
     previous = None
     for m in range(n_epochs):
         intents = extend_intent(previous, h, config.n_agents)
+        agents = tuple(
+            AgentState(*pose, fov_edge=a.fov_edge, alpha=a.alpha, r0=a.r0)
+            for a, pose in zip(agents, poses.tolist())
+        )
+        belief = FleetBelief(target_ids, xi, p, agents)
         start = time.perf_counter()
         joint, stats = _EPOCH_CALLS[planner](belief, intents, plan_inputs)
         log.epoch_plan_seconds[m] = time.perf_counter() - start
         previous = joint
-        log.epoch_times[m] = m * config.dt_plan
         log.epoch_rollout_evals[m] = stats.rollout_evals
         log.epoch_policies[m] = joint
 
-        held = joint[:, 0].tolist()
-        for sub in range(ratio):
-            k = m * ratio + sub
-            j = k + 1  # truth sample index; sample 0 is the initial state
-            agents = tuple(
-                propagate_agent(a, held[i], config.dt_sense) for i, a in enumerate(agents)
+        held = joint[:, 0]
+        for i, (ux, uy) in enumerate(held.tolist()):
+            if ux != 0.0 or uy != 0.0:  # hover keeps the previous yaw
+                poses[i, 2] = math.atan2(uy, ux)
+        poses[:, 3:] = held
+        for k in range(m * ratio, (m + 1) * ratio):
+            poses[:, :2] += held * config.dt_sense
+            observations = sense(
+                agents, poses[:, :2], target_ids, log.truth[k, :, :2], forest, rng_noise
             )
-            truths = list(zip(target_ids, log.truth[k]))
-            observations = sense(list(agents), truths, forest, rng_noise)
-            belief = fuse(
-                observations,
-                FleetBelief(tracks=belief.tracks, agents=agents, timestamp=belief.timestamp),
-                model_fine,
-            )
-            log.times[k] = j * config.dt_sense
-            log.est_mean[k] = [t.xi for t in belief.tracks]
-            log.est_trace[k] = [t.trace for t in belief.tracks]
-            log.agent_states[k] = [[a.px, a.py, a.psi, a.vx, a.vy] for a in agents]
+            xi, p = fuse(observations, target_ids, xi, p, model_fine)
+            log.est_mean[k] = xi
+            log.est_trace[k] = np.trace(p, axis1=1, axis2=2)
+            log.agent_states[k] = poses
     log.ospa[:] = ospa(log.est_mean[..., :2], log.truth[..., :2], params)
     return log

@@ -23,7 +23,8 @@ LEVY_STEP_MAX = 40.0
 
 # Longest trial a ScenarioConfig may ask for, in sensing steps, and most plan
 # steps (epochs x horizon) its policy log may hold. Truth and log arrays grow
-# with them: 10^6 steps of four target states is 32 MB each.
+# with them and with the target count, so a trial may also hold at most
+# 4 x MAX_SENSE_STEPS target states: 10^6 steps of four targets, 32 MB each.
 MAX_SENSE_STEPS = 1_000_000
 
 # Largest integer field: an int64, numpy's type for array sizes and counts.
@@ -188,6 +189,12 @@ class ScenarioConfig:
             raise ValueError(
                 f"duration={self.duration} at dt_sense={self.dt_sense} exceeds "
                 f"{MAX_SENSE_STEPS} sensing steps"
+            )
+        steps = round(self.duration / self.dt_sense)
+        if steps * self.n_targets > 4 * MAX_SENSE_STEPS:
+            raise ValueError(
+                f"n_targets={self.n_targets} over {steps} sensing steps exceeds "
+                f"{4 * MAX_SENSE_STEPS} logged target states"
             )
         if round(epochs) * self.horizon > MAX_SENSE_STEPS:
             raise ValueError(

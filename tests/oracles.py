@@ -64,6 +64,67 @@ def information_fusion(xi, p, observations):
     return p_new @ vec, (p_new + p_new.T) / 2.0
 
 
+def scalar_filter_replay(
+    truth, agent_states, start_xy, sensors, disks, noise_seed, dt, sigma_a, p0_diag
+):
+    """The closed loop's filter replayed one track and one observation at a time.
+
+    ``truth`` (K, T, 4) and ``agent_states`` (K, n, 5) are a trial log's;
+    ``start_xy`` (T, 2) are the targets' first positions, where tracks start
+    with zero velocity and covariance diag(p0_diag). Agent i is
+    ``sensors[i]`` = (fov_edge, alpha, r0). At step k every track predicts
+    with the NCV model of period dt and acceleration noise sigma_a. Then,
+    agent by agent and target by target, each target in the agent's square
+    footprint and outside every disk is measured at its true position plus
+    cholesky(R) times two standard normals from
+    numpy.random.default_rng(noise_seed), R the range-bearing covariance
+    alpha G diag(0.1 r, 0.1 pi r) G^T. Each measurement updates its track by
+    a Kalman step: solve-based gain, Joseph-form covariance, symmetrized.
+    The arithmetic is written out as the loop once ran it, so the two agree
+    bit for bit. Returns the estimated means (K, T, 4) and covariance
+    traces (K, T).
+    """
+    f = np.array(
+        [[1.0, 0.0, dt, 0.0], [0.0, 1.0, 0.0, dt], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    )
+    d2, d3, d4 = dt * dt, dt**3 / 2.0, dt**4 / 4.0
+    q = sigma_a**2 * np.array(
+        [[d4, 0.0, d3, 0.0], [0.0, d4, 0.0, d3], [d3, 0.0, d2, 0.0], [0.0, d3, 0.0, d2]]
+    )
+    h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    rng = np.random.default_rng(noise_seed)
+    tracks = [
+        (np.array([x, y, 0.0, 0.0]), np.diag(p0_diag).astype(float)) for x, y in start_xy
+    ]
+    n_steps, n_targets = np.shape(truth)[:2]
+    means = np.empty((n_steps, n_targets, 4))
+    traces = np.empty((n_steps, n_targets))
+    for k in range(n_steps):
+        tracks = [kalman_predict(xi, p, f, q) for xi, p in tracks]
+        for (ax, ay), (fov_edge, alpha, r0) in zip(agent_states[k, :, :2], sensors):
+            for t in range(n_targets):
+                tx, ty = truth[k, t, 0], truth[k, t, 1]
+                if not in_square(tx, ty, ax, ay, fov_edge / 2.0) or in_any_disk(tx, ty, disks):
+                    continue
+                dx, dy = tx - ax, ty - ay
+                r = max(math.hypot(dx, dy), r0)
+                rho = math.atan2(dy, dx)
+                c, s = math.cos(rho), math.sin(rho)
+                g = np.array([[c, -s], [s, c]])
+                cov = alpha * (g @ np.diag([0.1 * r, 0.1 * math.pi * r]) @ g.T)
+                z = np.array([tx, ty]) + np.linalg.cholesky(cov) @ rng.standard_normal(2)
+                xi, p = tracks[t]
+                gain = np.linalg.solve((h @ p @ h.T + cov).T, (p @ h.T).T).T
+                xi = xi + gain @ (z - h @ xi)
+                a = np.eye(4) - gain @ h
+                p = a @ p @ a.T + gain @ cov @ gain.T
+                tracks[t] = (xi, (p + p.T) / 2.0)
+        for t, (xi, p) in enumerate(tracks):
+            means[k, t] = xi
+            traces[k, t] = float(np.trace(p))
+    return means, traces
+
+
 def in_square(tx, ty, ax, ay, half_width):
     """Whether (tx, ty) lies in the closed square of the given half width
     centered at (ax, ay)."""
@@ -127,7 +188,7 @@ def rollout_cost(belief, joint, forest, model, h, beta=None):
     greedy MWTP penalty of the tracks outside every final footprint.
     """
     agents = [[a.px, a.py] for a in belief.agents]
-    tracks = [(t.xi, t.P) for t in belief.tracks]
+    tracks = list(zip(belief.xi, belief.P))
     cost = 0.0
     for l in range(h):
         for i in range(len(joint)):

@@ -15,11 +15,9 @@ import pytest
 from trackplan import (
     AgentState,
     Aoi,
-    FleetBelief,
     OcclusionForest,
     OspaParams,
     ScenarioConfig,
-    TargetTrack,
     TargetTrajectory,
     action_set,
     dec_pomdp_plan,
@@ -35,8 +33,8 @@ from trackplan import (
     update,
 )
 from trackplan.cli import ExperimentSpec, run_experiment, write_trial_csv
-from trackplan.sensing import Observation
 
+from beliefs import belief_of
 from mwtp_leaf import mwtp_leaf
 from oracles import kalman_update_cov
 
@@ -101,24 +99,23 @@ def test_criterion_2_rollout_matches_direct_filter_step():
             fov_edge=rng.uniform(15, 30),
             alpha=rng.uniform(0.05, 0.2),
         )
-        track = TargetTrack(
-            target_id=0,
-            xi=np.array(
+        track = (
+            0,
+            np.array(
                 [rng.uniform(0, 150), rng.uniform(0, 100), rng.uniform(-3, 3), rng.uniform(-3, 3)]
             ),
-            P=np.diag(rng.uniform(1, 30, 4)),
+            np.diag(rng.uniform(1, 30, 4)),
         )
         forest = generate_forest(8.0, 5.0, Aoi(150, 100), rng)
-        belief = FleetBelief(tracks=(track,), agents=(agent,))
+        belief = belief_of((track,), (agent,))
         act = actions[rng.integers(len(actions))]
         # the planner's own kernel, with one action to choose from
         _, stats = sma_nbo_plan(belief, act[None, None], act[None], forest, model)
         got = stats.stage_best_costs[0]
         # independent path: one explicit predict, then one covariance update
         moved = replace(agent, px=agent.px + act[0] * model.dt, py=agent.py + act[1] * model.dt)
-        pred = predict(track, model)
-        pos = (float(pred.xi[0]), float(pred.xi[1]))
-        p = pred.P
+        xi, p = predict(belief.xi, belief.P, model)
+        pos, p = (float(xi[0, 0]), float(xi[0, 1])), p[0]
         visible = (
             abs(pos[0] - moved.px) <= moved.half_width
             and abs(pos[1] - moved.py) <= moved.half_width
@@ -138,22 +135,18 @@ def test_criterion_3_filter_psd_and_trace_contraction():
     ok = True
     for _ in range(10_000):
         a = rng.standard_normal((4, 4))
-        track = TargetTrack(
-            target_id=0, xi=rng.standard_normal(4) * 10, P=a @ a.T + 0.1 * np.eye(4)
-        )
+        xi, p = rng.standard_normal((1, 4)) * 10, (a @ a.T + 0.1 * np.eye(4))[None]
         for _ in range(rng.integers(1, 5)):
             if rng.random() < 0.5:
-                track = predict(track, model)
+                xi, p = predict(xi, p, model)
             else:
                 b = rng.standard_normal((2, 2))
                 r = b @ b.T + 0.05 * np.eye(2)
-                before = track.trace
-                track = update(
-                    track, Observation(target_id=0, z=rng.standard_normal(2) * 5, R=r)
-                )
-                ok &= track.trace <= before + 1e-9
-            ok &= bool(np.allclose(track.P, track.P.T, atol=1e-9))
-            ok &= float(np.linalg.eigvalsh(track.P).min()) >= -1e-9
+                before = np.trace(p[0])
+                xi, p = update(xi, p, rng.standard_normal((1, 2)) * 5, r[None])
+                ok &= np.trace(p[0]) <= before + 1e-9
+            ok &= bool(np.allclose(p[0], p[0].T, atol=1e-9))
+            ok &= float(np.linalg.eigvalsh(p[0]).min()) >= -1e-9
         if not ok:
             break
     _report(3, "filter keeps covariances symmetric PSD", ok)
@@ -225,17 +218,17 @@ def _random_epoch(rng, n_agents, n_targets, h, n_headings=8):
         for _ in range(n_agents)
     )
     tracks = tuple(
-        TargetTrack(
-            target_id=t,
-            xi=np.array(
+        (
+            t,
+            np.array(
                 [rng.uniform(10, 140), rng.uniform(10, 90), rng.uniform(-2, 2), rng.uniform(-2, 2)]
             ),
-            P=np.diag(rng.uniform(1, 40, 4)),
+            np.diag(rng.uniform(1, 40, 4)),
         )
         for t in range(n_targets)
     )
     actions = action_set(5.0, n_headings, 1)
-    belief = FleetBelief(tracks=tracks, agents=agents)
+    belief = belief_of(tracks, agents)
     prev = np.array(
         [[actions[rng.integers(len(actions))] for _ in range(h)] for _ in range(n_agents)]
     )
@@ -300,9 +293,9 @@ def test_criterion_7_sampled_planner_degenerates_to_nominal():
             for _ in range(n_agents)
         )
         tracks = tuple(
-            TargetTrack(
-                target_id=t,
-                xi=np.array(
+            (
+                t,
+                np.array(
                     [
                         rng.uniform(10, 140),
                         rng.uniform(10, 90),
@@ -310,11 +303,11 @@ def test_criterion_7_sampled_planner_degenerates_to_nominal():
                         rng.uniform(-2, 2),
                     ]
                 ),
-                P=np.zeros((4, 4)),  # zero initial covariance
+                np.zeros((4, 4)),  # zero initial covariance
             )
             for t in range(2)
         )
-        belief = FleetBelief(tracks=tracks, agents=agents)
+        belief = belief_of(tracks, agents)
         forest = generate_forest(10.0, 5.0, Aoi(150, 100), rng)
         h = int(rng.integers(1, 3))
         prev = np.array(

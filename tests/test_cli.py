@@ -388,6 +388,8 @@ class TestMain:
             "alphas = 1e300,0.15,0.12",
             "n_headings = 1000000\n[experiment]\nplanners = dec-pomdp",
             "[experiment]\nn_maps = 9223372036854775808",
+            # 5 x 10^8 logged target states
+            "duration = 1\nn_targets = 100000000",
         ],
     )
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):

@@ -14,10 +14,8 @@ from trackplan import (
     AgentState,
     Aoi,
     BudgetExceededError,
-    FleetBelief,
     OcclusionForest,
     ScenarioConfig,
-    TargetTrack,
     action_set,
     dec_pomdp_plan,
     extend_intent,
@@ -26,7 +24,6 @@ from trackplan import (
     ncv_model,
     observation_covariance,
     predict,
-    propagate_agent,
     sma_nbo_plan,
 )
 import trackplan
@@ -39,6 +36,7 @@ from trackplan.planning import (
     _PrefixTree,
 )
 
+from beliefs import belief_of
 from mwtp_leaf import mwtp_leaf
 from oracles import dense_prefix_tree, kalman_update_cov, rollout_cost
 
@@ -46,11 +44,7 @@ EMPTY = OcclusionForest(disks=())
 
 
 def track_at(tid, x, y, vx=0.0, vy=0.0, p_scale=1.0):
-    return TargetTrack(
-        target_id=tid,
-        xi=np.array([x, y, vx, vy]),
-        P=np.diag([25.0, 25.0, 4.0, 4.0]) * p_scale,
-    )
+    return tid, np.array([x, y, vx, vy]), np.diag([25.0, 25.0, 4.0, 4.0]) * p_scale
 
 
 def agent_at(x, y, fov_edge=20.0, alpha=0.1):
@@ -88,7 +82,7 @@ def random_instance(rng, n_agents, n_targets, h, with_forest=True):
         )
         for t in range(n_targets)
     )
-    belief = FleetBelief(tracks=tracks, agents=agents)
+    belief = belief_of(tracks=tracks, agents=agents)
     actions = action_set(5.0, 4, 1)
     joint = np.array(
         [[actions[rng.integers(len(actions))] for _ in range(h)] for _ in range(n_agents)]
@@ -127,37 +121,15 @@ class TestActionSet:
             action_set(5.0, 0, 1)
 
 
-class TestPropagateAgent:
-    def test_straight_motion(self):
-        out = propagate_agent(agent_at(0.0, 0.0), (5.0, 0.0), 1.0)
-        assert (out.px, out.py) == (5.0, 0.0)
-        assert out.psi == 0.0 and (out.vx, out.vy) == (5.0, 0.0)
-
-    def test_hover_keeps_yaw_and_position(self):
-        start = replace(agent_at(3.0, 4.0), psi=1.2)
-        out = propagate_agent(start, (0.0, 0.0), 1.0)
-        assert (out.px, out.py) == (3.0, 4.0) and out.psi == 1.2
-
-    def test_half_step_north(self):
-        out = propagate_agent(agent_at(0.0, 0.0), (0.0, 5.0), 0.5)
-        assert (out.px, out.py) == (0.0, 2.5)
-        assert out.psi == pytest.approx(math.pi / 2)
-
-    def test_sensor_parameters_unchanged(self):
-        start = agent_at(0.0, 0.0, fov_edge=22.0, alpha=0.12)
-        out = propagate_agent(start, (1.0, 2.0), 1.0)
-        assert out.fov_edge == 22.0 and out.alpha == 0.12 and out.r0 == start.r0
-
-
 class TestNominalTrajectory:
     def test_constant_velocity_means(self):
-        belief = FleetBelief(tracks=(track_at(0, 0.0, 0.0, vx=1.0),), agents=(agent_at(0, 0),))
+        belief = belief_of(tracks=(track_at(0, 0.0, 0.0, vx=1.0),), agents=(agent_at(0, 0),))
         means = _nominal_paths(belief, ncv_model(1.0, 1.0), 3)[0, 0]
         assert np.allclose(means[:, 0], [1.0, 2.0, 3.0])
         assert np.allclose(means[:, 1], 0.0)
 
     def test_stationary_target(self):
-        belief = FleetBelief(tracks=(track_at(0, 5.0, 7.0),), agents=(agent_at(0, 0),))
+        belief = belief_of(tracks=(track_at(0, 5.0, 7.0),), agents=(agent_at(0, 0),))
         means = _nominal_paths(belief, ncv_model(1.0, 1.0), 4)[0, 0]
         assert np.allclose(means, [[5.0, 7.0]] * 4)
 
@@ -167,11 +139,10 @@ class TestNominalTrajectory:
         model = ncv_model(1.0, 2.0)
         noiseless = ncv_model(1.0, 0.0)
         means = _nominal_paths(belief, model, 5)[0]
-        for track, mean_seq in zip(belief.tracks, means):
-            cur = track
-            for l in range(5):
-                cur = predict(cur, noiseless)
-                assert np.allclose(cur.xi[:2], mean_seq[l], atol=1e-12)
+        xi, p = belief.xi, belief.P
+        for l in range(5):
+            xi, p = predict(xi, p, noiseless)
+            assert np.allclose(xi[:, :2], means[:, l], atol=1e-12)
 
 
 class TestRolloutCost:
@@ -181,10 +152,11 @@ class TestRolloutCost:
         for _ in range(20):
             belief, forest, joint = random_instance(rng, 1, 1, 1)
             res = engine_cost(belief, joint, forest, model, 1)
-            agent = propagate_agent(belief.agents[0], joint[0, 0], model.dt)
-            track = predict(belief.tracks[0], model)
-            pos = (float(track.xi[0]), float(track.xi[1]))
-            p = track.P
+            start = belief.agents[0]
+            (ux, uy), dt = joint[0, 0], model.dt
+            agent = replace(start, px=start.px + ux * dt, py=start.py + uy * dt)
+            xi, p = predict(belief.xi, belief.P, model)
+            pos, p = (float(xi[0, 0]), float(xi[0, 1])), p[0]
             inside = (
                 abs(pos[0] - agent.px) <= agent.half_width
                 and abs(pos[1] - agent.py) <= agent.half_width
@@ -195,21 +167,21 @@ class TestRolloutCost:
             assert res == pytest.approx(np.trace(p), abs=1e-9)
 
     def test_unobservable_cost_is_action_independent(self):
-        belief = FleetBelief(tracks=(track_at(0, 1000.0, 1000.0),), agents=(agent_at(0, 0),))
+        belief = belief_of(tracks=(track_at(0, 1000.0, 1000.0),), agents=(agent_at(0, 0),))
         model = ncv_model(1.0, 1.0)
         actions = action_set(5.0, 4, 1)
         costs = {engine_cost(belief, np.tile(a, (1, 3, 1)), EMPTY, model, 3) for a in actions}
         assert len(costs) == 1
         # pure prediction: sum of predicted traces
-        track = belief.tracks[0]
+        xi, p = belief.xi, belief.P
         expected = 0.0
         for _ in range(3):
-            track = predict(track, model)
-            expected += track.trace
+            xi, p = predict(xi, p, model)
+            expected += np.trace(p[0])
         assert costs.pop() == pytest.approx(expected, abs=1e-9)
 
     def test_mwtp_noop_when_all_targets_covered(self):
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(track_at(0, 2.0, 1.0), track_at(1, -3.0, 2.0)),
             agents=(agent_at(0.0, 0.0, fov_edge=40.0),),
         )
@@ -233,7 +205,7 @@ class TestRolloutCost:
             assert penalty == pytest.approx(ref_penalty, abs=1e-9)
 
     def test_intent_shape_validated(self):
-        belief = FleetBelief(tracks=(track_at(0, 0, 0),), agents=(agent_at(0, 0),))
+        belief = belief_of(tracks=(track_at(0, 0, 0),), agents=(agent_at(0, 0),))
         for shape in ((2, 3, 2), (1, 3, 3)):  # a row per agent, a (ux, uy) per step
             with pytest.raises(ValueError, match="intents must have shape"):
                 sma_nbo_plan(
@@ -364,7 +336,7 @@ class TestMwtp:
             return matching(sensor_xy, *args)
 
         monkeypatch.setattr(planning, "mwtp_detailed", counted)
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(track_at(0, 500.0, 500.0), track_at(1, 5.0, 0.0)),
             agents=(agent_at(0.0, 0.0), agent_at(40.0, 0.0), agent_at(0.0, 40.0)),
         )
@@ -375,7 +347,7 @@ class TestMwtp:
         assert calls == [9**3] * 3
 
     def test_penalty_needs_one_target_path(self):
-        belief = FleetBelief(tracks=(track_at(0, 0.0, 0.0),), agents=(agent_at(0.0, 0.0),))
+        belief = belief_of(tracks=(track_at(0, 0.0, 0.0),), agents=(agent_at(0.0, 0.0),))
         paths = np.zeros((2, 1, 3, 2))
         with pytest.raises(ValueError, match="one nominal target path"):
             _PrefixTree(belief, ncv_model(1.0, 1.0), EMPTY, paths, beta=1.0)
@@ -402,14 +374,14 @@ class TestBatchMatchesReference:
         for _ in range(10):
             belief, forest, joint = random_instance(rng, 2, 2, 2)
             h, n_samples = 2, 4
-            paths = rng.uniform(0, 150, (n_samples, len(belief.tracks), h, 2))
+            paths = rng.uniform(0, 150, (n_samples, len(belief.xi), h, 2))
             tree = _PrefixTree(belief, model, forest, paths)
             pos = tree.positions(joint)
             fast = tree.search(pos, NO_CHOICE).cost
             # literal per-sample covariance recursion
             total = 0.0
             for s in range(n_samples):
-                covs = [t.P for t in belief.tracks]
+                covs = list(belief.P)
                 for l in range(h):
                     covs = [
                         model.F @ p @ model.F.T + model.Q for p in covs
@@ -435,7 +407,7 @@ def test_occlusion_mask_is_built_one_step_at_a_time():
     disks = tuple((float(x), float(y), 2.0) for x, y in rng.uniform(0, 150, (48, 2)))
     forest = OcclusionForest(disks=disks)
     paths = rng.uniform(0, 150, (1, 4, 5000, 2))
-    belief = FleetBelief(tracks=(), agents=(agent_at(0.0, 0.0),))
+    belief = belief_of(tracks=(), agents=(agent_at(0.0, 0.0),))
     forest.occludes(paths[:, :, 0])  # builds the forest's cached disk array
     tracemalloc.start()
     try:
@@ -459,7 +431,7 @@ class TestOptimizeSingle:
         assert stats.stage_best_costs[0] <= stats.stage_incumbent_costs[0] + 1e-9
 
     def test_moves_north_toward_only_coverable_target(self):
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(track_at(0, 0.0, 13.0),), agents=(agent_at(0.0, 0.0, fov_edge=20.0),)
         )
         actions = action_set(5.0, 4, 1)
@@ -468,7 +440,7 @@ class TestOptimizeSingle:
         assert joint[0, 0, 1] == pytest.approx(5.0, abs=1e-12)
 
     def test_all_equal_costs_return_first_action(self):
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(track_at(0, 1000.0, 1000.0),), agents=(agent_at(0.0, 0.0),)
         )
         actions = action_set(5.0, 8, 1)
@@ -478,7 +450,7 @@ class TestOptimizeSingle:
     def test_beam_search_path(self, monkeypatch):
         monkeypatch.setattr("trackplan.planning.EXHAUSTIVE_LIMIT", 10)
         monkeypatch.setattr("trackplan.planning.BEAM_WIDTH", 3)
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(track_at(0, 0.0, 13.0),), agents=(agent_at(0.0, 0.0, fov_edge=20.0),)
         )
         actions = action_set(5.0, 4, 1)
@@ -499,7 +471,7 @@ class TestOptimizeSingle:
         # Every level ties (H hover, E east): all level-1 prefixes, HE with EH
         # at level 2, and HEE with EHE at the leaves.
         actions = np.array([(0.0, 0.0), (5.0, 0.0), (-5.0, 0.0), (0.0, 5.0), (0.0, -5.0)])
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(track_at(0, 1000.0, 1000.0), track_at(1, 1.0, 20.0, vx=6.5)),
             agents=(agent_at(10.0, 20.0, fov_edge=4.0),),
         )
@@ -525,7 +497,7 @@ class TestOptimizeSingle:
     def test_incumbent_outside_action_set_can_win(self):
         # the diagonal intent reaches a pose strictly closer to the target
         # than any cardinal action, so it must be kept (and counted)
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(track_at(0, 10.0, 12.0),), agents=(agent_at(0.0, 0.0, fov_edge=20.0),)
         )
         actions = action_set(5.0, 4, 1)
@@ -536,7 +508,7 @@ class TestOptimizeSingle:
         assert stats.stage_best_costs[0] == stats.stage_incumbent_costs[0]
 
     def test_zero_track_belief_keeps_intents(self):
-        belief = FleetBelief(tracks=(), agents=(agent_at(0.0, 0.0), agent_at(5.0, 5.0)))
+        belief = belief_of(tracks=(), agents=(agent_at(0.0, 0.0), agent_at(5.0, 5.0)))
         actions = action_set(5.0, 4, 1)
         intents = extend_intent(None, 2, 2)
         joint, stats = sma_nbo_plan(belief, intents, actions, EMPTY, ncv_model(1.0, 1.0))
@@ -568,7 +540,7 @@ class TestExtendIntent:
 
 class TestSmaNbo:
     def test_two_agent_instance_with_unreachable_agent(self):
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(track_at(0, 0.0, 13.0),),
             agents=(agent_at(500.0, 500.0, fov_edge=20.0), agent_at(0.0, 0.0, fov_edge=20.0)),
         )
@@ -721,7 +693,7 @@ class TestDecPomdp:
         # Track 0 is never seen. Agent 0 sees track 1 only after moving east
         # twice. Agent 1 sees track 2 only from (105, 60) at step 2, which
         # hover-east and east-hover reach alike: the minima tie exactly.
-        belief = FleetBelief(
+        belief = belief_of(
             tracks=(
                 track_at(0, 1000.0, 1000.0),
                 track_at(1, 27.0, 20.0),
@@ -757,16 +729,16 @@ class TestMcr:
             agent_at(rng.uniform(20, 130), rng.uniform(20, 80)) for _ in range(n_agents)
         )
         tracks = tuple(
-            TargetTrack(
-                target_id=t,
-                xi=np.array(
+            (
+                t,
+                np.array(
                     [rng.uniform(20, 130), rng.uniform(20, 80), rng.uniform(-2, 2), rng.uniform(-2, 2)]
                 ),
-                P=np.zeros((4, 4)),
+                np.zeros((4, 4)),
             )
             for t in range(n_targets)
         )
-        return FleetBelief(tracks=tracks, agents=agents)
+        return belief_of(tracks=tracks, agents=agents)
 
     def test_degenerate_sampling_equals_nominal_planner(self):
         rng = np.random.default_rng(18)
@@ -829,14 +801,10 @@ class TestBlocks:
     def _crowded_instance(rng, n_agents, n_targets, h):
         # tracks start near the agents, so most steps update some blocks
         belief, forest, joint = random_instance(rng, n_agents, n_targets, h)
-        tracks = tuple(
-            replace(track, xi=np.array([
-                *(belief.agents[t % n_agents].position + rng.uniform(-12, 12, 2)),
-                *track.xi[2:],
-            ]))
-            for t, track in enumerate(belief.tracks)
-        )
-        return replace(belief, tracks=tracks), forest, extend_intent(joint, h, n_agents)
+        xi = belief.xi.copy()
+        for t in range(len(xi)):
+            xi[t, :2] = belief.agents[t % n_agents].position + rng.uniform(-12, 12, 2)
+        return replace(belief, xi=xi), forest, extend_intent(joint, h, n_agents)
 
     def _plans(self):
         rng = np.random.default_rng(29)
@@ -882,7 +850,7 @@ class TestBlocks:
         )
         actions = action_set(config.v_max, config.n_headings, config.n_speeds)
         model = ncv_model(config.dt_plan, config.sigma_a)
-        belief = FleetBelief(tracks=tracks, agents=agents)
+        belief = belief_of(tracks=tracks, agents=agents)
         return belief, extend_intent(None, 3, 3), actions, forest, model
 
     def test_mcr_plan_streams_its_leaf_level(self):
@@ -936,7 +904,7 @@ def spy_searches(monkeypatch) -> list:
 def dense_reference(tree, run):
     """tests/oracles.py's dense schedule run on one search's inputs."""
     return dense_prefix_tree(
-        np.array([t.P for t in tree.belief.tracks]).reshape(-1, 4, 4),
+        tree.belief.P,
         tree.model.F,
         tree.model.Q,
         tree.target_paths,

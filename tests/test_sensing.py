@@ -20,6 +20,13 @@ def agent_at(x, y, fov_edge=20.0, alpha=0.1, r0=1.0):
     return AgentState(px=x, py=y, fov_edge=fov_edge, alpha=alpha, r0=r0)
 
 
+def sense_at(agents, truths, forest, rng):
+    """sense from each agent's own position, of (target id, state) pairs."""
+    xy = np.reshape([state[:2] for _, state in truths], (-1, 2))
+    ids = [tid for tid, _ in truths]
+    return sense(agents, [a.position for a in agents], ids, xy, forest, rng)
+
+
 def fov(point, agent):
     return bool(in_fov(np.subtract(point, agent.position), agent.half_width))
 
@@ -27,7 +34,7 @@ def fov(point, agent):
 def is_observable(point, agent, forest):
     """Whether sense reports the point to the agent."""
     truth = [(0, np.array([*point, 0.0, 0.0]))]
-    return len(sense([agent], truth, forest, np.random.default_rng(0))[0]) == 1
+    return len(sense_at([agent], truth, forest, np.random.default_rng(0))[0]) == 1
 
 
 class TestFov:
@@ -119,18 +126,28 @@ class TestObservationCovariance:
 
 class TestSense:
     def test_target_outside_all_fovs(self):
-        obs = sense(
+        obs = sense_at(
             [agent_at(0.0, 0.0)],
             [(0, np.array([100.0, 100.0, 0.0, 0.0]))],
             EMPTY,
             np.random.default_rng(0),
         )
-        assert obs == [[]]
+        assert [len(batch) for batch in obs] == [0]
 
     def test_two_covering_agents_give_two_observations(self):
         agents = [agent_at(0.0, 0.0), agent_at(2.0, 0.0)]
-        obs = sense(agents, [(0, np.array([1.0, 0.0, 0.0, 0.0]))], EMPTY, np.random.default_rng(0))
+        obs = sense_at(agents, [(0, np.array([1.0, 0.0, 0.0, 0.0]))], EMPTY, np.random.default_rng(0))
         assert len(obs[0]) == 1 and len(obs[1]) == 1
+
+    def test_senses_from_the_given_positions(self):
+        # the agents lend footprint and noise; xy says where they stand
+        agents = [agent_at(0.0, 0.0), agent_at(0.0, 0.0)]
+        xy = np.array([[100.0, 100.0], [0.0, 0.0]])
+        targets = np.array([[0.0, 0.0], [101.0, 99.0]])
+        obs = sense(agents, xy, (4, 9), targets, EMPTY, np.random.default_rng(0))
+        assert [b.target_ids.tolist() for b in obs] == [[9], [4]]
+        expected = observation_covariance(agent_at(100.0, 100.0), (101.0, 99.0))
+        assert np.array_equal(obs[0].R[0], expected)
 
     def test_occlusion_dominates_any_pose(self):
         forest = OcclusionForest(disks=((50.0, 50.0, 10.0),))
@@ -138,7 +155,7 @@ class TestSense:
         truth = [(0, np.array([50.0, 50.0, 0.0, 0.0]))]
         for _ in range(50):
             agents = [agent_at(*rng.uniform(0, 100, 2), fov_edge=rng.uniform(5, 400))]
-            assert sense(agents, truth, forest, rng) == [[]]
+            assert [len(batch) for batch in sense_at(agents, truth, forest, rng)] == [0]
 
     def test_sample_covariance_matches_model(self):
         agent = agent_at(0.0, 0.0, alpha=0.15)
@@ -147,7 +164,7 @@ class TestSense:
         rng = np.random.default_rng(3)
         draws = np.array(
             [
-                sense([agent], [(0, np.array([*target, 0.0, 0.0]))], EMPTY, rng)[0][0].z
+                sense_at([agent], [(0, np.array([*target, 0.0, 0.0]))], EMPTY, rng)[0].z[0]
                 for _ in range(100_000)
             ]
         )
@@ -165,7 +182,7 @@ class TestSense:
             ]
             truths = [(7 + t, np.array([*rng.uniform(0, 80, 2), 0.0, 0.0])) for t in range(5)]
             seed = int(rng.integers(1 << 30))
-            got = sense(agents, truths, forest, np.random.default_rng(seed))
+            got = sense_at(agents, truths, forest, np.random.default_rng(seed))
             draws = np.random.default_rng(seed)
             for agent, obs in zip(agents, got):
                 expected = [
@@ -174,11 +191,11 @@ class TestSense:
                     if in_square(*state[:2], agent.px, agent.py, agent.half_width)
                     and not in_any_disk(*state[:2], forest.disks)
                 ]
-                assert [o.target_id for o in obs] == [tid for tid, _ in expected]
-                for o, (_, pos) in zip(obs, expected):
+                assert obs.target_ids.tolist() == [tid for tid, _ in expected]
+                for z_got, r_got, (_, pos) in zip(obs.z, obs.R, expected):
                     r = observation_covariance(agent, tuple(pos))
                     z = pos + np.linalg.cholesky(r) @ draws.standard_normal(2)
-                    assert np.array_equal(o.R, r) and np.array_equal(o.z, z)
+                    assert np.array_equal(r_got, r) and np.array_equal(z_got, z)
 
 
 def _near(values):

@@ -1,22 +1,27 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from trackplan import (
+    PLANNERS,
     OcclusionForest,
     OspaParams,
+    PlanStats,
     ScenarioConfig,
     TargetTrajectory,
     generate_forest,
+    generate_levy_trajectory,
     ospa,
     run_trial,
     sense,
 )
 import trackplan.sim
 from trackplan.sim import TrialLog, initial_agents
+from trackplan.worldgen import DEFAULT_P0
 
-from oracles import ospa_brute
+from oracles import ospa_brute, scalar_filter_replay
 
 EMPTY = OcclusionForest(disks=())
 
@@ -87,6 +92,25 @@ class TestTrialStructure:
         with pytest.raises(ValueError, match="too short"):
             run_trial(small_config(), EMPTY, "sma-nbo", 0, trajectories=[traj])
 
+    @pytest.mark.parametrize("bad", ["two columns", "nan"])
+    def test_malformed_trajectory_rejected_before_the_first_step(self, monkeypatch, bad):
+        traj = scripted_trajectory(0, (10.0, 10.0), (1.0, 0.0), 10.0, 0.2)
+        samples = traj.samples[:, :2] if bad == "two columns" else traj.samples.copy()
+        if bad == "nan":
+            samples[30, 1] = np.nan
+        steps = []
+        monkeypatch.setattr(trackplan.sim, "sense", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match=r"must hold finite \(n, 4\) samples"):
+            run_trial(small_config(), EMPTY, "sma-nbo", 0, trajectories=[replace(traj, samples=samples)])
+        assert steps == []
+
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_zero_targets(self, planner):
+        log = run_trial(small_config(duration=2.0), EMPTY, planner, 0, trajectories=[], mcr_samples=3)
+        assert log.truth.shape == log.est_mean.shape == (10, 0, 4)
+        assert log.est_trace.shape == (10, 0)
+        assert log.ospa.tolist() == [0.0] * 10
+
     def test_scripted_trajectory_must_be_sampled_every_dt_sense(self):
         # sampled at 0.1 s and stepped at 0.2 s, the truth would move at half
         # its logged velocity
@@ -105,8 +129,8 @@ class TestFilterBehavior:
             def standard_normal(self, size):
                 return np.zeros(size)
 
-        def exact_sense(agents, truths, forest, rng):
-            return sense(agents, truths, forest, ZeroNoise())
+        def exact_sense(*args):
+            return sense(*args[:-1], ZeroNoise())
 
         monkeypatch.setattr(trackplan.sim, "sense", exact_sense)
         cfg = small_config(sigma_a=0.0, fov_edges=(80.0,))
@@ -159,6 +183,17 @@ class TestFilterBehavior:
         ]
         assert np.allclose(series, log.ospa, atol=1e-12)
 
+    def test_sense_and_fuse_called_once_per_step_through_the_module(self, monkeypatch):
+        # the benchmark's tracer wraps trackplan.sim.sense and .fuse
+        calls = []
+        for name in ("sense", "fuse"):
+            real = getattr(trackplan.sim, name)
+            monkeypatch.setattr(
+                trackplan.sim, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args)
+            )
+        run_trial(small_config(duration=2.0, n_targets=2), EMPTY, "sma-nbo", 0)
+        assert calls == ["sense", "fuse"] * 10
+
     def test_ospa_scored_once_per_trial_as_per_step(self, monkeypatch):
         calls = []
 
@@ -175,7 +210,92 @@ class TestFilterBehavior:
         assert log.ospa.tolist() == per_step
 
 
+class TestScalarReplay:
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_filter_equals_scalar_replay(self, planner):
+        # wide footprints over a forest, so targets are seen by one or both
+        # agents, or hidden, at different steps
+        cfg = small_config(
+            duration=4.0, n_agents=2, fov_edges=(60.0, 90.0), alphas=(0.1, 0.15), n_targets=3,
+            n_headings=4,
+        )
+        forest = generate_forest(15.0, 5.0, cfg.aoi, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        trajectories = [
+            generate_levy_trajectory(
+                cfg.duration, cfg.dt_sense, (cfg.speed_min, cfg.speed_max), cfg.aoi, rng, target_id=t
+            )
+            for t in (7, 3, 5)
+        ]
+        seed = 12
+        log = run_trial(cfg, forest, planner, seed, trajectories=trajectories, mcr_samples=3)
+        means, traces = scalar_filter_replay(
+            log.truth,
+            log.agent_states,
+            [traj.samples[0, :2] for traj in trajectories],
+            list(zip(cfg.fov_edges, cfg.alphas, (cfg.r0,) * cfg.n_agents)),
+            forest.disks,
+            np.random.SeedSequence(seed).spawn(3)[1],
+            cfg.dt_sense,
+            cfg.sigma_a,
+            DEFAULT_P0,
+        )
+        assert np.array_equal(log.est_mean, means)
+        assert np.array_equal(log.est_trace, traces)
+        # the replay covers updates: traces fall where a target is seen
+        assert (np.diff(traces, axis=0) < 0).any()
+
+
+def scripted_first_actions(monkeypatch, actions):
+    """Make sma-nbo plan actions[m] (n_agents, 2) as epoch m's first step;
+    returns the beliefs it is given."""
+    beliefs = []
+
+    def plan(belief, intents, *args, **kwargs):
+        joint = np.zeros_like(intents)
+        joint[:, 0] = actions[len(beliefs)]
+        beliefs.append(belief)
+        return joint, PlanStats((0,) * len(joint))
+
+    monkeypatch.setattr(trackplan.sim, "sma_nbo_plan", plan)
+    return beliefs
+
+
 class TestAgentMotion:
+    def test_straight_motion(self, monkeypatch):
+        scripted_first_actions(monkeypatch, [[(5.0, 0.0)]])
+        cfg = small_config(duration=1.0)
+        log = run_trial(cfg, EMPTY, "sma-nbo", 0)
+        x0, y0 = initial_agents(cfg)[0].position
+        for k, state in enumerate(log.agent_states[:, 0]):
+            assert state[0] == pytest.approx(x0 + 1.0 * (k + 1)) and state[1] == y0
+            assert state[2] == 0.0 and (state[3], state[4]) == (5.0, 0.0)
+
+    def test_hover_keeps_yaw_and_position(self, monkeypatch):
+        scripted_first_actions(monkeypatch, [[(-5.0, 0.0)], [(0.0, 0.0)]])
+        log = run_trial(small_config(duration=2.0), EMPTY, "sma-nbo", 0)
+        hover = log.agent_states[5:, 0]
+        assert (hover[:, :2] == log.agent_states[4, 0, :2]).all()
+        assert (hover[:, 2] == math.pi).all() and (hover[:, 3:] == 0.0).all()
+
+    def test_heading_north_sets_yaw(self, monkeypatch):
+        scripted_first_actions(monkeypatch, [[(0.0, 5.0)]])
+        cfg = small_config(duration=1.0)
+        log = run_trial(cfg, EMPTY, "sma-nbo", 0)
+        assert log.agent_states[-1, 0, :2] == pytest.approx(initial_agents(cfg)[0].position + (0.0, 5.0))
+        assert (log.agent_states[:, 0, 2] == math.atan2(5.0, 0.0)).all()
+
+    def test_planner_agents_keep_sensor_parameters(self, monkeypatch):
+        beliefs = scripted_first_actions(monkeypatch, [[(1.0, 2.0), (0.0, -3.0)]] * 2)
+        cfg = small_config(duration=2.0, n_agents=2, fov_edges=(22.0, 30.0), alphas=(0.12, 0.2))
+        log = run_trial(cfg, EMPTY, "sma-nbo", 0)
+        second = beliefs[1].agents
+        assert [(a.fov_edge, a.alpha, a.r0) for a in second] == [
+            (a.fov_edge, a.alpha, a.r0) for a in initial_agents(cfg)
+        ]
+        # each epoch's agents stand where the last sensing step left them
+        assert [[a.px, a.py, a.psi, a.vx, a.vy] for a in second] == log.agent_states[4].tolist()
+
     def test_speed_limit_respected(self):
         cfg = small_config(n_targets=2, duration=20.0)
         log = run_trial(cfg, EMPTY, "sma-nbo", 7)
