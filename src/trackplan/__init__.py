@@ -19,13 +19,7 @@ from .planning import (
     mcr_plan,
     sma_nbo_plan,
 )
-from .sensing import (
-    AgentState,
-    Observations,
-    in_fov,
-    observation_covariance,
-    sense,
-)
+from .sensing import Observations, Sensor, in_fov, sense
 from .sim import PLANNERS, TrialLog, run_trial
 from .worldgen import (
     Aoi,
@@ -41,7 +35,6 @@ from .worldgen import (
 )
 
 __all__ = [
-    "AgentState",
     "Aoi",
     "BudgetExceededError",
     "FleetBelief",
@@ -54,6 +47,7 @@ __all__ = [
     "PLANNERS",
     "PlanStats",
     "ScenarioConfig",
+    "Sensor",
     "TargetTrajectory",
     "TrackAssociationError",
     "TrialLog",
@@ -68,7 +62,6 @@ __all__ = [
     "load_map",
     "mcr_plan",
     "ncv_model",
-    "observation_covariance",
     "ospa",
     "predict",
     "run_trial",

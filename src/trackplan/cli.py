@@ -5,9 +5,9 @@ planner, reuses one batch of random maps per parameter cell across all
 planners, and emits CSV artifacts: per-trial logs, a deterministic
 summary, wall-clock timings and per-cell OSPA ECDFs.
 
-Exit codes: 0 success, 1 configuration error (a bad key or value, a
-dec-pomdp joint search or an mcr kernel over its budget, or a forest that
-cannot be placed), 2 runtime error (a failing trial or write).
+Exit codes: 0 success, 1 configuration error (a bad key or value, an
+action set, a dec-pomdp joint search or an mcr kernel over its budget, or
+a forest that cannot be placed), 2 runtime error (a failing trial or write).
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .metrics import ecdf
-from .planning import BudgetExceededError, action_count, dec_pomdp_joint_count, mcr_memory
+from .planning import EXHAUSTIVE_LIMIT, BudgetExceededError, action_count
+from .planning import dec_pomdp_joint_count, mcr_memory
 from .sim import PLANNERS, TrialLog, run_trial
 from .worldgen import (
     MAX_INT,
@@ -84,8 +85,16 @@ class ExperimentSpec:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{label} list {repeated[0]} twice")
+        n_actions = action_count(self.base.n_headings, self.base.n_speeds)
+        # Every stage scores each action at its first level, and a beam level
+        # holds all its children at once, so no planner is sized for more
+        # actions than one exhaustive stage scores.
+        if n_actions > EXHAUSTIVE_LIMIT:
+            raise ConfigError(
+                f"n_headings x n_speeds gives {n_actions} actions with hover, "
+                f"more than the {EXHAUSTIVE_LIMIT} a planning stage scores exhaustively"
+            )
         if "dec-pomdp" in self.planners:
-            n_actions = action_count(self.base.n_headings, self.base.n_speeds)
             for config in configs.values():
                 try:
                     dec_pomdp_joint_count(n_actions, config.n_agents, config.horizon)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensing import AgentState, Observations
+from .sensing import Observations, Sensor
 
 H_POS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
@@ -32,19 +32,32 @@ class NcvModel:
     dt: float
 
 
+def _check_tracks(target_ids: Sequence[int], xi: np.ndarray, p: np.ndarray) -> None:
+    n = len(target_ids)
+    if np.shape(xi) != (n, 4) or np.shape(p) != (n, 4, 4):
+        raise ValueError(f"{n} target ids need means ({n}, 4) and covariances ({n}, 4, 4), "
+                         f"got {np.shape(xi)} and {np.shape(p)}")
+
+
 @dataclass(frozen=True)
 class FleetBelief:
     """Shared fleet belief: track target_ids[t] has mean xi[t] (4,) and
-    covariance P[t] (4, 4); plus the agent states."""
+    covariance P[t] (4, 4); agent i stands at xy[i] (2,) and senses with
+    sensors[i]."""
 
     target_ids: tuple[int, ...]
     xi: np.ndarray = field(repr=False)  # (T, 4)
     P: np.ndarray = field(repr=False)  # (T, 4, 4)
-    agents: tuple[AgentState, ...]
+    xy: np.ndarray = field(repr=False)  # (n, 2)
+    sensors: tuple[Sensor, ...]
 
     def __post_init__(self) -> None:
         if len(set(self.target_ids)) != len(self.target_ids):
             raise ValueError(f"duplicate target ids in belief: {self.target_ids}")
+        _check_tracks(self.target_ids, self.xi, self.P)
+        n = len(self.sensors)
+        if np.shape(self.xy) != (n, 2):
+            raise ValueError(f"{n} sensors need positions xy ({n}, 2), got {np.shape(self.xy)}")
 
 
 def ncv_model(dt: float, sigma_a: float) -> NcvModel:
@@ -106,19 +119,23 @@ def fuse(
     covariances p (T, 4, 4), then each agent's observations in agent order.
 
     A batch names each target at most once, as sense's do, so it updates
-    distinct tracks in one step. Sequential Joseph-form updates realize
-    centralized (converged information) fusion directly. The inputs are
-    not modified.
+    distinct tracks in one step; a batch that names one twice raises
+    ValueError. Sequential Joseph-form updates realize centralized
+    (converged information) fusion directly. The inputs are not modified.
     """
+    _check_tracks(target_ids, xi, p)
     index = {tid: row for row, tid in enumerate(target_ids)}
     xi, p = predict(xi, p, model)
     for obs in per_agent_observations:
         if not len(obs):
             continue
+        ids = obs.target_ids.tolist()
         try:
-            rows = [index[tid] for tid in obs.target_ids.tolist()]
+            rows = [index[tid] for tid in ids]
         except KeyError as err:
             message = f"observation of unknown target id {err.args[0]}"
             raise TrackAssociationError(message) from None
+        if len(set(rows)) != len(rows):
+            raise ValueError(f"one observation batch names a target twice: ids {ids}")
         xi[rows], p[rows] = update(xi[rows], p[rows], obs.z, obs.R)
     return xi, p

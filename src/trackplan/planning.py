@@ -291,7 +291,7 @@ class _PrefixTree:
         """Step positions (1, h, 2) of every agent flying its row of the
         (n_agents, h, 2) velocity plan ``joint``."""
         steps = np.cumsum(joint * self.model.dt, axis=1)
-        return [agent.position + s[None] for agent, s in zip(self.belief.agents, steps)]
+        return [xy + s[None] for xy, s in zip(self.belief.xy, steps)]
 
     def search(
         self,
@@ -380,7 +380,7 @@ class _PrefixTree:
         """Each agent's position after step ``level``: (1, 2) fixed, (N, 2) moving."""
         pos = [f if f is None else f[:, level, :] for f in run.fixed]
         for k, i in enumerate(run.movers):
-            pos[i] = self.belief.agents[i].position + offset[:, k, :]
+            pos[i] = self.belief.xy[i] + offset[:, k, :]
         return pos
 
     def _level(self, run: _Search, p: np.ndarray, level: int) -> _Level:
@@ -398,15 +398,15 @@ class _PrefixTree:
             tracks.append((pre[:, :, t], steps))
             if not ft.any():
                 continue
-            for i, (agent, f) in enumerate(zip(self.belief.agents, run.fixed)):
+            for i, (sensor, f) in enumerate(zip(self.belief.sensors, run.fixed)):
                 if f is None:
                     steps.append(i)
                     continue
                 delta = tp - f[0, level]
-                vis = in_fov(delta, agent.half_width) & ft
+                vis = in_fov(delta, sensor.half_width) & ft
                 if not vis.any():
                     continue
-                r = _range_bearing_cov_batch(delta[vis], agent.alpha, agent.r0)
+                r = _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
                 if i > first:
                     if before is None:  # keep the blocks as the first mover finds them
                         before = pre[:, :, t].copy()
@@ -441,7 +441,7 @@ class _PrefixTree:
             for i in steps:
                 if isinstance(i, int):
                     delta[i] = tp[None, :, :] - agent_xy[i][:, None, :]
-                    vis[i] = in_fov(delta[i], self.belief.agents[i].half_width) & ft[None, :]
+                    vis[i] = in_fov(delta[i], self.belief.sensors[i].half_width) & ft[None, :]
             seen = np.logical_or.reduce(list(vis.values()))
             if not seen.any():
                 continue
@@ -449,9 +449,9 @@ class _PrefixTree:
             pool = before[parent[own[0]], own[1]]
             for step in steps:
                 if isinstance(step, int):
-                    agent = self.belief.agents[step]
+                    sensor = self.belief.sensors[step]
                     rows = np.flatnonzero(vis[step][own])
-                    r = _range_bearing_cov_batch(delta[step][vis[step]], agent.alpha, agent.r0)
+                    r = _range_bearing_cov_batch(delta[step][vis[step]], sensor.alpha, sensor.r0)
                 else:
                     rows = np.flatnonzero(step[0][own[1]])
                     r = step[1][own[1][rows]]
@@ -473,7 +473,7 @@ class _PrefixTree:
             [np.broadcast_to(a, (len(costs), 2)) for a in self._agent_xy(run, leaves.offset, -1)],
             axis=1,
         )
-        half_widths = np.array([a.half_width for a in self.belief.agents])
+        half_widths = np.array([s.half_width for s in self.belief.sensors])
         offset = end_targets[None, None, :, :] - end_agent[:, :, None, :]
         uncovered = ~in_fov(offset, half_widths[:, None]).any(1)
         # a leaf that covers every target adds a penalty of 0.0
@@ -538,7 +538,7 @@ def _sweep(
     beta: float | None,
 ) -> tuple[np.ndarray, PlanStats]:
     joint = np.array(intents, dtype=float)  # the caller's intents stay as they are
-    if joint.shape != (len(belief.agents), target_paths.shape[2], 2):
+    if joint.shape != (len(belief.sensors), target_paths.shape[2], 2):
         raise ValueError(f"intents must have shape (n_agents, h, 2), got {joint.shape}")
     tree = _PrefixTree(belief, model, forest, target_paths, beta)
     stages = []
@@ -641,7 +641,7 @@ def dec_pomdp_plan(
     step; ties go to the sequence that comes first read agent by agent.
     PlanStats still counts the modelled work, |A|^(nH) rollouts per agent.
     """
-    n_agents = len(belief.agents)
+    n_agents = len(belief.sensors)
     n_actions = len(actions)
     joint_count = dec_pomdp_joint_count(n_actions, n_agents, h)
     # Joint choice c gives agent i action digits[c, i], agent 0 most significant.

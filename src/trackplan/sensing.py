@@ -1,11 +1,13 @@
 """The sensor model: field of view, measurement noise and observations.
 
-Sensors carry an axis-aligned square footprint centered on the agent and a
-range-bearing noise model: measurement covariance grows with range and is
-oriented along the sensor-to-target bearing. A target is seen when it is in
-the footprint (in_fov) and not occluded (OcclusionForest.occludes); the
-sensing loop and the planner's rollouts both decide it with these two.
-sense returns one Observations batch per agent, its measurements stacked.
+A Sensor holds one agent's sensing parameters and no pose: an axis-aligned
+square footprint centered on the agent and a range-bearing noise model,
+whose measurement covariance grows with range and is oriented along the
+sensor-to-target bearing. Where the agents stand is an (n, 2) array that
+callers pass alongside. A target is seen when it is in the footprint
+(in_fov) and not occluded (OcclusionForest.occludes); the sensing loop and
+the planner's rollouts both decide it with these two. sense returns one
+Observations batch per agent, its measurements stacked.
 """
 from __future__ import annotations
 
@@ -19,18 +21,13 @@ from .worldgen import OcclusionForest
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Sensor pose (px, py, psi, vx, vy) plus sensing parameters.
+class Sensor:
+    """One agent's sensing parameters; where it stands is not part of it.
 
     fov_edge is the side length of the square footprint, alpha the
     per-sensor quality factor and r0 the minimal effective range.
     """
 
-    px: float
-    py: float
-    psi: float = 0.0
-    vx: float = 0.0
-    vy: float = 0.0
     fov_edge: float = 20.0
     alpha: float = 0.1
     r0: float = 1.0
@@ -38,10 +35,6 @@ class AgentState:
     def __post_init__(self) -> None:
         if self.fov_edge <= 0 or self.alpha <= 0 or self.r0 <= 0:
             raise ValueError("fov_edge, alpha and r0 must all be positive")
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.px, self.py])
 
     @property
     def half_width(self) -> float:
@@ -71,34 +64,28 @@ def in_fov(offset: np.ndarray, half_width: float | np.ndarray) -> np.ndarray:
     return (d[..., 0] <= half_width) & (d[..., 1] <= half_width)
 
 
-def observation_covariance(
-    agent: AgentState, target_pos: tuple[float, float] | np.ndarray
-) -> np.ndarray:
-    """Range-bearing measurement covariance.
+def _covariances(delta: np.ndarray, sensors: Sequence[Sensor]) -> np.ndarray:
+    """Range-bearing measurement covariances of sensor-to-target offsets
+    delta (M, 2), offset j taken by sensors[j].
 
-    With range r clamped below at r0 and bearing rho from agent to target:
+    With range r clamped below at r0 and bearing rho from sensor to target:
     R = alpha * G(rho) @ diag(0.1 r, 0.1 pi r) @ G(rho)^T, G the 2-D
     rotation. Eigenvalues are therefore 0.1*alpha*r along the bearing and
-    0.1*pi*alpha*r across it.
+    0.1*pi*alpha*r across it. Range and bearing are taken in scalar math,
+    the rotations as one stacked product.
     """
-    return _covariances(np.subtract([target_pos], agent.position), [agent.alpha], [agent.r0])[0]
-
-
-def _covariances(delta: np.ndarray, alpha, r0) -> np.ndarray:
-    """observation_covariance of offsets delta (M, 2) with alpha and r0 (M,):
-    range and bearing in scalar math, the rotations as one stacked product."""
     g, core = np.zeros((2, len(delta), 2, 2))
-    for j, ((dx, dy), r_min) in enumerate(zip(delta.tolist(), r0)):
-        r = max(math.hypot(dx, dy), r_min)
+    for j, ((dx, dy), sensor) in enumerate(zip(delta.tolist(), sensors)):
+        r = max(math.hypot(dx, dy), sensor.r0)
         rho = math.atan2(dy, dx)
         c, s = math.cos(rho), math.sin(rho)
         g[j] = ((c, -s), (s, c))
         core[j] = ((0.1 * r, 0.0), (0.0, 0.1 * math.pi * r))
-    return np.reshape(alpha, (-1, 1, 1)) * (g @ core @ g.transpose(0, 2, 1))
+    return np.reshape([x.alpha for x in sensors], (-1, 1, 1)) * (g @ core @ g.transpose(0, 2, 1))
 
 
 def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.ndarray:
-    """observation_covariance in closed form for sensor-to-target offsets (M, 2).
+    """_covariances in closed form for sensor-to-target offsets (M, 2).
 
     The rollouts use this form and sense the scalar one. The two differ in
     the last bits, so switching sense would change every logged trial, and
@@ -122,29 +109,28 @@ def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.n
 
 
 def sense(
-    agents: Sequence[AgentState], xy: np.ndarray, target_ids: Sequence[int],
+    sensors: Sequence[Sensor], xy: np.ndarray, target_ids: Sequence[int],
     target_xy: np.ndarray, forest: OcclusionForest, rng: np.random.Generator,
 ) -> list[Observations]:
     """Noisy observations, one batch per agent, of every target in the
     agent's FoV and not occluded.
 
     Agent i senses from xy[i] (n, 2) with the footprint, alpha and r0 of
-    agents[i]; target_ids[t] is at target_xy[t] (T, 2). Detection is perfect
+    sensors[i]; target_ids[t] is at target_xy[t] (T, 2). Detection is perfect
     within that region (no misses, no false alarms) and observations are
     tagged with the true target id. Noise is Gaussian with the
     range-bearing covariance, drawn agent by agent, then target by target.
     """
-    xy = np.reshape(xy, (len(agents), 2))
+    xy = np.reshape(xy, (len(sensors), 2))
     pos = np.reshape(target_xy, (len(target_ids), 2))
-    half_widths = np.array([a.half_width for a in agents]).reshape(-1, 1)
+    half_widths = np.array([s.half_width for s in sensors]).reshape(-1, 1)
     visible = in_fov(pos - xy[:, None, :], half_widths)
     if visible.any():
         visible &= ~forest.occludes(pos)
     seer, seen = np.nonzero(visible)  # agent-then-target order
     if not len(seen):  # most steps: no draws, no batch arithmetic
-        return [_NO_OBSERVATIONS] * len(agents)
-    seers = [agents[i] for i in seer.tolist()]
-    r = _covariances(pos[seen] - xy[seer], [a.alpha for a in seers], [a.r0 for a in seers])
+        return [_NO_OBSERVATIONS] * len(sensors)
+    r = _covariances(pos[seen] - xy[seer], [sensors[i] for i in seer.tolist()])
     noise = rng.standard_normal((len(seen), 2))
     z = pos[seen] + (np.linalg.cholesky(r) @ noise[..., None])[..., 0]
     ids = np.array(target_ids, dtype=int)[seen]

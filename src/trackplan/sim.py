@@ -3,9 +3,10 @@
 Agents execute only the first action of each freshly planned policy and
 hold it (zero-order) across the fine sensing sub-steps until the next
 decision epoch. Target truth is precomputed and open loop: agent motion
-never influences the targets. The loop keeps the agents' poses as one
-(n, 5) array and the tracks as stacks; the planners' AgentStates and
-FleetBelief are built once per epoch.
+never influences the targets. Agent poses (px, py, psi, vx, vy) live only
+in the loop's (n, 5) array and the tracks as stacks. Each agent's Sensor is
+built once per trial; each epoch's FleetBelief takes a copy of the poses'
+positions.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from .estimation import FleetBelief, NcvModel, fuse, ncv_model
 from .metrics import OspaParams, ospa
 from .planning import action_set, dec_pomdp_plan, extend_intent, mcr_plan, sma_nbo_plan
-from .sensing import AgentState, sense
+from .sensing import Sensor, sense
 from .worldgen import DEFAULT_P0, OcclusionForest, ScenarioConfig, TargetTrajectory
 from .worldgen import generate_levy_trajectory
 
@@ -87,21 +88,6 @@ class TrialLog:
         )
 
 
-def initial_agents(config: ScenarioConfig) -> tuple[AgentState, ...]:
-    """Agents start evenly spaced along the AOI midline, facing +x."""
-    n = config.n_agents
-    return tuple(
-        AgentState(
-            px=config.aoi.width * (i + 1) / (n + 1),
-            py=config.aoi.height / 2.0,
-            fov_edge=config.fov_edges[i],
-            alpha=config.alphas[i],
-            r0=config.r0,
-        )
-        for i in range(n)
-    )
-
-
 def _check_forest(forest: OcclusionForest, config: ScenarioConfig) -> None:
     for cx, cy, _ in forest.disks:
         if not config.aoi.contains(cx, cy):
@@ -162,7 +148,8 @@ def run_trial(
     target_ids = tuple(traj.target_id for traj in trajectories)
     n_targets = len(trajectories)
 
-    agents = initial_agents(config)
+    n = config.n_agents
+    sensors = tuple(Sensor(f, a, config.r0) for f, a in zip(config.fov_edges, config.alphas))
     model_fine = ncv_model(config.dt_sense, config.sigma_a)
     params = OspaParams(c=config.ospa_c, p=config.ospa_p)
     plan_inputs = _PlanInputs(
@@ -177,7 +164,10 @@ def run_trial(
     # tracks start at the first truth sample with zero velocity
     xi = np.pad(truth[0, :, :2], ((0, 0), (0, 2)))
     p = np.tile(np.diag(DEFAULT_P0), (n_targets, 1, 1))
-    poses = np.array([[a.px, a.py, a.psi, a.vx, a.vy] for a in agents]).reshape(-1, 5)
+    # agents start evenly spaced along the AOI midline, at rest facing +x
+    poses = np.zeros((n, 5))
+    poses[:, 0] = [config.aoi.width * (i + 1) / (n + 1) for i in range(n)]
+    poses[:, 1] = config.aoi.height / 2.0
 
     log = TrialLog(
         target_ids=target_ids,
@@ -188,21 +178,18 @@ def run_trial(
         est_mean=np.empty((n_steps, n_targets, 4)),
         est_trace=np.empty((n_steps, n_targets)),
         ospa=np.empty(n_steps),
-        agent_states=np.empty((n_steps, config.n_agents, 5)),
+        agent_states=np.empty((n_steps, n, 5)),
         epoch_times=np.arange(n_epochs) * config.dt_plan,
-        epoch_policies=np.empty((n_epochs, config.n_agents, h, 2)),
+        epoch_policies=np.empty((n_epochs, n, h, 2)),
         epoch_plan_seconds=np.empty(n_epochs),
         epoch_rollout_evals=np.empty(n_epochs, dtype=np.int64),
     )
 
     previous = None
     for m in range(n_epochs):
-        intents = extend_intent(previous, h, config.n_agents)
-        agents = tuple(
-            AgentState(*pose, fov_edge=a.fov_edge, alpha=a.alpha, r0=a.r0)
-            for a, pose in zip(agents, poses.tolist())
-        )
-        belief = FleetBelief(target_ids, xi, p, agents)
+        intents = extend_intent(previous, h, n)
+        # a copy: the planner may keep its belief while the poses move on
+        belief = FleetBelief(target_ids, xi, p, poses[:, :2].copy(), sensors)
         start = time.perf_counter()
         joint, stats = _EPOCH_CALLS[planner](belief, intents, plan_inputs)
         log.epoch_plan_seconds[m] = time.perf_counter() - start
@@ -218,7 +205,7 @@ def run_trial(
         for k in range(m * ratio, (m + 1) * ratio):
             poses[:, :2] += held * config.dt_sense
             observations = sense(
-                agents, poses[:, :2], target_ids, log.truth[k, :, :2], forest, rng_noise
+                sensors, poses[:, :2], target_ids, log.truth[k, :, :2], forest, rng_noise
             )
             xi, p = fuse(observations, target_ids, xi, p, model_fine)
             log.est_mean[k] = xi

@@ -187,7 +187,7 @@ def rollout_cost(belief, joint, forest, model, h, beta=None):
     the sum over steps of the covariance traces, plus, with ``beta``, the
     greedy MWTP penalty of the tracks outside every final footprint.
     """
-    agents = [[a.px, a.py] for a in belief.agents]
+    agents = belief.xy.tolist()
     tracks = list(zip(belief.xi, belief.P))
     cost = 0.0
     for l in range(h):
@@ -199,15 +199,15 @@ def rollout_cost(belief, joint, forest, model, h, beta=None):
             xi, p = kalman_predict(xi, p, model.F, model.Q)
             tx, ty = float(xi[0]), float(xi[1])
             hidden = in_any_disk(tx, ty, forest.disks)
-            for agent, (ax, ay) in zip(belief.agents, agents):
-                if not hidden and in_square(tx, ty, ax, ay, agent.fov_edge / 2.0):
-                    r = range_bearing_cov((ax, ay), (tx, ty), agent.alpha, agent.r0)
+            for sensor, (ax, ay) in zip(belief.sensors, agents):
+                if not hidden and in_square(tx, ty, ax, ay, sensor.fov_edge / 2.0):
+                    r = range_bearing_cov((ax, ay), (tx, ty), sensor.alpha, sensor.r0)
                     p = kalman_update_cov(p, r)
             tracks[j] = (xi, p)
         cost += sum(float(np.trace(p)) for _, p in tracks)
     if beta is None:
         return cost
-    half_widths = [a.fov_edge / 2.0 for a in belief.agents]
+    half_widths = [s.fov_edge / 2.0 for s in belief.sensors]
     uncovered = [
         (xi[:2], float(np.trace(p)))
         for xi, p in tracks

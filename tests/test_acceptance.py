@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from trackplan import (
-    AgentState,
     Aoi,
     OcclusionForest,
     OspaParams,
@@ -25,7 +24,6 @@ from trackplan import (
     generate_forest,
     mcr_plan,
     ncv_model,
-    observation_covariance,
     ospa,
     predict,
     run_trial,
@@ -34,9 +32,9 @@ from trackplan import (
 )
 from trackplan.cli import ExperimentSpec, run_experiment, write_trial_csv
 
-from beliefs import belief_of
+from beliefs import agent_at, belief_of
 from mwtp_leaf import mwtp_leaf
-from oracles import kalman_update_cov
+from oracles import kalman_update_cov, range_bearing_cov
 
 
 def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -93,9 +91,9 @@ def test_criterion_2_rollout_matches_direct_filter_step():
     actions = action_set(5.0, 8, 1)
     worst = 0.0
     for _ in range(100):
-        agent = AgentState(
-            px=rng.uniform(0, 150),
-            py=rng.uniform(0, 100),
+        agent = agent_at(
+            rng.uniform(0, 150),
+            rng.uniform(0, 100),
             fov_edge=rng.uniform(15, 30),
             alpha=rng.uniform(0.05, 0.2),
         )
@@ -113,16 +111,16 @@ def test_criterion_2_rollout_matches_direct_filter_step():
         _, stats = sma_nbo_plan(belief, act[None, None], act[None], forest, model)
         got = stats.stage_best_costs[0]
         # independent path: one explicit predict, then one covariance update
-        moved = replace(agent, px=agent.px + act[0] * model.dt, py=agent.py + act[1] * model.dt)
+        (ax, ay), sensor = agent.xy + act * model.dt, agent.sensor
         xi, p = predict(belief.xi, belief.P, model)
         pos, p = (float(xi[0, 0]), float(xi[0, 1])), p[0]
         visible = (
-            abs(pos[0] - moved.px) <= moved.half_width
-            and abs(pos[1] - moved.py) <= moved.half_width
+            abs(pos[0] - ax) <= sensor.half_width
+            and abs(pos[1] - ay) <= sensor.half_width
             and not forest.occludes(pos)
         )
         if visible:
-            p = kalman_update_cov(p, observation_covariance(moved, pos))
+            p = kalman_update_cov(p, range_bearing_cov((ax, ay), pos, sensor.alpha, sensor.r0))
         worst = max(worst, abs(got - float(np.trace(p))))
     ok = worst <= 1e-9
     _report(2, "single-step rollout equals Kalman step", ok, f"max err {worst:.2e}")
@@ -209,9 +207,9 @@ def _random_epoch(rng, n_agents, n_targets, h, n_headings=8):
     aoi = Aoi(150.0, 100.0)
     forest = generate_forest(15.0, 5.0, aoi, rng)
     agents = tuple(
-        AgentState(
-            px=rng.uniform(10, 140),
-            py=rng.uniform(10, 90),
+        agent_at(
+            rng.uniform(10, 140),
+            rng.uniform(10, 90),
             fov_edge=rng.uniform(15, 30),
             alpha=rng.uniform(0.05, 0.2),
         )
@@ -289,7 +287,7 @@ def test_criterion_7_sampled_planner_degenerates_to_nominal():
     for _ in range(50):
         n_agents = int(rng.integers(1, 3))
         agents = tuple(
-            AgentState(px=rng.uniform(10, 140), py=rng.uniform(10, 90))
+            agent_at(rng.uniform(10, 140), rng.uniform(10, 90))
             for _ in range(n_agents)
         )
         tracks = tuple(

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from trackplan import (
-    AgentState,
     FleetBelief,
     OcclusionForest,
+    Sensor,
     action_set,
     extend_intent,
     ncv_model,
@@ -53,17 +53,17 @@ def _tracing_module(monkeypatch):
 
 def test_counters_read_real_results(monkeypatch):
     tracing = _tracing_module(monkeypatch)
-    agents = (AgentState(px=10.0, py=10.0), AgentState(px=20.0, py=10.0, fov_edge=40.0))
+    sensors = (Sensor(), Sensor(fov_edge=40.0))
     xy = np.array([[10.0, 10.0], [20.0, 10.0]])
     targets = np.array([[12.0, 12.0], [25.0, 10.0], [90.0, 90.0], [15.0, 15.0]])
     forest = OcclusionForest(disks=((15.0, 15.0, 1.0),))
     # agent 0 sees target 0; agent 1 sees targets 0 and 1; target 3 is hidden
-    observations = sense(agents, xy, (4, 5, 6, 7), targets, forest, np.random.default_rng(0))
+    observations = sense(sensors, xy, (4, 5, 6, 7), targets, forest, np.random.default_rng(0))
     assert [len(batch) for batch in observations] == [1, 2]
     assert tracing._sum_observations(observations) == 3
 
     belief = FleetBelief((4, 5), np.array([[12.0, 12.0, 0, 0], [25.0, 10.0, 0, 0]]),
-                         np.tile(np.eye(4), (2, 1, 1)), agents)
+                         np.tile(np.eye(4), (2, 1, 1)), xy, sensors)
     result = sma_nbo_plan(belief, extend_intent(None, 2, 2), action_set(5.0, 4, 1), forest,
                           ncv_model(1.0, 1.0))
     assert tracing._rollout_evals(result) == result[1].rollout_evals == 2 * 5**2

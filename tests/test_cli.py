@@ -390,6 +390,8 @@ class TestMain:
             "[experiment]\nn_maps = 9223372036854775808",
             # 5 x 10^8 logged target states
             "duration = 1\nn_targets = 100000000",
+            # 10^8 + 1 actions, more than one exhaustive stage scores
+            "duration = 1\nlambda = 5\nn_headings = 100000000",
         ],
     )
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
@@ -398,7 +400,7 @@ class TestMain:
         cfg.write_text(f"[scenario]\n{scenario}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = self._assert_one_config_error(capsys, tmp_path)
-        if "1000" in line and "lambda" in line:
+        if "lambda" in line and re.search(r"\b1000\b", line):
             assert "lambda 1000" in err  # the cell whose forest cannot be placed
 
     @pytest.mark.parametrize(
@@ -426,6 +428,12 @@ class TestMain:
     def test_bad_flag_value_exits_before_any_trial(self, tmp_path, capsys, flags):
         assert main(["--out", str(tmp_path / "out"), *flags.split()]) == 1
         self._assert_one_config_error(capsys, tmp_path)
+
+    def test_action_count_is_bounded_by_the_exhaustive_limit(self):
+        # 1 + n_headings actions, with hover, against planning.EXHAUSTIVE_LIMIT = 100,000
+        assert cli.build_spec({"n_headings": 99_999}, {}).base.n_headings == 99_999
+        with pytest.raises(ConfigError, match="100001 actions"):
+            cli.build_spec({"n_headings": 100_000}, {})
 
     def test_flags_override_file_keys(self, tmp_path):
         cfg = tmp_path / "c.ini"

@@ -4,6 +4,7 @@ import pytest
 from trackplan import (
     FleetBelief,
     Observations,
+    Sensor,
     TrackAssociationError,
     fuse,
     ncv_model,
@@ -189,6 +190,21 @@ class TestFuse:
             fuse([obs(0, [1.0, 2.0], np.eye(2)), obs(99, [0.0, 0.0], np.eye(2))], ids, xi, p, model)
         assert np.array_equal(xi, xi0) and np.array_equal(p, p0)
 
+    def test_batch_naming_one_target_twice_raises(self):
+        ids, xi, p = two_tracks()
+        twice = Observations(np.array([1, 1]), np.array([[8.0, -1.0], [8.5, -1.2]]),
+                             np.tile(np.eye(2), (2, 1, 1)))
+        with pytest.raises(ValueError, match="names a target twice"):
+            fuse([twice], ids, xi, p, ncv_model(0.2, 1.0))
+
+    @pytest.mark.parametrize("n_means, n_covs, n_ids", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
+    def test_mismatched_stacks_raise(self, n_means, n_covs, n_ids):
+        _, xi, p = two_tracks()
+        xi = np.resize(xi, (n_means, 4))
+        p = np.resize(p, (n_covs, 4, 4))
+        with pytest.raises(ValueError, match=r"need means \(\d, 4\) and covariances"):
+            fuse([], tuple(range(n_ids)), xi, p, ncv_model(0.2, 1.0))
+
     def test_deterministic_replay_is_bit_identical(self):
         ids, xi, p = two_tracks()
         model = ncv_model(0.2, 1.0)
@@ -202,7 +218,26 @@ class TestFleetBelief:
     def test_duplicate_target_ids_rejected(self):
         _, xi, p = two_tracks()
         with pytest.raises(ValueError, match="duplicate target ids"):
-            FleetBelief(target_ids=(3, 3), xi=xi, P=p, agents=())
+            FleetBelief(target_ids=(3, 3), xi=xi, P=p, xy=np.zeros((0, 2)), sensors=())
+
+    @pytest.mark.parametrize(
+        "xi_shape, p_shape",
+        [((3, 4), (2, 4, 4)), ((2, 4), (3, 4, 4)), ((2, 2), (2, 4, 4)), ((2, 4), (2, 2, 2))],
+    )
+    def test_track_stacks_must_match_the_ids(self, xi_shape, p_shape):
+        with pytest.raises(ValueError, match=r"2 target ids need means \(2, 4\)"):
+            FleetBelief((0, 1), np.zeros(xi_shape), np.zeros(p_shape), np.zeros((0, 2)), ())
+
+    @pytest.mark.parametrize("xy_shape", [(1, 2), (3, 2), (2,), (2, 3)])
+    def test_positions_must_match_the_sensors(self, xy_shape):
+        with pytest.raises(ValueError, match=r"2 sensors need positions xy \(2, 2\)"):
+            FleetBelief((), np.zeros((0, 4)), np.zeros((0, 4, 4)), np.zeros(xy_shape),
+                        (Sensor(), Sensor()))
+
+    def test_sensor_parameters_must_be_positive(self):
+        for bad in ({"fov_edge": 0.0}, {"alpha": -0.1}, {"r0": 0.0}):
+            with pytest.raises(ValueError, match="must all be positive"):
+                Sensor(**bad)
 
 
 class TestPsdPreservation:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from trackplan import (
-    AgentState,
     Aoi,
     BudgetExceededError,
     OcclusionForest,
@@ -22,33 +21,27 @@ from trackplan import (
     generate_forest,
     mcr_plan,
     ncv_model,
-    observation_covariance,
     predict,
     sma_nbo_plan,
 )
 import trackplan
 import trackplan.sim
 from trackplan import planning
-from trackplan.sim import initial_agents
 from trackplan.planning import (
     EXHAUSTIVE_LIMIT,
     _nominal_paths,
     _PrefixTree,
 )
 
-from beliefs import belief_of
+from beliefs import agent_at, belief_of, start_agents
 from mwtp_leaf import mwtp_leaf
-from oracles import dense_prefix_tree, kalman_update_cov, rollout_cost
+from oracles import dense_prefix_tree, kalman_update_cov, range_bearing_cov, rollout_cost
 
 EMPTY = OcclusionForest(disks=())
 
 
 def track_at(tid, x, y, vx=0.0, vy=0.0, p_scale=1.0):
     return tid, np.array([x, y, vx, vy]), np.diag([25.0, 25.0, 4.0, 4.0]) * p_scale
-
-
-def agent_at(x, y, fov_edge=20.0, alpha=0.1):
-    return AgentState(px=x, py=y, fov_edge=fov_edge, alpha=alpha)
 
 
 def hover_plan(n_agents, h):
@@ -152,18 +145,18 @@ class TestRolloutCost:
         for _ in range(20):
             belief, forest, joint = random_instance(rng, 1, 1, 1)
             res = engine_cost(belief, joint, forest, model, 1)
-            start = belief.agents[0]
+            sensor = belief.sensors[0]
             (ux, uy), dt = joint[0, 0], model.dt
-            agent = replace(start, px=start.px + ux * dt, py=start.py + uy * dt)
+            ax, ay = belief.xy[0, 0] + ux * dt, belief.xy[0, 1] + uy * dt
             xi, p = predict(belief.xi, belief.P, model)
             pos, p = (float(xi[0, 0]), float(xi[0, 1])), p[0]
             inside = (
-                abs(pos[0] - agent.px) <= agent.half_width
-                and abs(pos[1] - agent.py) <= agent.half_width
+                abs(pos[0] - ax) <= sensor.half_width
+                and abs(pos[1] - ay) <= sensor.half_width
                 and not forest.occludes(pos)
             )
             if inside:
-                p = kalman_update_cov(p, observation_covariance(agent, pos))
+                p = kalman_update_cov(p, range_bearing_cov((ax, ay), pos, sensor.alpha, sensor.r0))
             assert res == pytest.approx(np.trace(p), abs=1e-9)
 
     def test_unobservable_cost_is_action_independent(self):
@@ -213,11 +206,11 @@ class TestRolloutCost:
                 )
 
 
-def mdo_position(sensor, target):
-    """Where the terminal penalty moves one sensor to cover one target."""
+def mdo_position(agent, target):
+    """Where the terminal penalty moves one agent's sensor to cover one target."""
     _, steps = mwtp_leaf(
-        np.array([[sensor.px, sensor.py]]),
-        np.array([sensor.half_width]),
+        np.array([agent.xy]),
+        np.array([agent.sensor.half_width]),
         np.array([target], dtype=float),
         np.array([1.0]),
         beta=1.0,
@@ -292,8 +285,8 @@ class TestMwtp:
         expected = 15.0 * 100.0 + math.sqrt(425.0) * 50.0
         assert j == pytest.approx(expected, abs=1e-9)
         j_agents, _ = mwtp_leaf(
-            sensor_xy=np.array([[a.px, a.py] for a in sensors]),
-            half_widths=np.array([a.half_width for a in sensors]),
+            sensor_xy=np.array([a.xy for a in sensors]),
+            half_widths=np.array([a.sensor.half_width for a in sensors]),
             target_xy=np.array([pos for pos, _ in uncovered]),
             traces=np.array([tr for _, tr in uncovered]),
             beta=1.0,
@@ -390,11 +383,10 @@ class TestBatchMatchesReference:
                         tp = paths[s, t, l]
                         if forest.occludes(tp):
                             continue
-                        for i, agent in enumerate(belief.agents):
+                        for i, sensor in enumerate(belief.sensors):
                             apos = pos[i][0, l]
-                            if np.all(np.abs(tp - apos) <= agent.half_width):
-                                moved = replace(agent, px=float(apos[0]), py=float(apos[1]))
-                                r = observation_covariance(moved, tuple(tp))
+                            if np.all(np.abs(tp - apos) <= sensor.half_width):
+                                r = range_bearing_cov(apos, tp, sensor.alpha, sensor.r0)
                                 covs[t] = kalman_update_cov(covs[t], r)
                     total += sum(np.trace(p) for p in covs)
             assert fast == pytest.approx(total / n_samples, rel=1e-9, abs=1e-9)
@@ -803,7 +795,7 @@ class TestBlocks:
         belief, forest, joint = random_instance(rng, n_agents, n_targets, h)
         xi = belief.xi.copy()
         for t in range(len(xi)):
-            xi[t, :2] = belief.agents[t % n_agents].position + rng.uniform(-12, 12, 2)
+            xi[t, :2] = belief.xy[t % n_agents] + rng.uniform(-12, 12, 2)
         return replace(belief, xi=xi), forest, extend_intent(joint, h, n_agents)
 
     def _plans(self):
@@ -842,9 +834,9 @@ class TestBlocks:
         config = ScenarioConfig(horizon=3)
         rng = np.random.default_rng(30)
         forest = generate_forest(config.lam, config.tree_radius, config.aoi, rng)
-        agents = initial_agents(config)
+        agents = start_agents(config)
         tracks = tuple(
-            track_at(t, *(agents[t % len(agents)].position + rng.uniform(-8, 8, 2)),
+            track_at(t, *(agents[t % len(agents)].xy + rng.uniform(-8, 8, 2)),
                      *rng.uniform(-2, 2, 2))
             for t in range(config.n_targets)
         )
@@ -909,7 +901,7 @@ def dense_reference(tree, run):
         tree.model.Q,
         tree.target_paths,
         tree.free,
-        [(a.px, a.py, a.half_width, a.alpha, a.r0) for a in tree.belief.agents],
+        [(*xy, s.half_width, s.alpha, s.r0) for xy, s in zip(tree.belief.xy, tree.belief.sensors)],
         [None if f is None else f[0] for f in run.fixed],
         run.step_xy,
         tree.beta,

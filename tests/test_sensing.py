@@ -2,33 +2,29 @@ import math
 
 import numpy as np
 
-from trackplan import (
-    AgentState,
-    OcclusionForest,
-    in_fov,
-    observation_covariance,
-    sense,
-)
-from trackplan.sensing import _range_bearing_cov_batch
+from trackplan import OcclusionForest, Sensor, in_fov, sense
+from trackplan.sensing import _covariances, _range_bearing_cov_batch
 
+from beliefs import agent_at
 from oracles import in_any_disk, in_square
 
 EMPTY = OcclusionForest(disks=())
-
-
-def agent_at(x, y, fov_edge=20.0, alpha=0.1, r0=1.0):
-    return AgentState(px=x, py=y, fov_edge=fov_edge, alpha=alpha, r0=r0)
 
 
 def sense_at(agents, truths, forest, rng):
     """sense from each agent's own position, of (target id, state) pairs."""
     xy = np.reshape([state[:2] for _, state in truths], (-1, 2))
     ids = [tid for tid, _ in truths]
-    return sense(agents, [a.position for a in agents], ids, xy, forest, rng)
+    return sense([a.sensor for a in agents], [a.xy for a in agents], ids, xy, forest, rng)
+
+
+def sense_cov(agent, target_pos):
+    """The covariance sense gives the agent's measurement of a target at target_pos."""
+    return _covariances(np.subtract([target_pos], agent.xy), [agent.sensor])[0]
 
 
 def fov(point, agent):
-    return bool(in_fov(np.subtract(point, agent.position), agent.half_width))
+    return bool(in_fov(np.subtract(point, agent.xy), agent.sensor.half_width))
 
 
 def is_observable(point, agent, forest):
@@ -40,7 +36,7 @@ def is_observable(point, agent, forest):
 class TestFov:
     def test_square_centered_on_agent(self):
         agent = agent_at(0.0, 0.0, fov_edge=20.0)
-        assert agent.half_width == 10.0
+        assert agent.sensor.half_width == 10.0
         for corner in ((10.0, 10.0), (-10.0, 10.0), (-10.0, -10.0), (10.0, -10.0)):
             assert fov(corner, agent)
         assert not fov((10.0, 10.0 + 1e-9), agent)
@@ -48,7 +44,7 @@ class TestFov:
 
     def test_translated_square(self):
         agent = agent_at(5.0, -3.0, fov_edge=2.0)
-        assert agent.half_width == 1.0
+        assert agent.sensor.half_width == 1.0
         for corner in ((6.0, -2.0), (4.0, -2.0), (4.0, -4.0), (6.0, -4.0)):
             assert fov(corner, agent)
         assert not fov((0.0, 0.0), agent)
@@ -77,17 +73,17 @@ class TestObservable:
 
 class TestObservationCovariance:
     def test_zero_bearing_is_diagonal(self):
-        r = observation_covariance(agent_at(0.0, 0.0, alpha=0.1), (10.0, 0.0))
+        r = sense_cov(agent_at(0.0, 0.0, alpha=0.1), (10.0, 0.0))
         assert np.allclose(r, np.diag([0.1, 0.1 * math.pi]), atol=1e-12)
 
     def test_range_clamped_at_r0(self):
-        near = observation_covariance(agent_at(0.0, 0.0, r0=1.0), (0.5, 0.0))
-        at_r0 = observation_covariance(agent_at(0.0, 0.0, r0=1.0), (1.0, 0.0))
+        near = sense_cov(agent_at(0.0, 0.0, r0=1.0), (0.5, 0.0))
+        at_r0 = sense_cov(agent_at(0.0, 0.0, r0=1.0), (1.0, 0.0))
         assert np.allclose(near, at_r0, atol=1e-12)
 
     def test_eigenstructure_north_target(self):
         # rotation by pi/2 swaps the axes: large eigenvalue along x
-        r = observation_covariance(agent_at(0.0, 0.0, alpha=0.1), (0.0, 10.0))
+        r = sense_cov(agent_at(0.0, 0.0, alpha=0.1), (0.0, 10.0))
         vals, vecs = np.linalg.eigh(r)
         assert np.allclose(sorted(vals), sorted([0.1, 0.1 * math.pi]), atol=1e-9)
         big = vecs[:, int(np.argmax(vals))]
@@ -98,16 +94,17 @@ class TestObservationCovariance:
         for _ in range(200):
             agent = agent_at(*rng.uniform(-50, 50, 2), alpha=rng.uniform(0.05, 0.3))
             target = tuple(rng.uniform(-50, 50, 2))
-            r = observation_covariance(agent, target)
+            r = sense_cov(agent, target)
             assert np.allclose(r, r.T, atol=1e-9)
-            dist = max(math.hypot(target[0] - agent.px, target[1] - agent.py), agent.r0)
-            expected = sorted([0.1 * agent.alpha * dist, 0.1 * math.pi * agent.alpha * dist])
+            (ax, ay), sensor = agent
+            dist = max(math.hypot(target[0] - ax, target[1] - ay), sensor.r0)
+            expected = sorted([0.1 * sensor.alpha * dist, 0.1 * math.pi * sensor.alpha * dist])
             assert np.allclose(sorted(np.linalg.eigvalsh(r)), expected, atol=1e-9)
 
     def test_trace_monotone_in_range(self):
         agent = agent_at(0.0, 0.0)
         traces = [
-            np.trace(observation_covariance(agent, (d, 0.0))) for d in (2.0, 5.0, 20.0, 80.0)
+            np.trace(sense_cov(agent, (d, 0.0))) for d in (2.0, 5.0, 20.0, 80.0)
         ]
         assert all(a < b for a, b in zip(traces, traces[1:]))
 
@@ -119,8 +116,8 @@ class TestObservationCovariance:
             theta = rng.uniform(0, 2 * math.pi)
             c, s = math.cos(theta), math.sin(theta)
             g = np.array([[c, -s], [s, c]])
-            r_base = observation_covariance(agent, tuple(agent.position + offset))
-            r_rot = observation_covariance(agent, tuple(agent.position + g @ offset))
+            r_base = sense_cov(agent, tuple(agent.xy + offset))
+            r_rot = sense_cov(agent, tuple(agent.xy + g @ offset))
             assert np.allclose(r_rot, g @ r_base @ g.T, atol=1e-9)
 
 
@@ -140,13 +137,12 @@ class TestSense:
         assert len(obs[0]) == 1 and len(obs[1]) == 1
 
     def test_senses_from_the_given_positions(self):
-        # the agents lend footprint and noise; xy says where they stand
-        agents = [agent_at(0.0, 0.0), agent_at(0.0, 0.0)]
+        # the sensors lend footprint and noise; xy says where they stand
         xy = np.array([[100.0, 100.0], [0.0, 0.0]])
         targets = np.array([[0.0, 0.0], [101.0, 99.0]])
-        obs = sense(agents, xy, (4, 9), targets, EMPTY, np.random.default_rng(0))
+        obs = sense([Sensor(), Sensor()], xy, (4, 9), targets, EMPTY, np.random.default_rng(0))
         assert [b.target_ids.tolist() for b in obs] == [[9], [4]]
-        expected = observation_covariance(agent_at(100.0, 100.0), (101.0, 99.0))
+        expected = sense_cov(agent_at(100.0, 100.0), (101.0, 99.0))
         assert np.array_equal(obs[0].R[0], expected)
 
     def test_occlusion_dominates_any_pose(self):
@@ -160,7 +156,7 @@ class TestSense:
     def test_sample_covariance_matches_model(self):
         agent = agent_at(0.0, 0.0, alpha=0.15)
         target = (8.0, -3.0)
-        r = observation_covariance(agent, target)
+        r = sense_cov(agent, target)
         rng = np.random.default_rng(3)
         draws = np.array(
             [
@@ -188,12 +184,12 @@ class TestSense:
                 expected = [
                     (tid, state[:2])
                     for tid, state in truths
-                    if in_square(*state[:2], agent.px, agent.py, agent.half_width)
+                    if in_square(*state[:2], *agent.xy, agent.sensor.half_width)
                     and not in_any_disk(*state[:2], forest.disks)
                 ]
                 assert obs.target_ids.tolist() == [tid for tid, _ in expected]
                 for z_got, r_got, (_, pos) in zip(obs.z, obs.R, expected):
-                    r = observation_covariance(agent, tuple(pos))
+                    r = sense_cov(agent, tuple(pos))
                     z = pos + np.linalg.cholesky(r) @ draws.standard_normal(2)
                     assert np.array_equal(r_got, r) and np.array_equal(z_got, z)
 
@@ -241,9 +237,9 @@ class TestSensorModelMatchesScalarRule:
             offsets = np.concatenate([special, rng.uniform(-3 * r0, 3 * r0, (100, 2)),
                                       rng.uniform(-60, 60, (100, 2))])
             agent = agent_at(*rng.uniform(-20, 20, 2), alpha=alpha, r0=r0)
-            targets = agent.position + offsets
-            batch = _range_bearing_cov_batch(targets - agent.position, alpha, r0)
+            targets = agent.xy + offsets
+            batch = _range_bearing_cov_batch(targets - agent.xy, alpha, r0)
             for target, r in zip(targets, batch):
-                scalar = observation_covariance(agent, tuple(target))
+                scalar = sense_cov(agent, tuple(target))
                 scale = np.abs(scalar).max()
                 np.testing.assert_allclose(r, scalar, rtol=1e-12, atol=1e-14 * scale)

@@ -18,9 +18,10 @@ from trackplan import (
     sense,
 )
 import trackplan.sim
-from trackplan.sim import TrialLog, initial_agents
+from trackplan.sim import TrialLog
 from trackplan.worldgen import DEFAULT_P0
 
+from beliefs import start_agents
 from oracles import ospa_brute, scalar_filter_replay
 
 EMPTY = OcclusionForest(disks=())
@@ -266,7 +267,7 @@ class TestAgentMotion:
         scripted_first_actions(monkeypatch, [[(5.0, 0.0)]])
         cfg = small_config(duration=1.0)
         log = run_trial(cfg, EMPTY, "sma-nbo", 0)
-        x0, y0 = initial_agents(cfg)[0].position
+        x0, y0 = start_agents(cfg)[0].xy
         for k, state in enumerate(log.agent_states[:, 0]):
             assert state[0] == pytest.approx(x0 + 1.0 * (k + 1)) and state[1] == y0
             assert state[2] == 0.0 and (state[3], state[4]) == (5.0, 0.0)
@@ -282,19 +283,22 @@ class TestAgentMotion:
         scripted_first_actions(monkeypatch, [[(0.0, 5.0)]])
         cfg = small_config(duration=1.0)
         log = run_trial(cfg, EMPTY, "sma-nbo", 0)
-        assert log.agent_states[-1, 0, :2] == pytest.approx(initial_agents(cfg)[0].position + (0.0, 5.0))
+        assert log.agent_states[-1, 0, :2] == pytest.approx(start_agents(cfg)[0].xy + (0.0, 5.0))
         assert (log.agent_states[:, 0, 2] == math.atan2(5.0, 0.0)).all()
 
     def test_planner_agents_keep_sensor_parameters(self, monkeypatch):
         beliefs = scripted_first_actions(monkeypatch, [[(1.0, 2.0), (0.0, -3.0)]] * 2)
         cfg = small_config(duration=2.0, n_agents=2, fov_edges=(22.0, 30.0), alphas=(0.12, 0.2))
         log = run_trial(cfg, EMPTY, "sma-nbo", 0)
-        second = beliefs[1].agents
-        assert [(a.fov_edge, a.alpha, a.r0) for a in second] == [
-            (a.fov_edge, a.alpha, a.r0) for a in initial_agents(cfg)
+        first, second = beliefs
+        assert [(s.fov_edge, s.alpha, s.r0) for s in second.sensors] == [
+            (a.sensor.fov_edge, a.sensor.alpha, a.sensor.r0) for a in start_agents(cfg)
         ]
-        # each epoch's agents stand where the last sensing step left them
-        assert [[a.px, a.py, a.psi, a.vx, a.vy] for a in second] == log.agent_states[4].tolist()
+        assert second.sensors is first.sensors  # built once per trial
+        # each epoch's agents stand where the last sensing step left them,
+        # even after the loop has moved them on
+        assert first.xy.tolist() == [a.xy.tolist() for a in start_agents(cfg)]
+        assert second.xy.tolist() == log.agent_states[4, :, :2].tolist()
 
     def test_speed_limit_respected(self):
         cfg = small_config(n_targets=2, duration=20.0)
@@ -306,7 +310,7 @@ class TestAgentMotion:
         cfg = small_config(n_targets=2, duration=10.0)
         log = run_trial(cfg, EMPTY, "sma-nbo", 9)
         ratio = cfg.plan_ratio
-        start = np.array([[a.px, a.py] for a in initial_agents(cfg)])
+        start = np.array([a.xy for a in start_agents(cfg)])
         prev = start
         for m in range(len(log.epoch_times)):
             held = log.epoch_policies[m, :, 0, :]
