@@ -44,18 +44,36 @@ _EYE4 = np.eye(4)
 
 # Most (prefix, sample) rows one search step extends and scores at once. A
 # block holds max(1, SCAN_CHUNK // S) prefixes, each carrying S target
-# samples, and a level's parents fit one block, so the kernel's largest
-# array holds max(SCAN_CHUNK, S) x T (4, 4) covariances: the parents'
-# shared blocks, or one inner level's children. Leaves hold only traces.
+# samples, and a level's parents are predicted a block at a time, so no
+# kernel array holds more than max(SCAN_CHUNK, S) x T (4, 4) covariances:
+# a block of parents or one inner level's children. Leaves hold only
+# traces, and updates run in slices of JOSEPH_ROWS rows. The arrays live
+# in _WORKSPACE, whose size mcr_memory bounds.
 SCAN_CHUNK = 4096
 
 # Largest joint sequence space dec_pomdp_plan will enumerate.
 DEC_POMDP_BUDGET = 1_000_000
 
-# Most bytes mcr_plan's kernel may need for its largest block, max(SCAN_CHUNK,
-# S) x T (4, 4) float covariances, plus its S x T x h sampled (x, y) target
-# positions: 1 GiB, about 1.5 million samples of 4 targets at H3.
+# Most bytes mcr_plan's kernel may need for its workspace (_Workspace) plus
+# its S x T x h sampled (x, y) target positions: 1 GiB, about 215,000
+# samples of 4 targets at H3.
 MCR_MEMORY_BUDGET = 1 << 30
+
+# Most covariances one Joseph update takes at once, and most rows a mover
+# sees that a block updates at once: larger batches run in slices of this
+# many rows, so their temporaries stay in cache and in a fixed share of the
+# workspace.
+JOSEPH_ROWS = 512
+
+# Floats the workspace holds per covariance row of a block, max(SCAN_CHUNK,
+# S) x T rows: at each search depth, of which there are at most h, the
+# parents' scratch and two children blocks (16 each), a fixed agent's R (4)
+# and a mover's offsets (2). Per row of a slice: the rows a mover sees, a
+# gathered subset of them, the Joseph update's a and x (16 each) and its
+# gain k (8).
+_DEPTH_FLOATS = 48
+_BLOCK_FLOATS = 6
+_SLICE_FLOATS = 72
 
 # A sweep stage enumerates all |A|^h sequences while that count is at most
 # EXHAUSTIVE_LIMIT (h <= 5 with |A| = 9); beyond it, it runs a greedy
@@ -155,21 +173,86 @@ def mwtp_detailed(
 # ---------------------------------------------------------------------------
 
 
+class _Workspace:
+    """Float buffers the rollout kernel reuses from plan to plan, one per key.
+
+    A buffer grows to the largest view asked of it and is never freed, so a
+    warm plan allocates no (4, 4) covariance block, and the heap does not
+    trim and regrow around every update. One process runs one plan at a
+    time (run_experiment's workers are processes), and each key has one
+    owner at a time: per search depth, ("before", d) is the predict's
+    scratch and then the parents as the first mover finds them, and
+    ("kids", d, level % 2) an inner level's children; "r" holds a fixed
+    agent's R for each parent, "delta" a mover's offsets to the targets of
+    a block, "pool" a slice of the rows a mover sees,
+    "rows" a gathered subset, and "a", "x", "k" _joseph_update_batch's
+    temporaries. mcr_memory bounds their bytes.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[object, np.ndarray] = {}
+
+    def __call__(self, key: object, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous view of the given shape on buffer ``key``."""
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
 def _joseph_update_batch(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Joseph-form covariance update for a batch of (4,4) covariances."""
-    s = p[:, :2, :2] + r
-    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    s_inv = np.empty_like(s)
+    """Joseph-form update of the (M, 4, 4) covariances p with the (M, 2, 2)
+    measurement covariances r, in place; returns p.
+
+    It computes a @ p @ a^T + k @ r @ k^T and symmetrizes it, k the gain of
+    the explicitly inverted 2x2 innovation; every temporary is a workspace
+    view of the layout a fresh array would have, so the bits are those of
+    the same expression on fresh arrays.
+    """
+    m = len(p)
+    a = _WORKSPACE("a", (m, 4, 4))
+    x = _WORKSPACE("x", (m, 4, 4))
+    k = _WORKSPACE("k", (m, 4, 2))
+    s = x.reshape(-1)[: 4 * m].reshape(m, 2, 2)
+    det, cross = x.reshape(-1)[4 * m : 6 * m].reshape(2, m)
+    s_inv = a.reshape(-1)[: 4 * m].reshape(m, 2, 2)
+    np.add(p[:, :2, :2], r, out=s)
+    np.multiply(s[:, 0, 0], s[:, 1, 1], out=det)
+    np.subtract(det, np.multiply(s[:, 0, 1], s[:, 1, 0], out=cross), out=det)
     s_inv[:, 0, 0] = s[:, 1, 1]
     s_inv[:, 1, 1] = s[:, 0, 0]
-    s_inv[:, 0, 1] = -s[:, 0, 1]
-    s_inv[:, 1, 0] = -s[:, 1, 0]
-    s_inv /= det[:, None, None]
-    k = p[:, :, :2] @ s_inv
-    a = np.broadcast_to(_EYE4, p.shape).copy()
-    a[:, :, :2] -= k
-    p_new = a @ p @ a.transpose(0, 2, 1) + k @ r @ k.transpose(0, 2, 1)
-    return (p_new + p_new.transpose(0, 2, 1)) / 2.0
+    np.negative(s[:, 0, 1], out=s_inv[:, 0, 1])
+    np.negative(s[:, 1, 0], out=s_inv[:, 1, 0])
+    np.divide(s_inv, det[:, None, None], out=s_inv)
+    np.matmul(p[:, :, :2], s_inv, out=k)
+    a[...] = _EYE4
+    np.subtract(a[:, :, :2], k, out=a[:, :, :2])
+    np.matmul(a, p, out=x)
+    np.matmul(x, a.transpose(0, 2, 1), out=p)
+    kr = a.reshape(-1)[: 8 * m].reshape(m, 4, 2)
+    np.matmul(k, r, out=kr)
+    np.matmul(kr, k.transpose(0, 2, 1), out=x)
+    np.add(p, x, out=p)
+    np.add(p, p.transpose(0, 2, 1), out=x)
+    return np.divide(x, 2.0, out=p)
+
+
+def _update_rows(p: np.ndarray, rows: np.ndarray, r: np.ndarray) -> None:
+    """Joseph-update the given rows of the (K, 4, 4) covariances p in place
+    with their (len(rows), 2, 2) R, JOSEPH_ROWS at a time: slices of p
+    itself where the rows are all of p, else gathered copies."""
+    for lo in range(0, len(rows), JOSEPH_ROWS):
+        part = rows[lo : lo + JOSEPH_ROWS]
+        if len(rows) == len(p):
+            _joseph_update_batch(p[lo : lo + JOSEPH_ROWS], r[lo : lo + JOSEPH_ROWS])
+        else:
+            some = _WORKSPACE("rows", (len(part), 4, 4))
+            np.take(p, part, axis=0, out=some, mode="clip")
+            p[part] = _joseph_update_batch(some, r[lo : lo + JOSEPH_ROWS])
 
 
 def _nominal_paths(belief: FleetBelief, model: NcvModel, h: int) -> np.ndarray:
@@ -210,7 +293,9 @@ class _Nodes(NamedTuple):
 
     paths: np.ndarray  # (N, level) choice index at each step
     offset: np.ndarray  # (N, movers, 2) each moving agent's summed v*dt
-    p: np.ndarray | None  # (N, S, T, 4, 4) covariances after the level's step, None for leaves
+    # (N, S, T, 4, 4) covariances after the level's step, None for leaves;
+    # the next level predicts them in place
+    p: np.ndarray | None
     traces: np.ndarray | None  # (N, S, T) their traces, None at the root
     cost: np.ndarray  # (N, S) accumulated trace per target sample
 
@@ -221,12 +306,12 @@ class _Level(NamedTuple):
     p: np.ndarray  # (N, S, T, 4, 4) parents predicted and updated by every
     #                fixed agent: what a child takes where no mover sees
     traces: np.ndarray  # (N, S, T) traces of p
-    # Per track, its (N, S, 4, 4) parent blocks as the first mover finds them,
-    # and the updates left for the rows a mover sees, in agent order: a
-    # mover's index, or a later fixed agent's (S,) visibility and (S, 2, 2)
-    # R per sample, zero where it sees nothing. Empty where the track is
-    # hidden at this level or no agent moves.
-    tracks: list[tuple[np.ndarray, list[int | tuple[np.ndarray, np.ndarray]]]]
+    before: np.ndarray  # (N, S, T, 4, 4) the parents as the first mover finds them
+    # The updates left for the (child, sample, track) rows a mover sees, in
+    # agent order from the first mover on: a mover's index, or a later
+    # fixed agent's (S, T) visibility and (S, T, 2, 2) R, zero where it
+    # sees nothing. Empty where no agent moves.
+    steps: list[int | tuple[np.ndarray, np.ndarray]]
 
 
 class _Found(NamedTuple):
@@ -256,17 +341,18 @@ class _PrefixTree:
     every other agent i flies the step positions ``fixed[i]`` (1, h, 2).
     Each level predicts the surviving prefixes' covariances once, extends
     every prefix by every choice in (parent, choice) order, applies that
-    step's covariance-only updates (each block by the agents in index
-    order) and adds the step's trace. A fixed agent sees the same for
-    every child of a parent, so it updates each parent's shared (sample,
-    track) block once; only the (child, sample) rows a mover sees get
-    their own block, and leaves keep only their traces. A mover's position
-    is its start plus the summed v*dt of its prefix, the sums np.cumsum
-    forms, so each leaf costs
-    exactly what a rollout of its whole sequence costs. A leaf adds the
-    terminal penalty weighted by ``beta``, or none if ``beta`` is None.
-    The tree holds only what is fixed for the plan; each search keeps its
-    own state in a _Search.
+    step's covariance-only updates (each row by the agents in index order)
+    and adds the step's trace. A fixed agent sees the same for every child
+    of a parent, so it updates each parent's shared (sample, track) rows
+    once; only the (child, sample, track) rows a mover sees get their own
+    copy, and leaves keep only their traces. Each agent updates all the
+    rows it sees in a block in one batch, over every track at once. A
+    mover's position is its start plus the summed v*dt of its prefix, the
+    sums np.cumsum forms, so each leaf costs exactly what a rollout of its
+    whole sequence costs. A leaf adds the terminal penalty weighted by
+    ``beta``, or none if ``beta`` is None. The tree holds only what is
+    fixed for the plan; each search keeps its own state in a _Search, and
+    its covariance blocks in _WORKSPACE.
     """
 
     def __init__(
@@ -325,7 +411,7 @@ class _PrefixTree:
             np.zeros((1, n_samples)),
         )
         best, best_cost, best_rank, watched, lo = None, math.inf, 0, math.nan, 0
-        for paths, costs in self._expand(run, root, 0, keep):
+        for paths, costs in self._expand(run, root, 0, keep, 0):
             j = int(np.argmin(costs))
             r = lo + j
             if rank is not None:
@@ -340,13 +426,16 @@ class _PrefixTree:
             lo += len(costs)
         return _Found(best, best_cost, watched, run.scored)
 
-    def _expand(self, run: _Search, nodes: _Nodes, level: int, keep: int | None):
+    def _expand(self, run: _Search, nodes: _Nodes, level: int, keep: int | None, depth: int):
         """Leaf blocks (paths, costs) below ``nodes``, depth first. A beam level or
         one whose children fit one block is descended in a loop; only a level
-        that splits into several blocks recurses, once per block."""
+        that splits into several blocks recurses, once per block, one
+        ``depth`` further down, so each depth's workspace stays its own."""
         while level + 1 < self.h:
-            blocks = self._children(run, nodes, level)
+            blocks = self._children(run, nodes, level, depth)
             if keep is not None:
+                # each block's p is the same workspace view: copy it out
+                blocks = (b._replace(p=b.p.copy()) for b in blocks)
                 kids = _Nodes(*map(np.concatenate, zip(*blocks)))
                 mean = kids.cost.mean(axis=1)
                 run.scored += len(mean)
@@ -356,25 +445,34 @@ class _PrefixTree:
                 nodes = next(blocks)
             else:
                 for block in blocks:
-                    yield from self._expand(run, block, level + 1, keep)
+                    yield from self._expand(run, block, level + 1, keep, depth + 1)
                 return
             level += 1
-        for leaves in self._children(run, nodes, level):
+        for leaves in self._children(run, nodes, level, depth):
             run.scored += len(leaves.cost)
             yield leaves.paths, self._leaf_costs(run, leaves)
 
-    def _children(self, run: _Search, nodes: _Nodes, level: int):
+    def _children(self, run: _Search, nodes: _Nodes, level: int, depth: int):
         """Children of ``nodes`` after step ``level``, ``run.block`` prefixes
-        (SCAN_CHUNK (prefix, sample) rows) at a time."""
-        shared = self._level(run, nodes.p, level)
+        (SCAN_CHUNK (prefix, sample) rows) at a time. Parents are predicted
+        as many at a time as fill one block with children (one, if a parent
+        has more children than that). Each inner block's p is the
+        workspace's ("kids", depth, level % 2) view, valid until the next."""
         n_choices = len(run.step_xy)
-        total = len(shared.p) * n_choices
-        for lo in range(0, total, run.block):
-            parent, choice = np.divmod(np.arange(lo, min(lo + run.block, total)), n_choices)
-            offset = nodes.offset[parent] + run.step_xy[choice]
-            p, traces = self._update(shared, parent, self._agent_xy(run, offset, level), level)
-            cost = nodes.cost[parent] + traces.sum(axis=2)
-            yield _Nodes(np.column_stack((nodes.paths[parent], choice)), offset, p, traces, cost)
+        sights, steps = self._sightings(run, level)
+        per = max(1, run.block // n_choices)
+        for first in range(0, len(nodes.cost), per):
+            shared = self._level(nodes.p[first : first + per], sights, steps, depth)
+            total = len(shared.p) * n_choices
+            for lo in range(0, total, run.block):
+                local, choice = np.divmod(np.arange(lo, min(lo + run.block, total)), n_choices)
+                parent = first + local
+                offset = nodes.offset[parent] + run.step_xy[choice]
+                p, traces = self._update(
+                    shared, local, self._agent_xy(run, offset, level), level, depth
+                )
+                cost = nodes.cost[parent] + traces.sum(axis=2)
+                yield _Nodes(np.column_stack((nodes.paths[parent], choice)), offset, p, traces, cost)
 
     def _agent_xy(self, run: _Search, offset: np.ndarray, level: int) -> list[np.ndarray]:
         """Each agent's position after step ``level``: (1, 2) fixed, (N, 2) moving."""
@@ -383,83 +481,115 @@ class _PrefixTree:
             pos[i] = self.belief.xy[i] + offset[:, k, :]
         return pos
 
-    def _level(self, run: _Search, p: np.ndarray, level: int) -> _Level:
-        """Predict the parents' covariances p once and apply every fixed
-        agent's updates once per parent: it sees the same for every child.
-        Fixed agents' visibility and R are worked out here, once per level,
-        for all blocks of children."""
-        pre = self.model.F @ p @ self.model.F.T + self.model.Q
+    def _sightings(self, run: _Search, level: int) -> tuple[list, list]:
+        """What the fixed agents see at step ``level``, worked out once for
+        every block of the level: per fixed agent that sees anything, in
+        agent order, its (S, T) visibility, the R of its visible (sample,
+        track) rows and whether it comes after the first mover; and the
+        _Level steps."""
+        tp = self.target_paths[:, :, level, :]
+        ft = self.free[:, :, level]
         first = run.movers[0] if run.movers else len(run.fixed)
-        tracks = []
-        for t in range(pre.shape[2]):
-            tp = self.target_paths[:, t, level, :]
-            ft = self.free[:, t, level]
-            before, steps = None, []
-            tracks.append((pre[:, :, t], steps))
-            if not ft.any():
+        sights, steps = [], []
+        for i, (sensor, f) in enumerate(zip(self.belief.sensors, run.fixed)):
+            if f is None:
+                steps.append(i)
                 continue
-            for i, (sensor, f) in enumerate(zip(self.belief.sensors, run.fixed)):
-                if f is None:
-                    steps.append(i)
-                    continue
-                delta = tp - f[0, level]
-                vis = in_fov(delta, sensor.half_width) & ft
-                if not vis.any():
-                    continue
-                r = _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
-                if i > first:
-                    if before is None:  # keep the blocks as the first mover finds them
-                        before = pre[:, :, t].copy()
-                        tracks[-1] = (before, steps)
-                    by_sample = np.zeros((len(vis), 2, 2))
-                    by_sample[vis] = r
-                    steps.append((vis, by_sample))
-                pt = pre[:, vis, t]  # (parents, visible samples, 4, 4)
-                r = np.broadcast_to(r, pt.shape[:2] + (2, 2)).reshape(-1, 2, 2)
-                pre[:, vis, t] = _joseph_update_batch(pt.reshape(-1, 4, 4), r).reshape(pt.shape)
-        return _Level(pre, np.trace(pre, axis1=-2, axis2=-1), tracks)
+            delta = tp - f[0, level]
+            vis = in_fov(delta, sensor.half_width) & ft
+            if not vis.any():
+                continue
+            r = _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
+            sights.append((vis, r, i > first))
+            if i > first:
+                by_sample = np.zeros(vis.shape + (2, 2))
+                by_sample[vis] = r
+                steps.append((vis, by_sample))
+        return sights, steps
+
+    def _level(self, p: np.ndarray, sights: list, steps: list, depth: int) -> _Level:
+        """Predict the parents' covariances p in place and apply every fixed
+        agent's update once per parent: it sees the same for every child.
+        Each fixed agent updates all its (parent, sample, track) rows in one
+        batch, in agent order."""
+        scratch = _WORKSPACE(("before", depth), p.shape)
+        np.matmul(self.model.F, p, out=scratch)
+        np.matmul(scratch, self.model.F.T, out=p)
+        np.add(p, self.model.Q, out=p)
+        rows = p.reshape(len(p), -1, 4, 4)
+        before = p
+        for vis, r, later in sights:
+            if later and before is p:  # keep the parents as the first mover finds them
+                before = scratch
+                np.copyto(before, p)
+            seen = np.flatnonzero(vis)
+            each = _WORKSPACE("r", (len(p), len(seen), 2, 2))
+            each[...] = r
+            flat = (np.arange(len(p))[:, None] * rows.shape[1] + seen).ravel()
+            _update_rows(rows.reshape(-1, 4, 4), flat, each.reshape(-1, 2, 2))
+        return _Level(p, np.trace(p, axis1=-2, axis2=-1), before, steps)
 
     def _update(
-        self, shared: _Level, parent: np.ndarray, agent_xy: list[np.ndarray], level: int
+        self, shared: _Level, parent: np.ndarray, agent_xy: list[np.ndarray], level: int, depth: int
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Step ``level``'s updates of the (child, sample) rows a mover sees,
-        for the children of ``parent``; their (C, S, T, 4, 4) covariances
-        (None at the leaf level) and (C, S, T) traces.
+        """Step ``level``'s updates of the (child, sample, track) rows a mover
+        sees, for the children of ``parent``; their (C, S, T, 4, 4)
+        covariances (None at the leaf level) and (C, S, T) traces.
 
         A child takes its parent's shared blocks except where a mover sees
         the track: that row starts from the parent's block as the first
-        mover finds it, and each later agent that sees it updates it.
+        mover finds it, and each later agent that sees it updates it. The
+        rows go JOSEPH_ROWS at a time, and each agent updates all it sees of
+        them in one batch.
         """
         traces = shared.traces[parent]
-        p = shared.p[parent] if level + 1 < self.h else None
-        for t, (before, steps) in enumerate(shared.tracks):
-            if not steps:
-                continue
-            tp = self.target_paths[:, t, level, :]
-            ft = self.free[:, t, level]
-            delta, vis = {}, {}
-            for i in steps:
-                if isinstance(i, int):
-                    delta[i] = tp[None, :, :] - agent_xy[i][:, None, :]
-                    vis[i] = in_fov(delta[i], self.belief.sensors[i].half_width) & ft[None, :]
-            seen = np.logical_or.reduce(list(vis.values()))
-            if not seen.any():
-                continue
-            own = np.nonzero(seen)
-            pool = before[parent[own[0]], own[1]]
-            for step in steps:
-                if isinstance(step, int):
-                    sensor = self.belief.sensors[step]
-                    rows = np.flatnonzero(vis[step][own])
-                    r = _range_bearing_cov_batch(delta[step][vis[step]], sensor.alpha, sensor.r0)
-                else:
-                    rows = np.flatnonzero(step[0][own[1]])
-                    r = step[1][own[1][rows]]
-                if len(rows):
-                    pool[rows] = _joseph_update_batch(pool[rows], r)
-            traces[own[0], own[1], t] = np.trace(pool, axis1=1, axis2=2)
+        p = None
+        if level + 1 < self.h:
+            kids = _WORKSPACE(("kids", depth, level % 2), (len(parent),) + shared.p.shape[1:])
+            p = np.take(shared.p, parent, axis=0, out=kids, mode="clip")
+        tp = self.target_paths[:, :, level, :]
+        ft = self.free[:, :, level]
+        sights = {}  # per mover that sees anything: its (C, S, T) visibility and their R
+        for i in shared.steps:
+            if isinstance(i, int):
+                sensor = self.belief.sensors[i]
+                delta = _WORKSPACE("delta", (len(parent),) + tp.shape)
+                delta[...] = tp  # then one broadcast operand: a smaller ufunc buffer
+                np.subtract(delta, agent_xy[i][:, None, None, :], out=delta)
+                vis = in_fov(delta, sensor.half_width) & ft
+                if vis.any():
+                    sights[i] = vis, _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
+        if not sights:
+            return p, traces
+        own = np.flatnonzero(np.logical_or.reduce([vis for vis, _ in sights.values()]))
+        size = traces[0].size  # (sample, track) rows per child
+        child, cell = np.divmod(own, size)
+        start = parent[child] * size + cell  # each row's place in shared.before
+        updates = []  # per step: which of the rows it updates, and their R
+        for step in shared.steps:
+            if isinstance(step, int):
+                if step in sights:
+                    vis, r = sights[step]
+                    updates.append((vis.reshape(-1)[own], r))
+            else:
+                mask = step[0].reshape(-1)[cell]
+                updates.append((mask, step[1].reshape(-1, 2, 2)[cell[mask]]))
+        done = [0] * len(updates)
+        for lo in range(0, len(own), JOSEPH_ROWS):
+            rows = own[lo : lo + JOSEPH_ROWS]
+            pool = _WORKSPACE("pool", (len(rows), 4, 4))
+            np.take(
+                shared.before.reshape(-1, 4, 4), start[lo : lo + JOSEPH_ROWS], axis=0,
+                out=pool, mode="clip",
+            )
+            for k, (mask, r) in enumerate(updates):
+                some = np.flatnonzero(mask[lo : lo + JOSEPH_ROWS])
+                if len(some):
+                    _update_rows(pool, some, r[done[k] : done[k] + len(some)])
+                    done[k] += len(some)
+            traces.reshape(-1)[rows] = np.trace(pool, axis1=1, axis2=2)
             if p is not None:
-                p[own[0], own[1], t] = pool
+                p.reshape(-1, 4, 4)[rows] = pool
         return p, traces
 
     def _leaf_costs(self, run: _Search, leaves: _Nodes) -> np.ndarray:
@@ -610,11 +740,15 @@ def dec_pomdp_joint_count(n_actions: int, n_agents: int, h: int) -> int:
 
 
 def mcr_memory(n_samples: int, n_tracks: int, h: int) -> int:
-    """Bytes of mcr_plan's largest kernel block plus its sampled paths.
+    """Bytes that mcr_plan's kernel workspace may hold, plus its sampled paths.
 
     Raises BudgetExceededError when they exceed MCR_MEMORY_BUDGET.
     """
-    need = max(SCAN_CHUNK, n_samples) * n_tracks * 128 + n_samples * n_tracks * h * 16
+    rows = max(SCAN_CHUNK, n_samples) * n_tracks
+    need = (
+        (rows * (_DEPTH_FLOATS * h + _BLOCK_FLOATS) + JOSEPH_ROWS * _SLICE_FLOATS) * 8
+        + n_samples * n_tracks * h * 16
+    )
     if need > MCR_MEMORY_BUDGET:
         raise BudgetExceededError(
             f"{n_samples} samples of {n_tracks} targets at horizon {h} need "

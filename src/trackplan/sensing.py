@@ -11,6 +11,7 @@ Observations batch per agent, its measurements stacked.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -59,9 +60,13 @@ _NO_OBSERVATIONS = Observations(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zer
 
 def in_fov(offset: np.ndarray, half_width: float | np.ndarray) -> np.ndarray:
     """Mask over target-minus-agent offsets (..., 2) inside the closed square
-    of the given half width (broadcast against offset[..., 0])."""
-    d = np.abs(offset)
-    return (d[..., 0] <= half_width) & (d[..., 1] <= half_width)
+    of the given half width (broadcast against offset[..., 0]).
+
+    |x| <= h is tested as -h <= x <= h, the same test without a float
+    temporary the size of offset."""
+    half_width = np.asarray(half_width)[..., None]
+    inside = (offset <= half_width) & (offset >= -half_width)
+    return inside[..., 0] & inside[..., 1]
 
 
 def _covariances(delta: np.ndarray, sensors: Sequence[Sensor]) -> np.ndarray:
@@ -74,14 +79,16 @@ def _covariances(delta: np.ndarray, sensors: Sequence[Sensor]) -> np.ndarray:
     0.1*pi*alpha*r across it. Range and bearing are taken in scalar math,
     the rotations as one stacked product.
     """
-    g, core = np.zeros((2, len(delta), 2, 2))
-    for j, ((dx, dy), sensor) in enumerate(zip(delta.tolist(), sensors)):
+    g, core, alpha = [], [], []
+    for (dx, dy), sensor in zip(delta.tolist(), sensors):
         r = max(math.hypot(dx, dy), sensor.r0)
         rho = math.atan2(dy, dx)
         c, s = math.cos(rho), math.sin(rho)
-        g[j] = ((c, -s), (s, c))
-        core[j] = ((0.1 * r, 0.0), (0.0, 0.1 * math.pi * r))
-    return np.reshape([x.alpha for x in sensors], (-1, 1, 1)) * (g @ core @ g.transpose(0, 2, 1))
+        g.append(((c, -s), (s, c)))
+        core.append(((0.1 * r, 0.0), (0.0, 0.1 * math.pi * r)))
+        alpha.append(sensor.alpha)
+    g, core = np.array(g).reshape(-1, 2, 2), np.array(core).reshape(-1, 2, 2)
+    return np.array(alpha)[:, None, None] * (g @ core @ g.transpose(0, 2, 1))
 
 
 def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.ndarray:
@@ -121,18 +128,22 @@ def sense(
     tagged with the true target id. Noise is Gaussian with the
     range-bearing covariance, drawn agent by agent, then target by target.
     """
-    xy = np.reshape(xy, (len(sensors), 2))
-    pos = np.reshape(target_xy, (len(target_ids), 2))
-    half_widths = np.array([s.half_width for s in sensors]).reshape(-1, 1)
+    xy = np.asarray(xy, dtype=float).reshape(len(sensors), 2)
+    pos = np.asarray(target_xy, dtype=float).reshape(len(target_ids), 2)
+    half_widths = np.array([[s.half_width] for s in sensors])
     visible = in_fov(pos - xy[:, None, :], half_widths)
     if visible.any():
         visible &= ~forest.occludes(pos)
     seer, seen = np.nonzero(visible)  # agent-then-target order
     if not len(seen):  # most steps: no draws, no batch arithmetic
         return [_NO_OBSERVATIONS] * len(sensors)
-    r = _covariances(pos[seen] - xy[seer], [sensors[i] for i in seer.tolist()])
+    seers = seer.tolist()
+    r = _covariances(pos[seen] - xy[seer], [sensors[i] for i in seers])
     noise = rng.standard_normal((len(seen), 2))
     z = pos[seen] + (np.linalg.cholesky(r) @ noise[..., None])[..., 0]
     ids = np.array(target_ids, dtype=int)[seen]
-    ends = np.cumsum(visible.sum(axis=1)).tolist()
-    return [Observations(ids[a:b], z[a:b], r[a:b]) for a, b in zip([0, *ends], ends)]
+    ends = [bisect.bisect_right(seers, i) for i in range(len(sensors))]
+    return [
+        Observations(ids[a:b], z[a:b], r[a:b]) if a < b else _NO_OBSERVATIONS
+        for a, b in zip([0, *ends], ends)
+    ]

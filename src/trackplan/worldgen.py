@@ -30,9 +30,17 @@ MAX_SENSE_STEPS = 1_000_000
 # Largest integer field: an int64, numpy's type for array sizes and counts.
 MAX_INT = int(np.iinfo(np.int64).max)
 
-# Largest expected disk count: numpy's Poisson sampler refuses a mean above
-# the int64 maximum less ten standard deviations, about 9.22e18.
-MAX_LAMBDA = MAX_INT - 10.0 * math.sqrt(MAX_INT)
+# Largest expected disk count (lambda) of a scenario's forest. Placement is
+# one Python loop per disk, about 10 us each (1 s at the cap), and
+# OcclusionForest.occludes holds a (D, 2) float difference per point it tests
+# (1.6 MB at the cap). It also keeps lambda far inside numpy's Poisson
+# sampler, which refuses a mean above about 9.22e18.
+MAX_DISKS = 100_000
+
+# Random sequential adsorption of equal disks in the plane jams at a covered
+# fraction of about 0.547 (Feder, J. Theor. Biol. 1980): no placement can
+# reach an expected coverage lambda pi r^2 / (W H) above it.
+JAMMING_LIMIT = 0.547
 
 # Track initialization covariance: 5 m position / 2 m/s velocity std.
 DEFAULT_P0 = (25.0, 25.0, 4.0, 4.0)
@@ -228,11 +236,18 @@ class ScenarioConfig:
             raise ValueError(
                 f"ospa_c**ospa_p overflows: ospa_c={self.ospa_c}, ospa_p={self.ospa_p}"
             )
-        if self.lam > MAX_LAMBDA:
-            raise ValueError(f"lam={self.lam} exceeds the largest Poisson mean {MAX_LAMBDA:.4g}")
         # Forest placement compares squared centre distances with (2 r)^2.
         if not _finite(lambda: (2.0 * self.tree_radius) ** 2):
             raise ValueError(f"tree_radius={self.tree_radius} overflows the placement test")
+        if self.lam > MAX_DISKS:
+            raise ValueError(f"lambda {self.lam!r} exceeds {MAX_DISKS} expected disks")
+        coverage = self.lam * math.pi * self.tree_radius**2 / (self.aoi.width * self.aoi.height)
+        if coverage > JAMMING_LIMIT:
+            raise ValueError(
+                f"lambda {self.lam!r} disks of radius {self.tree_radius!r} would cover "
+                f"{coverage:.3g} of the {self.aoi.width!r} x {self.aoi.height!r} AOI, past "
+                f"the jamming limit {JAMMING_LIMIT} of random placement"
+            )
         if self.speed_max < self.speed_min:
             raise ValueError("speed interval must satisfy 0 <= min <= max")
 

@@ -54,12 +54,13 @@ def log_digest(log) -> str:
     return digest.hexdigest()
 
 
-def trial_lines():
+def trial_lines(trials=TRIALS, n_maps=N_MAPS):
+    """One line per trial of ``trials`` on each of the first ``n_maps`` maps."""
     base = ScenarioConfig()
-    for mi in range(N_MAPS):
+    for mi in range(n_maps):
         rng = np.random.default_rng(np.random.SeedSequence([0, 0, 0, mi]))
         forest = generate_forest(base.lam, base.tree_radius, base.aoi, rng, seed=mi)
-        for planner, h, n in TRIALS:
+        for planner, h, n in trials:
             config = dataclasses.replace(
                 base,
                 horizon=h,

@@ -383,6 +383,12 @@ class TestMain:
             "[experiment]\nlambdas = 5,1e20",
             "lambda = 1000",
             "[experiment]\nlambdas = 5,1000",
+            # 1e7 disks of radius 1 mm: 0.2 % cover, but one placement loop each
+            "lambda = 1e7\ntree_radius = 0.001",
+            "[experiment]\nlambdas = 5,1e7\nradii = 0.001",
+            # 0.576 expected cover of the 150 x 100 m AOI, past the jamming limit
+            "lambda = 110",
+            "[experiment]\nradii = 1\nlambdas = 5,2750",
             "sigma_a = 1e150",
             "r0 = 1e300",
             "alphas = 1e300,0.15,0.12",

@@ -779,10 +779,24 @@ class TestMcr:
 
 
 def test_mcr_memory_is_bounded_before_planning():
-    # the largest block (4096 rows of 4 tracks) plus 50 x 4 x 3 sampled positions
-    assert planning.mcr_memory(50, 4, 3) == 4096 * 4 * 128 + 50 * 4 * 3 * 16
-    with pytest.raises(BudgetExceededError, match="536.4 GiB .* budget is 1 GiB"):
+    # a workspace of 48 x 3 + 6 floats for each of the 4096 x 4 rows of a
+    # block and 72 for each row of a 512-row slice, plus 50 x 4 x 3 sampled
+    # positions
+    want = (4096 * 4 * (48 * 3 + 6) + 512 * 72) * 8 + 50 * 4 * 3 * 16
+    assert planning.mcr_memory(50, 4, 3) == want
+    with pytest.raises(BudgetExceededError, match="1668.9 GiB .* budget is 1 GiB"):
         planning.mcr_memory(10**9, 4, 1)
+
+
+@pytest.mark.parametrize("n_samples, h", [(50, 3), (7, 3), (600, 2), (5000, 1), (50, 6)])
+def test_workspace_stays_within_mcr_memory(monkeypatch, n_samples, h):
+    monkeypatch.setattr(planning, "_WORKSPACE", planning._Workspace())
+    belief, _, actions, forest, model = TestBlocks._default_mcr_epoch()
+    intents = extend_intent(None, h, 3)
+    mcr_plan(belief, intents, actions, forest, model, n_samples, np.random.default_rng(1))
+    held = sum(b.nbytes for b in planning._WORKSPACE._buffers.values())
+    paths = n_samples * 4 * h * 16
+    assert 0 < held <= planning.mcr_memory(n_samples, 4, h) - paths
 
 
 class TestBlocks:
@@ -844,6 +858,81 @@ class TestBlocks:
         model = ncv_model(config.dt_plan, config.sigma_a)
         belief = belief_of(tracks=tracks, agents=agents)
         return belief, extend_intent(None, 3, 3), actions, forest, model
+
+    @pytest.mark.parametrize("planner", ["mcr", "sma-nbo"])
+    def test_each_agent_updates_a_block_in_one_batch(self, monkeypatch, planner):
+        # one Joseph batch per agent that updates a block, with slices as
+        # large as a block: a _level call makes one per fixed agent that sees
+        # anything, an _update call one per step from the first mover on;
+        # never one per (track, agent)
+        belief, intents, actions, forest, model = self._default_mcr_epoch()
+        n_samples = 50 if planner == "mcr" else 1
+        monkeypatch.setattr(planning, "JOSEPH_ROWS", max(planning.SCAN_CHUNK, n_samples) * 4)
+        calls = []  # (Joseph calls, allowed batches) per _level or _update call
+        joseph = planning._joseph_update_batch
+
+        def counting(p, r):
+            calls[-1][0] += 1
+            return joseph(p, r)
+
+        def spy(name, allowed):
+            method = getattr(_PrefixTree, name)
+
+            def counted(tree, *args):
+                calls.append([0, allowed(*args)])
+                return method(tree, *args)
+
+            monkeypatch.setattr(_PrefixTree, name, counted)
+
+        monkeypatch.setattr(planning, "_joseph_update_batch", counting)
+        spy("_level", lambda p, sights, *_: len(sights))
+        spy("_update", lambda shared, *_: len(shared.steps))
+        if planner == "mcr":
+            mcr_plan(belief, intents, actions, forest, model, n_samples, np.random.default_rng(1))
+        else:
+            sma_nbo_plan(belief, extend_intent(None, 1, 3), actions, forest, model)
+        assert sum(n for n, _ in calls) > 0
+        assert all(n <= allowed for n, allowed in calls)
+
+    def test_plans_do_not_depend_on_the_joseph_slice(self, monkeypatch):
+        reference = self._plans()
+        batches = []
+        joseph = planning._joseph_update_batch
+
+        def counting(p, r):
+            batches.append(len(p))
+            return joseph(p, r)
+
+        monkeypatch.setattr(planning, "_joseph_update_batch", counting)
+        monkeypatch.setattr(planning, "JOSEPH_ROWS", 7)
+        for (joint, stats), (want_joint, want_stats) in zip(self._plans(), reference):
+            assert np.array_equal(joint, want_joint)
+            assert stats == want_stats
+        assert max(batches) == 7
+
+    @pytest.mark.parametrize("planner", ["mcr", "sma-nbo"])
+    def test_warm_plan_allocates_no_block(self, planner):
+        # the kernel's blocks live in the workspace; a warm plan allocates
+        # only arrays of a few floats per row, under one block of covariances
+        belief, intents, actions, forest, model = self._default_mcr_epoch()
+        n_samples = 50 if planner == "mcr" else 1
+
+        def plan():
+            if planner == "mcr":
+                return mcr_plan(
+                    belief, intents, actions, forest, model, n_samples, np.random.default_rng(1)
+                )
+            return sma_nbo_plan(belief, extend_intent(None, 1, 3), actions, forest, model)
+
+        plan()
+        tracemalloc.start()
+        try:
+            plan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 81 leaves of 50 samples: the mcr leaf block is 2.07 MB
+        assert peak < min(max(4096, n_samples), 81 * n_samples) * 4 * 128
 
     def test_mcr_plan_streams_its_leaf_level(self):
         # one block of all 729 leaves of 50 samples would hold 18.7 MB of
