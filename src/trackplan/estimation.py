@@ -16,9 +16,6 @@ import numpy as np
 
 from .sensing import Observations, Sensor
 
-H_POS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-
-
 class TrackAssociationError(KeyError):
     """An observation referenced a target id with no existing track."""
 
@@ -103,10 +100,11 @@ def update(
     after long predict/update chains. A singular innovation covariance
     (impossible for positive-definite R) raises numpy.linalg.LinAlgError.
     """
-    s = H_POS @ p @ H_POS.T + r
-    k = np.linalg.solve(s.swapaxes(-1, -2), (p @ H_POS.T).swapaxes(-1, -2)).swapaxes(-1, -2)
-    xi_new = xi + _apply(k, z - _apply(H_POS, xi))
-    a = np.eye(4) - k @ H_POS
+    s = p[..., :2, :2] + r
+    k = np.linalg.solve(s.swapaxes(-1, -2), p[..., :2].swapaxes(-1, -2)).swapaxes(-1, -2)
+    xi_new = xi + _apply(k, z - xi[..., :2])
+    a = np.broadcast_to(np.eye(4), p.shape).copy()
+    a[..., :2] -= k
     p_new = _symmetrize(a @ p @ a.swapaxes(-1, -2) + k @ r @ k.swapaxes(-1, -2))
     return xi_new, p_new
 

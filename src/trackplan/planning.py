@@ -47,8 +47,8 @@ _EYE4 = np.eye(4)
 # samples, and a level's parents are predicted a block at a time, so no
 # kernel array holds more than max(SCAN_CHUNK, S) x T (4, 4) covariances:
 # a block of parents or one inner level's children. Leaves hold only
-# traces, and updates run in slices of JOSEPH_ROWS rows. The arrays live
-# in _WORKSPACE, whose size mcr_memory bounds.
+# traces, and updates run in slices of JOSEPH_ROWS rows. The block-sized
+# arrays live in _WORKSPACE, whose size mcr_memory bounds.
 SCAN_CHUNK = 4096
 
 # Largest joint sequence space dec_pomdp_plan will enumerate.
@@ -61,19 +61,17 @@ MCR_MEMORY_BUDGET = 1 << 30
 
 # Most covariances one Joseph update takes at once, and most rows a mover
 # sees that a block updates at once: larger batches run in slices of this
-# many rows, so their temporaries stay in cache and in a fixed share of the
-# workspace.
+# many rows. A slice's temporaries are fresh arrays of at most 64 KB (512
+# (4, 4) covariances), under glibc's default 128 KiB mmap threshold, so
+# they come from the heap without page faults and stay in cache.
 JOSEPH_ROWS = 512
 
 # Floats the workspace holds per covariance row of a block, max(SCAN_CHUNK,
 # S) x T rows: at each search depth, of which there are at most h, the
 # parents' scratch and two children blocks (16 each), a fixed agent's R (4)
-# and a mover's offsets (2). Per row of a slice: the rows a mover sees, a
-# gathered subset of them, the Joseph update's a and x (16 each) and its
-# gain k (8).
+# and a mover's offsets (2).
 _DEPTH_FLOATS = 48
 _BLOCK_FLOATS = 6
-_SLICE_FLOATS = 72
 
 # A sweep stage enumerates all |A|^h sequences while that count is at most
 # EXHAUSTIVE_LIMIT (h <= 5 with |A| = 9); beyond it, it runs a greedy
@@ -176,17 +174,17 @@ def mwtp_detailed(
 class _Workspace:
     """Float buffers the rollout kernel reuses from plan to plan, one per key.
 
-    A buffer grows to the largest view asked of it and is never freed, so a
-    warm plan allocates no (4, 4) covariance block, and the heap does not
-    trim and regrow around every update. One process runs one plan at a
-    time (run_experiment's workers are processes), and each key has one
-    owner at a time: per search depth, ("before", d) is the predict's
-    scratch and then the parents as the first mover finds them, and
-    ("kids", d, level % 2) an inner level's children; "r" holds a fixed
-    agent's R for each parent, "delta" a mover's offsets to the targets of
-    a block, "pool" a slice of the rows a mover sees,
-    "rows" a gathered subset, and "a", "x", "k" _joseph_update_batch's
-    temporaries. mcr_memory bounds their bytes.
+    It holds only the arrays that grow with a block. A buffer grows to the
+    largest view asked of it and is never freed, so a warm plan allocates
+    no block and takes no page fault for one, and the heap does not trim
+    and regrow around every update. One process runs one plan at a time
+    (run_experiment's workers are processes), and each key has one owner
+    at a time: per search depth, ("before", d) is the predict's scratch and
+    then the parents as the first mover finds them, and ("kids", d,
+    level % 2) an inner level's children; "r" holds a fixed agent's R for
+    each parent and "delta" a mover's offsets to the targets of a block.
+    mcr_memory bounds their bytes. Slice-sized temporaries (JOSEPH_ROWS)
+    are fresh arrays.
     """
 
     def __init__(self) -> None:
@@ -209,36 +207,21 @@ def _joseph_update_batch(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     measurement covariances r, in place; returns p.
 
     It computes a @ p @ a^T + k @ r @ k^T and symmetrizes it, k the gain of
-    the explicitly inverted 2x2 innovation; every temporary is a workspace
-    view of the layout a fresh array would have, so the bits are those of
-    the same expression on fresh arrays.
+    the explicitly inverted 2x2 innovation.
     """
-    m = len(p)
-    a = _WORKSPACE("a", (m, 4, 4))
-    x = _WORKSPACE("x", (m, 4, 4))
-    k = _WORKSPACE("k", (m, 4, 2))
-    s = x.reshape(-1)[: 4 * m].reshape(m, 2, 2)
-    det, cross = x.reshape(-1)[4 * m : 6 * m].reshape(2, m)
-    s_inv = a.reshape(-1)[: 4 * m].reshape(m, 2, 2)
-    np.add(p[:, :2, :2], r, out=s)
-    np.multiply(s[:, 0, 0], s[:, 1, 1], out=det)
-    np.subtract(det, np.multiply(s[:, 0, 1], s[:, 1, 0], out=cross), out=det)
+    s = p[:, :2, :2] + r
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    s_inv = np.empty_like(s)
     s_inv[:, 0, 0] = s[:, 1, 1]
     s_inv[:, 1, 1] = s[:, 0, 0]
-    np.negative(s[:, 0, 1], out=s_inv[:, 0, 1])
-    np.negative(s[:, 1, 0], out=s_inv[:, 1, 0])
-    np.divide(s_inv, det[:, None, None], out=s_inv)
-    np.matmul(p[:, :, :2], s_inv, out=k)
-    a[...] = _EYE4
-    np.subtract(a[:, :, :2], k, out=a[:, :, :2])
-    np.matmul(a, p, out=x)
-    np.matmul(x, a.transpose(0, 2, 1), out=p)
-    kr = a.reshape(-1)[: 8 * m].reshape(m, 4, 2)
-    np.matmul(k, r, out=kr)
-    np.matmul(kr, k.transpose(0, 2, 1), out=x)
-    np.add(p, x, out=p)
-    np.add(p, p.transpose(0, 2, 1), out=x)
-    return np.divide(x, 2.0, out=p)
+    s_inv[:, 0, 1] = -s[:, 0, 1]
+    s_inv[:, 1, 0] = -s[:, 1, 0]
+    s_inv /= det[:, None, None]
+    k = p[:, :, :2] @ s_inv
+    a = np.broadcast_to(_EYE4, p.shape).copy()
+    a[:, :, :2] -= k
+    p_new = a @ p @ a.transpose(0, 2, 1) + k @ r @ k.transpose(0, 2, 1)
+    return np.divide(p_new + p_new.transpose(0, 2, 1), 2.0, out=p)
 
 
 def _update_rows(p: np.ndarray, rows: np.ndarray, r: np.ndarray) -> None:
@@ -250,9 +233,7 @@ def _update_rows(p: np.ndarray, rows: np.ndarray, r: np.ndarray) -> None:
         if len(rows) == len(p):
             _joseph_update_batch(p[lo : lo + JOSEPH_ROWS], r[lo : lo + JOSEPH_ROWS])
         else:
-            some = _WORKSPACE("rows", (len(part), 4, 4))
-            np.take(p, part, axis=0, out=some, mode="clip")
-            p[part] = _joseph_update_batch(some, r[lo : lo + JOSEPH_ROWS])
+            p[part] = _joseph_update_batch(p.take(part, axis=0), r[lo : lo + JOSEPH_ROWS])
 
 
 def _nominal_paths(belief: FleetBelief, model: NcvModel, h: int) -> np.ndarray:
@@ -368,10 +349,9 @@ class _PrefixTree:
         self.belief, self.model, self.beta = belief, model, beta
         self.target_paths = target_paths
         self.h = target_paths.shape[2]
-        # one step at a time: occludes holds (D, 2) floats per point it tests
-        self.free = np.empty(target_paths.shape[:3], dtype=bool)
-        for l in range(self.h):
-            self.free[:, :, l] = ~forest.occludes(target_paths[:, :, l])
+        # one call for all S x T x h positions: occludes bounds its own
+        # temporaries by testing a few points at a time
+        self.free = ~forest.occludes(target_paths)
 
     def positions(self, joint: np.ndarray) -> list[np.ndarray]:
         """Step positions (1, h, 2) of every agent flying its row of the
@@ -577,11 +557,7 @@ class _PrefixTree:
         done = [0] * len(updates)
         for lo in range(0, len(own), JOSEPH_ROWS):
             rows = own[lo : lo + JOSEPH_ROWS]
-            pool = _WORKSPACE("pool", (len(rows), 4, 4))
-            np.take(
-                shared.before.reshape(-1, 4, 4), start[lo : lo + JOSEPH_ROWS], axis=0,
-                out=pool, mode="clip",
-            )
+            pool = shared.before.reshape(-1, 4, 4).take(start[lo : lo + JOSEPH_ROWS], axis=0)
             for k, (mask, r) in enumerate(updates):
                 some = np.flatnonzero(mask[lo : lo + JOSEPH_ROWS])
                 if len(some):
@@ -745,10 +721,7 @@ def mcr_memory(n_samples: int, n_tracks: int, h: int) -> int:
     Raises BudgetExceededError when they exceed MCR_MEMORY_BUDGET.
     """
     rows = max(SCAN_CHUNK, n_samples) * n_tracks
-    need = (
-        (rows * (_DEPTH_FLOATS * h + _BLOCK_FLOATS) + JOSEPH_ROWS * _SLICE_FLOATS) * 8
-        + n_samples * n_tracks * h * 16
-    )
+    need = rows * (_DEPTH_FLOATS * h + _BLOCK_FLOATS) * 8 + n_samples * n_tracks * h * 16
     if need > MCR_MEMORY_BUDGET:
         raise BudgetExceededError(
             f"{n_samples} samples of {n_tracks} targets at horizon {h} need "

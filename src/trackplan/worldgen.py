@@ -32,10 +32,16 @@ MAX_INT = int(np.iinfo(np.int64).max)
 
 # Largest expected disk count (lambda) of a scenario's forest. Placement is
 # one Python loop per disk, about 10 us each (1 s at the cap), and
-# OcclusionForest.occludes holds a (D, 2) float difference per point it tests
-# (1.6 MB at the cap). It also keeps lambda far inside numpy's Poisson
-# sampler, which refuses a mean above about 9.22e18.
+# OcclusionForest.occludes holds a (D, 2) float difference for each point of
+# a chunk (1.6 MB at the cap). It also keeps lambda far inside numpy's
+# Poisson sampler, which refuses a mean above about 9.22e18.
 MAX_DISKS = 100_000
+
+# Most (point, disk) offset floats OcclusionForest.occludes holds at once:
+# 64 KB, so its temporaries stay under glibc's default 128 KiB mmap
+# threshold. A chunk takes at least one point, so a forest of more than
+# _OCCLUDE_FLOATS / 2 disks holds (D, 2) floats.
+_OCCLUDE_FLOATS = 1 << 13
 
 # Random sequential adsorption of equal disks in the plane jams at a covered
 # fraction of about 0.547 (Feder, J. Theor. Biol. 1980): no placement can
@@ -108,11 +114,18 @@ class OcclusionForest:
         return disks
 
     def occludes(self, points: np.ndarray) -> np.ndarray:
-        """Mask over points (..., 2) strictly inside any disk (a circle is visible)."""
+        """Mask over points (..., 2) strictly inside any disk (a circle is
+        visible), tested _OCCLUDE_FLOATS offsets at a time."""
         disks = self._disk_array
-        d = np.asarray(points)[..., None, :] - disks[:, :2]
-        d *= d
-        return (d[..., 0] + d[..., 1] < disks[:, 2]).any(axis=-1)
+        points = np.asarray(points)
+        flat = points.reshape(-1, 2)
+        out = np.empty(len(flat), dtype=bool)
+        step = max(1, _OCCLUDE_FLOATS // max(1, 2 * len(disks)))
+        for lo in range(0, len(flat), step):
+            d = flat[lo : lo + step, None, :] - disks[:, :2]
+            d *= d
+            out[lo : lo + step] = (d[..., 0] + d[..., 1] < disks[:, 2]).any(axis=-1)
+        return out.reshape(points.shape[:-1])
 
 
 @dataclass(frozen=True)

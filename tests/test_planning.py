@@ -393,7 +393,7 @@ class TestBatchMatchesReference:
 
 
 def test_occlusion_mask_is_built_one_step_at_a_time():
-    # all steps at once, the disk test held an (S, T, h, D, 2) float array:
+    # all points at once, the disk test held an (S, T, h, D, 2) float array:
     # 15 MB here, for a 20 kB mask
     rng = np.random.default_rng(27)
     disks = tuple((float(x), float(y), 2.0) for x, y in rng.uniform(0, 150, (48, 2)))
@@ -780,9 +780,8 @@ class TestMcr:
 
 def test_mcr_memory_is_bounded_before_planning():
     # a workspace of 48 x 3 + 6 floats for each of the 4096 x 4 rows of a
-    # block and 72 for each row of a 512-row slice, plus 50 x 4 x 3 sampled
-    # positions
-    want = (4096 * 4 * (48 * 3 + 6) + 512 * 72) * 8 + 50 * 4 * 3 * 16
+    # block, plus 50 x 4 x 3 sampled positions
+    want = 4096 * 4 * (48 * 3 + 6) * 8 + 50 * 4 * 3 * 16
     assert planning.mcr_memory(50, 4, 3) == want
     with pytest.raises(BudgetExceededError, match="1668.9 GiB .* budget is 1 GiB"):
         planning.mcr_memory(10**9, 4, 1)
@@ -797,6 +796,19 @@ def test_workspace_stays_within_mcr_memory(monkeypatch, n_samples, h):
     held = sum(b.nbytes for b in planning._WORKSPACE._buffers.values())
     paths = n_samples * 4 * h * 16
     assert 0 < held <= planning.mcr_memory(n_samples, 4, h) - paths
+
+
+def test_workspace_holds_only_block_buffers(monkeypatch):
+    # slice-sized update temporaries are fresh arrays; the workspace keeps
+    # only the predict scratch, children, R and mover offsets of a block
+    belief, _, actions, forest, model = TestBlocks._default_mcr_epoch()
+    dec_pomdp_plan(belief, 1, actions, forest, model)
+    monkeypatch.setattr(planning, "_WORKSPACE", planning._Workspace())
+    dec_pomdp_plan(belief, 1, actions, forest, model)
+    buffers = planning._WORKSPACE._buffers
+    assert buffers
+    assert all(key in ("r", "delta") or key[0] in ("before", "kids") for key in buffers)
+    assert sum(b.nbytes for b in buffers.values()) < 64 * 1024
 
 
 class TestBlocks:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,29 @@ class TestForest:
             generate_forest(1.0, 0.0, AOI, rng)
         with pytest.raises(ValueError, match="radius"):
             generate_forest(1.0, float("nan"), AOI, rng)
+
+    def test_occludes_tests_a_large_forest_a_chunk_at_a_time(self):
+        # all 40 points at once would hold 40 x 100,000 x 2 floats, 64 MB
+        rng = np.random.default_rng(31)
+        centres = rng.uniform(0, 1000, (100_000, 2))
+        radii = rng.uniform(0.5, 3.0, 100_000)
+        forest = OcclusionForest(disks=tuple(zip(*centres.T.tolist(), radii.tolist())))
+        points = np.concatenate([centres[:20] + 0.1, rng.uniform(0, 1000, (20, 2))])
+        forest.occludes(points[0])  # builds the forest's cached disk array
+        tracemalloc.start()
+        try:
+            mask = forest.occludes(points.reshape(4, 10, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        cx, cy = centres.T
+        want = [
+            bool(((x - cx) * (x - cx) + (y - cy) * (y - cy) < radii * radii).any())
+            for x, y in points
+        ]
+        assert mask.reshape(-1).tolist() == want
+        assert any(want) and not all(want)
 
 
 class TestLevyTrajectory:
