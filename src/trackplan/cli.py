@@ -25,7 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .metrics import ecdf
-from .planning import EXHAUSTIVE_LIMIT, BudgetExceededError, action_count
+from .planning import BEAM_WIDTH, EXHAUSTIVE_LIMIT, BudgetExceededError, action_count
 from .planning import dec_pomdp_joint_count, mcr_memory
 from .sim import PLANNERS, TrialLog, run_trial
 from .worldgen import (
@@ -100,6 +100,17 @@ class ExperimentSpec:
                     dec_pomdp_joint_count(n_actions, config.n_agents, config.horizon)
                 except BudgetExceededError as exc:
                     raise ConfigError(f"dec-pomdp at horizon {config.horizon}: {exc}") from exc
+        # A sweep stage scores the |A|^h sequences while they are at most
+        # EXHAUSTIVE_LIMIT, else a beam's |A| + (h - 1) x BEAM_WIDTH x |A|.
+        # The beam's count is within the limit wherever |A|^h is, so bounding
+        # it sizes no stage for more sequences than one exhaustive stage.
+        for h in self.horizons:
+            beam = n_actions * (1 + (h - 1) * BEAM_WIDTH)
+            if beam > EXHAUSTIVE_LIMIT:
+                raise ConfigError(
+                    f"horizon {h}: a beam stage of {n_actions} actions scores {beam} "
+                    f"sequences, more than the {EXHAUSTIVE_LIMIT} a planning stage scores"
+                )
         if "mcr" in self.planners:
             for config in configs.values():
                 try:

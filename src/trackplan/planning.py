@@ -21,7 +21,9 @@ Three decision architectures are provided:
 
 All three search one prefix tree level by level (_PrefixTree): each
 level extends the surviving prefixes by every choice through one rollout
-step, so a shared prefix is rolled out once. A sweep stage expands one
+step, so a shared prefix is rolled out once, and a covariance that no
+moving agent has seen since some ancestor is held, predicted and updated
+once for all the prefixes below it. A sweep stage expands one
 agent's actions, exhaustively or by beam search; the joint optimization
 expands all agents' joint actions. Leaves are reduced by (cost,
 enumeration index), so the outcome is identical to scoring complete
@@ -44,9 +46,11 @@ _EYE4 = np.eye(4)
 
 # Most (prefix, sample) rows one search step extends and scores at once. A
 # block holds max(1, SCAN_CHUNK // S) prefixes, each carrying S target
-# samples, and a level's parents are predicted a block at a time, so no
-# kernel array holds more than max(SCAN_CHUNK, S) x T (4, 4) covariances:
-# a block of parents or one inner level's children. Leaves hold only
+# samples, and a level's parents are predicted a block at a time. A block
+# refers to its (prefix, sample, track) covariances by index into a pool
+# of distinct (4, 4) covariances: a block of parents' distinct rows and
+# the rows a mover sees in one block of children, so no kernel array holds
+# more than 2 x max(SCAN_CHUNK, S) x T covariances. Leaves hold only
 # traces, and updates run in slices of JOSEPH_ROWS rows. The block-sized
 # arrays live in _WORKSPACE, whose size mcr_memory bounds.
 SCAN_CHUNK = 4096
@@ -55,22 +59,25 @@ SCAN_CHUNK = 4096
 DEC_POMDP_BUDGET = 1_000_000
 
 # Most bytes mcr_plan's kernel may need for its workspace (_Workspace) plus
-# its S x T x h sampled (x, y) target positions: 1 GiB, about 215,000
+# its S x T x h sampled (x, y) target positions: 1 GiB, about 207,000
 # samples of 4 targets at H3.
 MCR_MEMORY_BUDGET = 1 << 30
 
-# Most covariances one Joseph update takes at once, and most rows a mover
-# sees that a block updates at once: larger batches run in slices of this
-# many rows. A slice's temporaries are fresh arrays of at most 64 KB (512
-# (4, 4) covariances), under glibc's default 128 KiB mmap threshold, so
-# they come from the heap without page faults and stay in cache.
+# Most covariances one Joseph update takes at once: the distinct rows a
+# fixed agent sees at a level, and the rows a mover sees in a block, run
+# in slices of this many rows. A slice's temporaries are fresh arrays of
+# at most 64 KB (512 (4, 4) covariances), under glibc's default 128 KiB
+# mmap threshold, so they come from the heap without page faults and stay
+# in cache.
 JOSEPH_ROWS = 512
 
 # Floats the workspace holds per covariance row of a block, max(SCAN_CHUNK,
 # S) x T rows: at each search depth, of which there are at most h, the
-# parents' scratch and two children blocks (16 each), a fixed agent's R (4)
-# and a mover's offsets (2).
-_DEPTH_FLOATS = 48
+# pool (32: a block of parents' rows and a block of children's), the
+# predict's scratch (16) and the parents' and one children block's
+# indices into the pool (1 each); and once, a fixed agent's R (4) and a
+# mover's offsets (2).
+_DEPTH_FLOATS = 50
 _BLOCK_FLOATS = 6
 
 # A sweep stage enumerates all |A|^h sequences while that count is at most
@@ -172,30 +179,34 @@ def mwtp_detailed(
 
 
 class _Workspace:
-    """Float buffers the rollout kernel reuses from plan to plan, one per key.
+    """Buffers the rollout kernel reuses from plan to plan, one per key.
 
     It holds only the arrays that grow with a block. A buffer grows to the
     largest view asked of it and is never freed, so a warm plan allocates
     no block and takes no page fault for one, and the heap does not trim
     and regrow around every update. One process runs one plan at a time
     (run_experiment's workers are processes), and each key has one owner
-    at a time: per search depth, ("before", d) is the predict's scratch and
-    then the parents as the first mover finds them, and ("kids", d,
-    level % 2) an inner level's children; "r" holds a fixed agent's R for
-    each parent and "delta" a mover's offsets to the targets of a block.
-    mcr_memory bounds their bytes. Slice-sized temporaries (JOSEPH_ROWS)
-    are fresh arrays.
+    at a time: per search depth, ("pool", d) holds a level's distinct
+    parent rows, predicted and updated by the fixed agents, and after them
+    the rows a mover sees in the block of children being built; ("before",
+    d) is the predict's scratch and then those parent rows as the first
+    mover finds them; ("refs", d) holds the parents' indices into the
+    pool and ("kids", d) a children block's. "r" holds a fixed agent's R
+    for each row it updates and "delta" a mover's offsets to the targets
+    of a block. mcr_memory bounds their bytes. Slice-sized temporaries
+    (JOSEPH_ROWS) are fresh arrays.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[object, np.ndarray] = {}
 
-    def __call__(self, key: object, shape: tuple[int, ...]) -> np.ndarray:
-        """A C-contiguous view of the given shape on buffer ``key``."""
+    def __call__(self, key: object, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+        """A C-contiguous view of the given shape on buffer ``key``, whose
+        elements are ``dtype``, 8 bytes each."""
         size = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
+            buf = self._buffers[key] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
 
@@ -274,9 +285,11 @@ class _Nodes(NamedTuple):
 
     paths: np.ndarray  # (N, level) choice index at each step
     offset: np.ndarray  # (N, movers, 2) each moving agent's summed v*dt
-    # (N, S, T, 4, 4) covariances after the level's step, None for leaves;
-    # the next level predicts them in place
-    p: np.ndarray | None
+    # (N, S, T) row of pool holding each covariance after the level's step,
+    # and pool (K, 4, 4); None for leaves. Prefixes share every row that no
+    # mover has seen since their common ancestor.
+    rows: np.ndarray | None
+    pool: np.ndarray | None
     traces: np.ndarray | None  # (N, S, T) their traces, None at the root
     cost: np.ndarray  # (N, S) accumulated trace per target sample
 
@@ -284,10 +297,14 @@ class _Nodes(NamedTuple):
 class _Level(NamedTuple):
     """What every block of one level's children shares."""
 
-    p: np.ndarray  # (N, S, T, 4, 4) parents predicted and updated by every
-    #                fixed agent: what a child takes where no mover sees
-    traces: np.ndarray  # (N, S, T) traces of p
-    before: np.ndarray  # (N, S, T, 4, 4) the parents as the first mover finds them
+    rows: np.ndarray  # (N, S, T) each parent's row of pool
+    # (size + room, 4, 4): the parents' distinct rows predicted and updated
+    # by every fixed agent, what a child takes where no mover sees; after
+    # them, room for the rows a mover sees in one block of children
+    pool: np.ndarray
+    size: int
+    before: np.ndarray  # (size, 4, 4) the distinct rows as the first mover finds them
+    traces: np.ndarray  # (N, S, T) traces of the parents' rows
     # The updates left for the (child, sample, track) rows a mover sees, in
     # agent order from the first mover on: a mover's index, or a later
     # fixed agent's (S, T) visibility and (S, T, 2, 2) R, zero where it
@@ -323,17 +340,20 @@ class _PrefixTree:
     Each level predicts the surviving prefixes' covariances once, extends
     every prefix by every choice in (parent, choice) order, applies that
     step's covariance-only updates (each row by the agents in index order)
-    and adds the step's trace. A fixed agent sees the same for every child
-    of a parent, so it updates each parent's shared (sample, track) rows
-    once; only the (child, sample, track) rows a mover sees get their own
-    copy, and leaves keep only their traces. Each agent updates all the
-    rows it sees in a block in one batch, over every track at once. A
-    mover's position is its start plus the summed v*dt of its prefix, the
-    sums np.cumsum forms, so each leaf costs exactly what a rollout of its
-    whole sequence costs. A leaf adds the terminal penalty weighted by
-    ``beta``, or none if ``beta`` is None. The tree holds only what is
-    fixed for the plan; each search keeps its own state in a _Search, and
-    its covariance blocks in _WORKSPACE.
+    and adds the step's trace. Prefixes hold their (sample, track)
+    covariances as rows of a pool: a child takes its parent's row wherever
+    no mover sees the track, so a row is shared by every prefix below the
+    last step a mover saw it, and a level predicts each distinct row once.
+    A fixed agent sees the same for every prefix sharing a row, so it
+    updates each distinct row once; only the (child, sample, track) rows a
+    mover sees become new rows, and leaves keep only their traces. Each
+    agent updates all the rows it sees in a block in one batch, over every
+    track at once. A mover's position is its start plus the summed v*dt of
+    its prefix, the sums np.cumsum forms, so each leaf costs exactly what a
+    rollout of its whole sequence costs. A leaf adds the terminal penalty
+    weighted by ``beta``, or none if ``beta`` is None. The tree holds only
+    what is fixed for the plan; each search keeps its own state in a
+    _Search, and its covariance blocks in _WORKSPACE.
     """
 
     def __init__(
@@ -383,10 +403,12 @@ class _PrefixTree:
             choice_xy * self.model.dt,
             max(1, SCAN_CHUNK // n_samples),
         )
+        cells = n_samples * n_tracks
         root = _Nodes(
             np.zeros((1, 0), dtype=int),
             np.full((1, len(run.movers), 2), -0.0),  # -0.0 + x == x, as cumsum starts
-            np.broadcast_to(self.belief.P, (1, n_samples, n_tracks, 4, 4)).copy(),
+            np.arange(cells).reshape(1, n_samples, n_tracks),
+            np.broadcast_to(self.belief.P, (n_samples, n_tracks, 4, 4)).reshape(cells, 4, 4),
             None,
             np.zeros((1, n_samples)),
         )
@@ -414,13 +436,19 @@ class _PrefixTree:
         while level + 1 < self.h:
             blocks = self._children(run, nodes, level, depth)
             if keep is not None:
-                # each block's p is the same workspace view: copy it out
-                blocks = (b._replace(p=b.p.copy()) for b in blocks)
-                kids = _Nodes(*map(np.concatenate, zip(*blocks)))
-                mean = kids.cost.mean(axis=1)
+                # each block's rows and pool are workspace views: copy them
+                # out, its rows shifted past the pools of the blocks before it
+                kids, base = [], 0
+                for b in blocks:
+                    kids.append(b._replace(rows=b.rows + base, pool=b.pool.copy()))
+                    base += len(b.pool)
+                paths, offset, rows, pool, traces, cost = map(np.concatenate, zip(*kids))
+                mean = cost.mean(axis=1)
                 run.scored += len(mean)
                 ranked = sorted(range(len(mean)), key=lambda i: (mean[i], i))[:keep]
-                nodes = _Nodes(*(a[ranked] for a in kids))
+                nodes = _Nodes(
+                    paths[ranked], offset[ranked], rows[ranked], pool, traces[ranked], cost[ranked]
+                )
             elif len(nodes.cost) * len(run.step_xy) <= run.block:
                 nodes = next(blocks)
             else:
@@ -434,25 +462,29 @@ class _PrefixTree:
 
     def _children(self, run: _Search, nodes: _Nodes, level: int, depth: int):
         """Children of ``nodes`` after step ``level``, ``run.block`` prefixes
-        (SCAN_CHUNK (prefix, sample) rows) at a time. Parents are predicted
-        as many at a time as fill one block with children (one, if a parent
-        has more children than that). Each inner block's p is the
-        workspace's ("kids", depth, level % 2) view, valid until the next."""
+        (SCAN_CHUNK (prefix, sample) rows) at a time, from one _Level per
+        ``run.block`` parents: one per block of parents, and several only
+        for a beam's survivors, whose pool is their own. An inner block's
+        rows and pool are the workspace's ("kids", depth) and ("pool",
+        depth) views, valid until the next block."""
         n_choices = len(run.step_xy)
         sights, steps = self._sightings(run, level)
-        per = max(1, run.block // n_choices)
-        for first in range(0, len(nodes.cost), per):
-            shared = self._level(nodes.p[first : first + per], sights, steps, depth)
-            total = len(shared.p) * n_choices
+        for first in range(0, len(nodes.cost), run.block):
+            part = nodes.rows[first : first + run.block]
+            total = len(part) * n_choices
+            room = 0 if level + 1 == self.h else min(total, run.block) * part[0].size
+            shared = self._level(part, nodes.pool, sights, steps, depth, room)
             for lo in range(0, total, run.block):
                 local, choice = np.divmod(np.arange(lo, min(lo + run.block, total)), n_choices)
                 parent = first + local
                 offset = nodes.offset[parent] + run.step_xy[choice]
-                p, traces = self._update(
+                rows, pool, traces = self._update(
                     shared, local, self._agent_xy(run, offset, level), level, depth
                 )
                 cost = nodes.cost[parent] + traces.sum(axis=2)
-                yield _Nodes(np.column_stack((nodes.paths[parent], choice)), offset, p, traces, cost)
+                yield _Nodes(
+                    np.column_stack((nodes.paths[parent], choice)), offset, rows, pool, traces, cost
+                )
 
     def _agent_xy(self, run: _Search, offset: np.ndarray, level: int) -> list[np.ndarray]:
         """Each agent's position after step ``level``: (1, 2) fixed, (N, 2) moving."""
@@ -464,9 +496,9 @@ class _PrefixTree:
     def _sightings(self, run: _Search, level: int) -> tuple[list, list]:
         """What the fixed agents see at step ``level``, worked out once for
         every block of the level: per fixed agent that sees anything, in
-        agent order, its (S, T) visibility, the R of its visible (sample,
-        track) rows and whether it comes after the first mover; and the
-        _Level steps."""
+        agent order, its (S, T) visibility, its (S, T, 2, 2) R, zero where
+        it sees nothing, and whether it comes after the first mover; and
+        the _Level steps."""
         tp = self.target_paths[:, :, level, :]
         ft = self.free[:, :, level]
         first = run.movers[0] if run.movers else len(run.fixed)
@@ -479,54 +511,82 @@ class _PrefixTree:
             vis = in_fov(delta, sensor.half_width) & ft
             if not vis.any():
                 continue
-            r = _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
+            r = np.zeros(vis.shape + (2, 2))
+            r[vis] = _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
             sights.append((vis, r, i > first))
             if i > first:
-                by_sample = np.zeros(vis.shape + (2, 2))
-                by_sample[vis] = r
-                steps.append((vis, by_sample))
+                steps.append((vis, r))
         return sights, steps
 
-    def _level(self, p: np.ndarray, sights: list, steps: list, depth: int) -> _Level:
-        """Predict the parents' covariances p in place and apply every fixed
-        agent's update once per parent: it sees the same for every child.
-        Each fixed agent updates all its (parent, sample, track) rows in one
-        batch, in agent order."""
-        scratch = _WORKSPACE(("before", depth), p.shape)
-        np.matmul(self.model.F, p, out=scratch)
-        np.matmul(scratch, self.model.F.T, out=p)
-        np.add(p, self.model.Q, out=p)
-        rows = p.reshape(len(p), -1, 4, 4)
+    def _level(
+        self, rows: np.ndarray, pool: np.ndarray, sights: list, steps: list, depth: int, room: int
+    ) -> _Level:
+        """Predict the distinct rows of ``pool`` that the parents' ``rows``
+        (N, S, T) refer to, once each, and apply every fixed agent's update
+        to them once: its sight and R depend only on a row's (sample,
+        track), so it sees the same for every child of every parent sharing
+        the row. Each fixed agent updates all its rows in one batch, in
+        agent order. ``room`` rows follow them for a block's new rows.
+
+        A Joseph update gives each row the same bits whichever rows share
+        its batch (as a slice, a gathered copy or a whole block), and so
+        does the predict, so one update of a shared row gives the bits that
+        one update per prefix gives.
+        """
+        cell = np.full(len(pool), -1)  # each row's (sample, track), -1 where unused
+        cell[rows] = np.arange(rows[0].size).reshape(rows.shape[1:])
+        refs = _WORKSPACE(("refs", depth), rows.shape, int)
+        # A prefix's rows are distinct, so a pool as large as one prefix's
+        # rows, as at the root, is all in use; a larger one is gathered into
+        # scratch without its unused rows, the rest numbered in order. pool
+        # may be a view of ("pool", depth), or now scratch: the predict
+        # reads it whole into p, and numpy buffers an overlap.
+        if len(pool) == rows[0].size:
+            np.copyto(refs, rows)
+            scratch = _WORKSPACE(("before", depth), pool.shape)
+        else:
+            kept = np.flatnonzero(cell >= 0)
+            cell, index = cell[kept], cell
+            index[kept] = np.arange(len(kept))
+            np.take(index, rows, out=refs, mode="clip")
+            scratch = _WORKSPACE(("before", depth), (len(kept), 4, 4))
+            pool = np.take(pool, kept, axis=0, out=scratch, mode="clip")
+        level_pool = _WORKSPACE(("pool", depth), (len(pool) + room, 4, 4))
+        p = level_pool[: len(pool)]
+        np.matmul(self.model.F, pool, out=p)
+        np.matmul(p, self.model.F.T, out=scratch)
+        np.add(scratch, self.model.Q, out=p)
         before = p
         for vis, r, later in sights:
-            if later and before is p:  # keep the parents as the first mover finds them
+            if later and before is p:  # keep the rows as the first mover finds them
                 before = scratch
                 np.copyto(before, p)
-            seen = np.flatnonzero(vis)
-            each = _WORKSPACE("r", (len(p), len(seen), 2, 2))
-            each[...] = r
-            flat = (np.arange(len(p))[:, None] * rows.shape[1] + seen).ravel()
-            _update_rows(rows.reshape(-1, 4, 4), flat, each.reshape(-1, 2, 2))
-        return _Level(p, np.trace(p, axis1=-2, axis2=-1), before, steps)
+            seen = np.flatnonzero(vis.reshape(-1)[cell])
+            each = _WORKSPACE("r", (len(seen), 2, 2))
+            np.take(r.reshape(-1, 2, 2), cell[seen], axis=0, out=each, mode="clip")
+            _update_rows(p, seen, each)
+        traces = np.trace(p, axis1=1, axis2=2)[refs]
+        return _Level(refs, level_pool, len(p), before, traces, steps)
 
     def _update(
         self, shared: _Level, parent: np.ndarray, agent_xy: list[np.ndarray], level: int, depth: int
-    ) -> tuple[np.ndarray | None, np.ndarray]:
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
         """Step ``level``'s updates of the (child, sample, track) rows a mover
-        sees, for the children of ``parent``; their (C, S, T, 4, 4)
-        covariances (None at the leaf level) and (C, S, T) traces.
+        sees, for the children of ``parent``: their (C, S, T) rows and pool
+        (None at the leaf level) and their (C, S, T) traces.
 
-        A child takes its parent's shared blocks except where a mover sees
-        the track: that row starts from the parent's block as the first
-        mover finds it, and each later agent that sees it updates it. The
-        rows go JOSEPH_ROWS at a time, and each agent updates all it sees of
-        them in one batch.
+        A child takes its parent's rows except where a mover sees the track:
+        that row starts from the parent's row as the first mover finds it,
+        each later agent that sees it updates it, and it becomes a new row of
+        the pool, after the parents'. The rows go JOSEPH_ROWS at a time, and
+        each agent updates all it sees of them in one batch.
         """
         traces = shared.traces[parent]
-        p = None
+        rows = pool = None
         if level + 1 < self.h:
-            kids = _WORKSPACE(("kids", depth, level % 2), (len(parent),) + shared.p.shape[1:])
-            p = np.take(shared.p, parent, axis=0, out=kids, mode="clip")
+            rows = _WORKSPACE(("kids", depth), traces.shape, int)
+            np.take(shared.rows, parent, axis=0, out=rows, mode="clip")
+            pool = shared.pool[: shared.size]
         tp = self.target_paths[:, :, level, :]
         ft = self.free[:, :, level]
         sights = {}  # per mover that sees anything: its (C, S, T) visibility and their R
@@ -540,11 +600,11 @@ class _PrefixTree:
                 if vis.any():
                     sights[i] = vis, _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
         if not sights:
-            return p, traces
+            return rows, pool, traces
         own = np.flatnonzero(np.logical_or.reduce([vis for vis, _ in sights.values()]))
         size = traces[0].size  # (sample, track) rows per child
         child, cell = np.divmod(own, size)
-        start = parent[child] * size + cell  # each row's place in shared.before
+        start = shared.rows.reshape(-1).take(parent[child] * size + cell)  # rows of shared.before
         updates = []  # per step: which of the rows it updates, and their R
         for step in shared.steps:
             if isinstance(step, int):
@@ -556,17 +616,20 @@ class _PrefixTree:
                 updates.append((mask, step[1].reshape(-1, 2, 2)[cell[mask]]))
         done = [0] * len(updates)
         for lo in range(0, len(own), JOSEPH_ROWS):
-            rows = own[lo : lo + JOSEPH_ROWS]
-            pool = shared.before.reshape(-1, 4, 4).take(start[lo : lo + JOSEPH_ROWS], axis=0)
+            hi = min(lo + JOSEPH_ROWS, len(own))
+            fresh = shared.before.take(start[lo:hi], axis=0)
             for k, (mask, r) in enumerate(updates):
-                some = np.flatnonzero(mask[lo : lo + JOSEPH_ROWS])
+                some = np.flatnonzero(mask[lo:hi])
                 if len(some):
-                    _update_rows(pool, some, r[done[k] : done[k] + len(some)])
+                    _update_rows(fresh, some, r[done[k] : done[k] + len(some)])
                     done[k] += len(some)
-            traces.reshape(-1)[rows] = np.trace(pool, axis1=1, axis2=2)
-            if p is not None:
-                p.reshape(-1, 4, 4)[rows] = pool
-        return p, traces
+            traces.reshape(-1)[own[lo:hi]] = np.trace(fresh, axis1=1, axis2=2)
+            if rows is not None:
+                shared.pool[shared.size + lo : shared.size + hi] = fresh
+        if rows is None:
+            return None, None, traces
+        rows.reshape(-1)[own] = np.arange(shared.size, shared.size + len(own))
+        return rows, shared.pool[: shared.size + len(own)], traces
 
     def _leaf_costs(self, run: _Search, leaves: _Nodes) -> np.ndarray:
         """Mean cost over target samples plus the terminal penalty, if any."""

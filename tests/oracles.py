@@ -273,11 +273,20 @@ def dense_prefix_tree(p0, f, q, target_paths, free, sensors, fixed, step_xy, bet
     turn, a row holding each mover's displacement. Leaves come in
     enumeration order, the first step's choice most significant; a leaf
     costs its step traces summed over tracks, averaged over samples, plus
-    with ``beta`` the greedy MWTP penalty (S = 1). Also returns the Joseph
-    rows this schedule updates and those a per-parent schedule updates:
-    fixed agents before the first mover once per (parent, sample, track),
-    a mover once per row it sees, and later fixed agents once per (parent,
-    sample, track) plus once per row some mover sees.
+    with ``beta`` the greedy MWTP penalty (S = 1).
+
+    Also returns row counts of three schedules, as a dict. "dense" and
+    "per_parent" are the Joseph rows this schedule updates and those a
+    per-parent schedule updates: fixed agents before the first mover once
+    per (parent, sample, track), a mover once per row it sees, and later
+    fixed agents once per (parent, sample, track) plus once per row some
+    mover sees. "shared" and "predicted" are the Joseph rows and predicted
+    rows of a shared-row schedule, which holds one covariance per lineage:
+    a row's lineage starts at the root, one per (sample, track), and
+    changes only where a mover sees it. That schedule predicts each
+    lineage of a level's parents once, a fixed agent updates each parent
+    lineage it sees once, a mover each row it sees, and a later fixed
+    agent also each row it sees that some mover sees.
     """
     n_samples, n_tracks, h = target_paths.shape[:3]
     movers = [i for i, fx in enumerate(fixed) if fx is None]
@@ -285,13 +294,17 @@ def dense_prefix_tree(p0, f, q, target_paths, free, sensors, fixed, step_xy, bet
     p = np.broadcast_to(p0, (1, n_samples, n_tracks, 4, 4)).copy()
     offset = np.full((1, len(movers), 2), -0.0)
     cost = np.zeros((1, n_samples))
-    dense_rows = per_parent_rows = 0
+    lineage = np.arange(n_samples * n_tracks).reshape(1, n_samples, n_tracks)
+    n_lineages = lineage.size
+    rows = dict.fromkeys(("dense", "per_parent", "shared", "predicted"), 0)
     for level in range(h):
         n_parents = len(p)
+        rows["predicted"] += len(np.unique(lineage))
         parent = np.repeat(np.arange(n_parents), len(step_xy))
         choice = np.tile(np.arange(len(step_xy)), n_parents)
         offset = offset[parent] + step_xy[choice]
         p = (f @ p @ f.T + q)[parent]
+        ancestry, lineage = lineage, lineage[parent]
         pos = [
             np.broadcast_to(fx[level], (len(parent), 2)) if fx is not None
             else np.array(sensors[i][:2]) + offset[:, movers.index(i)]
@@ -312,17 +325,23 @@ def dense_prefix_tree(p0, f, q, target_paths, free, sensors, fixed, step_xy, bet
             for i in movers:
                 seen |= views[i]
             for i, (delta, vis) in enumerate(zip(deltas, views)):
-                dense_rows += int(vis.sum())
+                rows["dense"] += int(vis.sum())
                 if fixed[i] is None:
-                    per_parent_rows += int(vis.sum())
+                    rows["per_parent"] += int(vis.sum())
+                    rows["shared"] += int(vis.sum())
                 else:
-                    per_parent_rows += n_parents * int(vis[0].sum())
+                    rows["per_parent"] += n_parents * int(vis[0].sum())
+                    rows["shared"] += len(np.unique(ancestry[:, vis[0], t]))
                     if i > first:
-                        per_parent_rows += int((vis & seen).sum())
+                        rows["per_parent"] += int((vis & seen).sum())
+                        rows["shared"] += int((vis & seen).sum())
                 if vis.any():
                     r = range_bearing_cov_batch(delta[vis], sensors[i][3], sensors[i][4])
                     pt = p[:, :, t]
                     pt[vis] = joseph_update_batch(pt[vis], r)
+            renewed = int(seen.sum())
+            lineage[:, :, t][seen] = np.arange(n_lineages, n_lineages + renewed)
+            n_lineages += renewed
         cost = cost[parent] + np.trace(p, axis1=-2, axis2=-1).sum(axis=2)
     costs = cost.mean(axis=1)
     if beta is not None:
@@ -341,7 +360,33 @@ def dense_prefix_tree(p0, f, q, target_paths, free, sensors, fixed, step_xy, bet
                 [float(np.trace(p[leaf, 0, t])) for t in uncovered], beta,
             )
             costs[leaf] += penalty
-    return costs, dense_rows, per_parent_rows
+    return costs, rows
+
+
+def literal_beam(p0, f, q, target_paths, free, sensors, fixed, step_xy, keep, beta=None):
+    """A beam search of the tree dense_prefix_tree scores, written out.
+
+    The arguments are dense_prefix_tree's. At each step every surviving
+    prefix is extended by every choice, in rank order of the survivors and
+    choice order within each; an inner prefix scores its dense cost at its
+    own length with no terminal penalty, and the ``keep`` best by (score,
+    position) survive. Returns the leaves (tuples of choices) in that order,
+    their costs, and the count of prefixes and leaves scored.
+    """
+    n_choices, h = len(step_xy), target_paths.shape[2]
+    beam, scored = [()], 0
+    for level in range(h):
+        last = level + 1 == h
+        costs, _ = dense_prefix_tree(
+            p0, f, q, target_paths[:, :, : level + 1], free[:, :, : level + 1],
+            sensors, fixed, step_xy, beta if last else None,
+        )
+        expanded = [seq + (c,) for seq in beam for c in range(n_choices)]
+        scores = [costs[np.ravel_multi_index(seq, (n_choices,) * len(seq))] for seq in expanded]
+        scored += len(expanded)
+        ranked = sorted(range(len(expanded)), key=lambda i: (scores[i], i))
+        beam = [expanded[i] for i in ranked[:keep]]
+    return expanded, np.array(scores), scored
 
 
 def forest_all_pairs(lam, radius, width, height, rng, retry_budget):

@@ -427,6 +427,8 @@ class TestMain:
             pytest.param(f"--horizon 1{'0' * 400}", id="--horizon 10**400"),
             "--planner dec-pomdp --horizon 1600",
             "--horizon 1000000000000 --duration 1 --lambda 5",
+            # a beam stage would score 9 + 999,999 x 8 x 9 sequences
+            "--horizon 1000000 --duration 1",
             # 59.6 GiB of sampled paths alone
             "--planner mcr --mcr-samples 1000000000 --duration 1 --lambda 5",
         ],
@@ -440,6 +442,14 @@ class TestMain:
         assert cli.build_spec({"n_headings": 99_999}, {}).base.n_headings == 99_999
         with pytest.raises(ConfigError, match="100001 actions"):
             cli.build_spec({"n_headings": 100_000}, {})
+
+    def test_horizon_is_bounded_by_the_beam_count(self):
+        # a beam stage scores |A| + (h - 1) x BEAM_WIDTH x |A| sequences,
+        # 9 + 1388 x 8 x 9 = 99,945 at H1389, against EXHAUSTIVE_LIMIT = 100,000
+        for h in (1, 6, 1000, 1389):
+            assert cli.build_spec({"duration": 1.0}, {"horizons": (h,)}).horizons == (h,)
+        with pytest.raises(ConfigError, match="horizon 1390: .* scores 100017 sequences"):
+            cli.build_spec({"duration": 1.0}, {"horizons": (1390,)})
 
     def test_flags_override_file_keys(self, tmp_path):
         cfg = tmp_path / "c.ini"

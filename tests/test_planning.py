@@ -35,7 +35,13 @@ from trackplan.planning import (
 
 from beliefs import agent_at, belief_of, start_agents
 from mwtp_leaf import mwtp_leaf
-from oracles import dense_prefix_tree, kalman_update_cov, range_bearing_cov, rollout_cost
+from oracles import (
+    dense_prefix_tree,
+    kalman_update_cov,
+    literal_beam,
+    range_bearing_cov,
+    rollout_cost,
+)
 
 EMPTY = OcclusionForest(disks=())
 
@@ -457,6 +463,7 @@ class TestOptimizeSingle:
     def test_beam_matches_literal_beam_on_ties(self, monkeypatch):
         monkeypatch.setattr("trackplan.planning.EXHAUSTIVE_LIMIT", 10)
         monkeypatch.setattr("trackplan.planning.BEAM_WIDTH", 3)
+        searches = spy_searches(monkeypatch)
         # exact moves from an exact start, so equal sums give equal positions.
         # Track 0 is never seen; track 1 passes (7.5, 20), (14, 20), (20.5, 20)
         # and is seen only from (15, 20) at step 2 and (20, 20) at step 3.
@@ -469,22 +476,46 @@ class TestOptimizeSingle:
         )
         model = ncv_model(1.0, 1.0)
         joint, stats = sma_nbo_plan(belief, hover_plan(1, 3), actions, EMPTY, model)
-
-        def cost(seq):
-            return rollout_cost(belief, actions[list(seq)][None], EMPTY, model, len(seq))
-
-        # literal beam: re-score every prefix, keep the 3 best by (cost,
-        # position), expand the survivors in that rank order
-        beam = [()]
-        for _ in range(3):
-            expanded = [seq + (a,) for seq in beam for a in range(len(actions))]
-            costs = [cost(seq) for seq in expanded]
-            ranked = sorted(range(len(expanded)), key=lambda i: (costs[i], i))
-            beam = [expanded[i] for i in ranked[:3]]
-        assert costs.count(min(costs)) == 2
-        assert beam[0] == (0, 1, 1)
-        assert np.array_equal(joint[0], actions[list(beam[0])])
+        tree, run, blocks = searches[0]  # the beam; then the incumbent alone
+        leaves, costs, _ = beam_reference(tree, run, 3)
+        best = leaves[min(range(len(leaves)), key=lambda i: (costs[i], i))]
+        assert np.count_nonzero(costs == costs.min()) == 2
+        assert best == (0, 1, 1)
+        assert np.concatenate(blocks).tobytes() == costs.tobytes()
+        assert np.array_equal(joint[0], actions[list(best)])
         assert stats.stage_best_costs[0] < stats.stage_incumbent_costs[0]
+
+    @pytest.mark.parametrize("chunk", [4096, 7])
+    def test_beam_stages_match_literal_beam_bit_for_bit(self, monkeypatch, chunk):
+        # every sweep stage at H3 and H4 runs the beam: its leaves, in order,
+        # cost what the literal beam over the dense schedule gives, with
+        # survivors' rows shared across levels and across blocks
+        monkeypatch.setattr("trackplan.planning.SCAN_CHUNK", chunk)
+        monkeypatch.setattr("trackplan.planning.EXHAUSTIVE_LIMIT", 10)
+        searches = spy_searches(monkeypatch)
+        rng = np.random.default_rng(37)
+        model = ncv_model(1.0, 1.0)
+        actions = action_set(5.0, 4, 1)
+        evals = []
+        for k in range(6):
+            n_agents, h = 1 + k % 3, 3 + k // 3
+            belief, forest, intents = TestBlocks._crowded_instance(
+                rng, n_agents, int(rng.integers(1, 5)), h
+            )
+            plans = [
+                sma_nbo_plan(belief, intents, actions, forest, model),
+                sma_nbo_plan(belief, intents, actions, forest, model, beta=0.8),
+            ] + [
+                mcr_plan(belief, intents, actions, forest, model, n, np.random.default_rng(k))
+                for n in (1, 7)
+            ]
+            evals += [n for _, stats in plans for n in stats.per_agent_evals]
+        beams = [(tree, run, blocks) for tree, run, blocks in searches if len(run.step_xy) > 1]
+        assert len(beams) == len(evals) == 4 * 2 * (1 + 2 + 3)
+        for (tree, run, blocks), n in zip(beams, evals):
+            _, costs, scored = beam_reference(tree, run, planning.BEAM_WIDTH)
+            assert np.concatenate(blocks).tobytes() == costs.tobytes()
+            assert run.scored == scored == n - 1  # and the incumbent alone
 
     def test_incumbent_outside_action_set_can_win(self):
         # the diagonal intent reaches a pose strictly closer to the target
@@ -779,11 +810,11 @@ class TestMcr:
 
 
 def test_mcr_memory_is_bounded_before_planning():
-    # a workspace of 48 x 3 + 6 floats for each of the 4096 x 4 rows of a
+    # a workspace of 50 x 3 + 6 floats for each of the 4096 x 4 rows of a
     # block, plus 50 x 4 x 3 sampled positions
-    want = 4096 * 4 * (48 * 3 + 6) * 8 + 50 * 4 * 3 * 16
+    want = 4096 * 4 * (50 * 3 + 6) * 8 + 50 * 4 * 3 * 16
     assert planning.mcr_memory(50, 4, 3) == want
-    with pytest.raises(BudgetExceededError, match="1668.9 GiB .* budget is 1 GiB"):
+    with pytest.raises(BudgetExceededError, match="1728.5 GiB .* budget is 1 GiB"):
         planning.mcr_memory(10**9, 4, 1)
 
 
@@ -800,14 +831,17 @@ def test_workspace_stays_within_mcr_memory(monkeypatch, n_samples, h):
 
 def test_workspace_holds_only_block_buffers(monkeypatch):
     # slice-sized update temporaries are fresh arrays; the workspace keeps
-    # only the predict scratch, children, R and mover offsets of a block
+    # only the pool, predict scratch, row indices, R and mover offsets of a
+    # block
     belief, _, actions, forest, model = TestBlocks._default_mcr_epoch()
     dec_pomdp_plan(belief, 1, actions, forest, model)
     monkeypatch.setattr(planning, "_WORKSPACE", planning._Workspace())
     dec_pomdp_plan(belief, 1, actions, forest, model)
     buffers = planning._WORKSPACE._buffers
     assert buffers
-    assert all(key in ("r", "delta") or key[0] in ("before", "kids") for key in buffers)
+    assert all(
+        key in ("r", "delta") or key[0] in ("pool", "before", "refs", "kids") for key in buffers
+    )
     assert sum(b.nbytes for b in buffers.values()) < 64 * 1024
 
 
@@ -897,7 +931,7 @@ class TestBlocks:
             monkeypatch.setattr(_PrefixTree, name, counted)
 
         monkeypatch.setattr(planning, "_joseph_update_batch", counting)
-        spy("_level", lambda p, sights, *_: len(sights))
+        spy("_level", lambda rows, pool, sights, *_: len(sights))
         spy("_update", lambda shared, *_: len(shared.steps))
         if planner == "mcr":
             mcr_plan(belief, intents, actions, forest, model, n_samples, np.random.default_rng(1))
@@ -966,7 +1000,7 @@ class TestBlocks:
         update = _PrefixTree._update
 
         def counting(tree, shared, parent, *args):
-            rows.append(len(parent) * shared.p.shape[1])  # (child, sample) rows
+            rows.append(len(parent) * shared.rows.shape[1])  # (child, sample) rows
             return update(tree, shared, parent, *args)
 
         monkeypatch.setattr(_PrefixTree, "_update", counting)
@@ -994,9 +1028,9 @@ def spy_searches(monkeypatch) -> list:
     return searches
 
 
-def dense_reference(tree, run):
-    """tests/oracles.py's dense schedule run on one search's inputs."""
-    return dense_prefix_tree(
+def search_inputs(tree, run) -> tuple:
+    """One search's inputs as tests/oracles.py's prefix-tree oracles take them."""
+    return (
         tree.belief.P,
         tree.model.F,
         tree.model.Q,
@@ -1005,15 +1039,24 @@ def dense_reference(tree, run):
         [(*xy, s.half_width, s.alpha, s.r0) for xy, s in zip(tree.belief.xy, tree.belief.sensors)],
         [None if f is None else f[0] for f in run.fixed],
         run.step_xy,
-        tree.beta,
     )
 
 
+def dense_reference(tree, run):
+    """tests/oracles.py's dense schedule run on one search's inputs."""
+    return dense_prefix_tree(*search_inputs(tree, run), tree.beta)
+
+
+def beam_reference(tree, run, keep):
+    """tests/oracles.py's literal beam run on one search's inputs."""
+    return literal_beam(*search_inputs(tree, run), keep, tree.beta)
+
+
 class TestDenseSchedule:
-    """The kernel updates a fixed agent's blocks once per parent and keeps
-    only traces at the leaves; every leaf still costs what the dense
-    schedule (each child a full copy, every agent updating every copy)
-    gives, bit for bit."""
+    """The kernel holds a covariance row once for every prefix sharing it,
+    predicts and updates each such row once, and keeps only traces at the
+    leaves; every leaf still costs what the dense schedule (each child a
+    full copy, every agent updating every copy) gives, bit for bit."""
 
     @pytest.mark.parametrize("chunk", [4096, 7])
     def test_leaf_costs_match_dense_schedule_bit_for_bit(self, monkeypatch, chunk):
@@ -1042,19 +1085,29 @@ class TestDenseSchedule:
             assert costs.tobytes() == dense_reference(tree, run)[0].tobytes()
 
     def test_fixed_agents_update_each_parent_once(self, monkeypatch):
+        # every level of the default epoch's searches has one block of
+        # parents, so the kernel's rows are the oracle's lineages
         searches = spy_searches(monkeypatch)
-        rows = []
+        rows, predicted = [], []
         joseph = planning._joseph_update_batch
+        level = _PrefixTree._level
 
         def counting(p, r):
             rows.append(len(p))
             return joseph(p, r)
 
+        def predicting(tree, *args):
+            shared = level(tree, *args)
+            predicted.append(shared.size)
+            return shared
+
         monkeypatch.setattr(planning, "_joseph_update_batch", counting)
+        monkeypatch.setattr(_PrefixTree, "_level", predicting)
         mcr_plan(*TestBlocks._default_mcr_epoch(), 50, np.random.default_rng(1))
-        counts = [dense_reference(tree, run)[1:] for tree, run, _ in searches]
-        dense, per_parent = map(sum, zip(*counts))
-        assert sum(rows) == per_parent < dense
+        counts = [dense_reference(tree, run)[1] for tree, run, _ in searches]
+        total = {key: sum(c[key] for c in counts) for key in counts[0]}
+        assert sum(rows) == total["shared"] < total["per_parent"] < total["dense"]
+        assert sum(predicted) == total["predicted"]
 
 
 class TestComplexityCounts:
