@@ -5,14 +5,16 @@ planner, reuses one batch of random maps per parameter cell across all
 planners, and emits CSV artifacts: per-trial logs, a deterministic
 summary, wall-clock timings and per-cell OSPA ECDFs.
 
-Exit codes: 0 success, 1 configuration error (a bad key or value, an
-action set, a dec-pomdp joint search or an mcr kernel over its budget, or
-a forest that cannot be placed), 2 runtime error (a failing trial or write).
+Exit codes: 0 success, 1 configuration error (a bad key or value, a
+planner over planning.plan_cost's sequence or memory budget, a trial's
+OSPA stack over the memory budget, or a forest that cannot be placed), 2
+runtime error (a failing trial or write).
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import os
 import re
 import sys
@@ -25,8 +27,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .metrics import ecdf
-from .planning import BEAM_WIDTH, EXHAUSTIVE_LIMIT, BudgetExceededError, action_count
-from .planning import dec_pomdp_joint_count, mcr_memory
+from .planning import BudgetExceededError, plan_cost
 from .sim import PLANNERS, TrialLog, run_trial
 from .worldgen import (
     MAX_INT,
@@ -85,38 +86,14 @@ class ExperimentSpec:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{label} list {repeated[0]} twice")
-        n_actions = action_count(self.base.n_headings, self.base.n_speeds)
-        # Every stage scores each action at its first level, and a beam level
-        # holds all its children at once, so no planner is sized for more
-        # actions than one exhaustive stage scores.
-        if n_actions > EXHAUSTIVE_LIMIT:
-            raise ConfigError(
-                f"n_headings x n_speeds gives {n_actions} actions with hover, "
-                f"more than the {EXHAUSTIVE_LIMIT} a planning stage scores exhaustively"
-            )
-        if "dec-pomdp" in self.planners:
-            for config in configs.values():
-                try:
-                    dec_pomdp_joint_count(n_actions, config.n_agents, config.horizon)
-                except BudgetExceededError as exc:
-                    raise ConfigError(f"dec-pomdp at horizon {config.horizon}: {exc}") from exc
-        # A sweep stage scores the |A|^h sequences while they are at most
-        # EXHAUSTIVE_LIMIT, else a beam's |A| + (h - 1) x BEAM_WIDTH x |A|.
-        # The beam's count is within the limit wherever |A|^h is, so bounding
-        # it sizes no stage for more sequences than one exhaustive stage.
-        for h in self.horizons:
-            beam = n_actions * (1 + (h - 1) * BEAM_WIDTH)
-            if beam > EXHAUSTIVE_LIMIT:
-                raise ConfigError(
-                    f"horizon {h}: a beam stage of {n_actions} actions scores {beam} "
-                    f"sequences, more than the {EXHAUSTIVE_LIMIT} a planning stage scores"
-                )
-        if "mcr" in self.planners:
-            for config in configs.values():
-                try:
-                    mcr_memory(self.mcr_samples, config.n_targets, config.horizon)
-                except BudgetExceededError as exc:
-                    raise ConfigError(f"mcr_samples: {exc}") from exc
+        # Each planner is checked in every cell by the cost model its plans check.
+        for config, planner in itertools.product(configs.values(), self.planners):
+            sizes = (config.n_actions, config.n_agents, config.n_targets, config.horizon)
+            samples = self.mcr_samples if planner == "mcr" else 1
+            try:
+                plan_cost(*sizes, samples, planner == "dec-pomdp")
+            except BudgetExceededError as exc:
+                raise ConfigError(f"{planner} at horizon {config.horizon}: {exc}") from exc
 
 
 def _keys(cls) -> dict[str, tuple[str, object]]:

@@ -147,6 +147,14 @@ def ospa(x: np.ndarray, y: np.ndarray, params: OspaParams) -> float | np.ndarray
     return dist if stacked else float(dist[0])
 
 
+def ospa_bytes(n_steps: int, n: int, m: int) -> int:
+    """Most bytes ospa holds for stacks of n_steps pairs of n and m points,
+    as tracemalloc measures them: per step, 48 a (point, point) pair (the
+    offsets, a copy and their squares in np.linalg.norm) or, where more,
+    256 a point of the larger set (the assignment's state); and 64 KiB."""
+    return n_steps * max(48 * n * m, 256 * max(n, m)) + (64 << 10)
+
+
 def ecdf(values) -> list[tuple[float, float]]:
     """Right-continuous empirical CDF as sorted (value, frequency) pairs."""
     arr = np.asarray(values, dtype=float).ravel()

@@ -27,7 +27,8 @@ once for all the prefixes below it. A sweep stage expands one
 agent's actions, exhaustively or by beam search; the joint optimization
 expands all agents' joint actions. Leaves are reduced by (cost,
 enumeration index), so the outcome is identical to scoring complete
-sequences one by one in order.
+sequences one by one in order. plan_cost bounds the sequences and the
+memory of every plan before it starts.
 """
 from __future__ import annotations
 
@@ -40,28 +41,18 @@ import numpy as np
 
 from .estimation import FleetBelief, NcvModel, _apply
 from .sensing import _range_bearing_cov_batch, in_fov
-from .worldgen import OcclusionForest
+from .worldgen import MEMORY_BUDGET, OcclusionForest
 
 _EYE4 = np.eye(4)
 
-# Most (prefix, sample) rows one search step extends and scores at once. A
-# block holds max(1, SCAN_CHUNK // S) prefixes, each carrying S target
-# samples, and a level's parents are predicted a block at a time. A block
-# refers to its (prefix, sample, track) covariances by index into a pool
-# of distinct (4, 4) covariances: a block of parents' distinct rows and
-# the rows a mover sees in one block of children, so no kernel array holds
-# more than 2 x max(SCAN_CHUNK, S) x T covariances. Leaves hold only
-# traces, and updates run in slices of JOSEPH_ROWS rows. The block-sized
-# arrays live in _WORKSPACE, whose size mcr_memory bounds.
+# Most (prefix, sample) rows one search step extends and scores at once: a
+# block holds max(1, SCAN_CHUNK // S) prefixes of S target samples, and a
+# level's parents are predicted a block at a time. plan_cost bounds what
+# the blocks, their workspace (_WORKSPACE) and the rest of a plan hold.
 SCAN_CHUNK = 4096
 
 # Largest joint sequence space dec_pomdp_plan will enumerate.
 DEC_POMDP_BUDGET = 1_000_000
-
-# Most bytes mcr_plan's kernel may need for its workspace (_Workspace) plus
-# its S x T x h sampled (x, y) target positions: 1 GiB, about 207,000
-# samples of 4 targets at H3.
-MCR_MEMORY_BUDGET = 1 << 30
 
 # Most covariances one Joseph update takes at once: the distinct rows a
 # fixed agent sees at a level, and the rows a mover sees in a block, run
@@ -71,20 +62,13 @@ MCR_MEMORY_BUDGET = 1 << 30
 # in cache.
 JOSEPH_ROWS = 512
 
-# Floats the workspace holds per covariance row of a block, max(SCAN_CHUNK,
-# S) x T rows: at each search depth, of which there are at most h, the
-# pool (32: a block of parents' rows and a block of children's), the
-# predict's scratch (16) and the parents' and one children block's
-# indices into the pool (1 each); and once, a fixed agent's R (4) and a
-# mover's offsets (2).
-_DEPTH_FLOATS = 50
-_BLOCK_FLOATS = 6
-
 # A sweep stage enumerates all |A|^h sequences while that count is at most
 # EXHAUSTIVE_LIMIT (h <= 5 with |A| = 9); beyond it, it runs a greedy
 # by-step beam search that keeps the BEAM_WIDTH best prefixes per level.
+# No stage may score more sequences than the largest exhaustive one.
 EXHAUSTIVE_LIMIT = 100_000
 BEAM_WIDTH = 8
+STAGE_BUDGET = EXHAUSTIVE_LIMIT
 
 
 class BudgetExceededError(RuntimeError):
@@ -105,9 +89,98 @@ class PlanStats:
         return sum(self.per_agent_evals)
 
 
-def action_count(n_headings: int, n_speeds: int) -> int:
-    """Size of action_set(v_max, n_headings, n_speeds), without building it."""
-    return 1 + n_headings * n_speeds
+def _power(base: int, exp: int, cap: int) -> int:
+    """base ** exp, or cap + 1 if larger: cap.bit_length() factors of 2 exceed cap."""
+    return min(base ** min(exp, cap.bit_length()), cap + 1)
+
+
+def _stage_size(n_actions: int, h: int) -> tuple[bool, int]:
+    """Whether a sweep stage expands its agent's whole tree, and the
+    sequences it scores: all |A|^h while they are at most EXHAUSTIVE_LIMIT,
+    else a beam's |A| + (h - 1) x BEAM_WIDTH x |A|."""
+    count = _power(n_actions, h, EXHAUSTIVE_LIMIT)
+    if count <= EXHAUSTIVE_LIMIT:
+        return True, count
+    return False, n_actions * (1 + (h - 1) * BEAM_WIDTH)
+
+
+def plan_cost(
+    n_actions: int, n_agents: int, n_targets: int, h: int, n_samples: int = 1, joint: bool = False
+) -> tuple[int, int]:
+    """Sequences one agent scores in a sweep stage (sma_nbo_plan, mcr_plan)
+    or, if ``joint``, in dec_pomdp_plan's joint search, and the most bytes
+    the plan holds at once, for |A| actions, n agents, T tracks, horizon h
+    and S target samples, in integer arithmetic that costs as little at a
+    huge h as at a small one. Raises BudgetExceededError at the first
+    budget exceeded: DEC_POMDP_BUDGET joint sequences, STAGE_BUDGET in a
+    sweep stage (checked for every planner), or MEMORY_BUDGET bytes.
+
+    The bytes bound tracemalloc's peak where every agent sees every track.
+    A level has b choices (|A|, or |A|^n jointly), a block B = max(1,
+    SCAN_CHUNK // S) prefixes and a prefix C = S x T rows. Per row of C:
+      * 18 a step (paths, occlusion mask), 136 (root), 33 a fixed agent
+        and depth (its sights);
+      * exhaustive: depth 0 loops over the f levels whose children fit a
+        block, to P = b^f parents, 320 P + 128 P / b (pool, scratch, R,
+        indices, traces); then it recurses once at each of the d = h - 1
+        - f later non-leaf levels, 128 P + 464 d B (a block of parents and
+        one of children a depth), or else keeps the level before P alive,
+        272 P / b + 136 P / b^2;
+      * a beam of W = BEAM_WIDTH: 392 a pool row each child block copies
+        (its parents' rows and its own, three generations alive), 48 a
+        child, 576 a parent and 144 a child of a block;
+      * a block of min(B, b^h) leaves, or of min(B, W |A|) beam children:
+        max(160, 96 + 24 n) each, 12 n more jointly (update transients).
+    Per prefix held, 8 h + 16 n (choices, offsets); jointly, 40 n b
+    (action tables) and 16 n h a leaf (tie ranks); and 4 MiB (Python
+    objects, JOSEPH_ROWS slices, occludes' chunk at the MAX_DISKS cap).
+    """
+    if h < 1 or n_samples < 1:
+        raise ValueError("horizon and n_samples must be >= 1")
+    sequences = _power(n_actions, n_agents * h, DEC_POMDP_BUDGET)
+    if joint and sequences > DEC_POMDP_BUDGET:
+        raise BudgetExceededError(
+            f"joint optimization needs {n_actions}^{n_agents * h} rollouts per agent "
+            f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {DEC_POMDP_BUDGET}"
+        )
+    exhaustive, stage = _stage_size(n_actions, h)
+    if stage > STAGE_BUDGET:
+        raise BudgetExceededError(
+            f"a beam stage of {n_actions} actions scores {stage} sequences, "
+            f"more than the {STAGE_BUDGET} a planning stage scores"
+        )
+    cells, block = n_samples * n_targets, max(1, SCAN_CHUNK // n_samples)
+    b = n_actions**n_agents if joint else n_actions
+    leaf = max(160, 96 + (24 + 12 * joint) * n_agents)
+    sights = 0 if joint else 33 * (n_agents - 1)
+    need = (4 << 20) + cells * (18 * h + 136 + sights)
+    if exhaustive or joint:
+        fit = h - 1 if b == 1 else 0  # f, in at most log2(SCAN_CHUNK) = 12 turns
+        while fit < h - 1 and b ** (fit + 1) <= block:
+            fit += 1
+        last, deeper = b**fit, h - 1 - fit
+        leaves = min(block, _power(b, h, block))
+        rows = 320 * last + 128 * (last // b) + leaf * leaves
+        if deeper:
+            rows += 128 * last + (464 * block + sights) * deeper
+        else:
+            rows += 272 * (last // b) + 136 * (last // b // b)
+        held = last + deeper * block + leaves
+        if joint:
+            need += 40 * n_agents * b + 16 * n_agents * h * leaves
+    else:
+        parents, level = min(block, BEAM_WIDTH), BEAM_WIDTH * n_actions
+        kids = min(block, level)
+        copied = -(-BEAM_WIDTH // parents) * -(-parents * n_actions // block) * parents + level
+        rows = 392 * copied + 48 * level + 576 * parents + (144 + leaf) * kids
+        held = 3 * level + parents + kids
+    need += cells * rows + held * (8 * h + 16 * n_agents)
+    if need > MEMORY_BUDGET:
+        raise BudgetExceededError(
+            f"{n_samples} x {n_targets} (sample, track) rows need {need / 2**30:.1f} GiB "
+            f"of rollout memory, budget is {MEMORY_BUDGET / 2**30:g} GiB"
+        )
+    return (sequences if joint else stage), need
 
 
 def action_set(v_max: float, n_headings: int = 8, n_speeds: int = 1) -> np.ndarray:
@@ -193,7 +266,7 @@ class _Workspace:
     mover finds them; ("refs", d) holds the parents' indices into the
     pool and ("kids", d) a children block's. "r" holds a fixed agent's R
     for each row it updates and "delta" a mover's offsets to the targets
-    of a block. mcr_memory bounds their bytes. Slice-sized temporaries
+    of a block. plan_cost bounds their bytes. Slice-sized temporaries
     (JOSEPH_ROWS) are fresh arrays.
     """
 
@@ -250,8 +323,6 @@ def _update_rows(p: np.ndarray, rows: np.ndarray, r: np.ndarray) -> None:
 def _nominal_paths(belief: FleetBelief, model: NcvModel, h: int) -> np.ndarray:
     """Noise-free propagation of every track mean over h steps: the mean
     positions as a (1, T, h, 2) sample block, tracks ordered like the belief's."""
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
     out = np.zeros((1, len(belief.xi), h, 2))
     xi = belief.xi
     for l in range(h):
@@ -264,12 +335,9 @@ def _sample_target_paths(
     belief: FleetBelief, model: NcvModel, h: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Target trajectories drawn from the belief with process noise, (S, T, h, 2)."""
-    n_tracks = len(belief.xi)
-    if n_tracks == 0:
-        return np.zeros((n_samples, 0, h, 2))
     evals_q, vecs_q = np.linalg.eigh(model.Q)
     lq = vecs_q * np.sqrt(np.clip(evals_q, 0.0, None))
-    out = np.empty((n_samples, n_tracks, h, 2))
+    out = np.empty((n_samples, len(belief.xi), h, 2))
     for t, (xi, p) in enumerate(zip(belief.xi, belief.P)):
         evals_p, vecs_p = np.linalg.eigh(p)
         lp = vecs_p * np.sqrt(np.clip(evals_p, 0.0, None))
@@ -657,17 +725,17 @@ def _search_stage(
     """Best sequence for one agent, every other agent flying its ``joint`` row.
 
     Returns the (h, 2) sequence, its cost, the incumbent's cost and the
-    sequences scored. The stage expands the agent's whole tree while |A|^h
-    <= EXHAUSTIVE_LIMIT and runs a beam search beyond. The agent's row of
-    ``joint`` is its incumbent. It is always scored, as a leaf of the whole
-    tree or else alone, so the returned cost never exceeds it.
+    sequences scored. The stage expands the agent's whole tree or runs a
+    beam search, as _stage_size decides. The agent's row of ``joint`` is
+    its incumbent. It is always scored, as a leaf of the whole tree or else
+    alone, so the returned cost never exceeds it.
     """
     incumbent = joint[agent_index]
     n_actions, h = len(actions), tree.h
     fixed = tree.positions(joint)
     movers = [None if i == agent_index else f for i, f in enumerate(fixed)]
     in_set = (incumbent[:, None] == actions).all(-1)  # (h, |A|)
-    exhaustive = n_actions**h <= EXHAUSTIVE_LIMIT
+    exhaustive = _stage_size(n_actions, h)[0]
     watch = None
     if exhaustive and in_set.any(1).all():
         watch = int(np.ravel_multi_index(in_set.argmax(1), (n_actions,) * h))
@@ -703,15 +771,24 @@ def _sweep(
     actions: np.ndarray,
     forest: OcclusionForest,
     model: NcvModel,
-    target_paths: np.ndarray,
     beta: float | None,
+    n_samples: int = 1,
+    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, PlanStats]:
+    """The sequential sweep on the nominal target paths, or on ``n_samples``
+    drawn with ``rng``, checked against plan_cost before it allocates."""
     joint = np.array(intents, dtype=float)  # the caller's intents stay as they are
-    if joint.shape != (len(belief.sensors), target_paths.shape[2], 2):
+    n_agents, h = len(belief.sensors), intents.shape[1]
+    if joint.shape != (n_agents, h, 2):
         raise ValueError(f"intents must have shape (n_agents, h, 2), got {joint.shape}")
-    tree = _PrefixTree(belief, model, forest, target_paths, beta)
+    plan_cost(len(actions), n_agents, len(belief.xi), h, n_samples)
+    if rng is None:
+        paths = _nominal_paths(belief, model, h)
+    else:
+        paths = _sample_target_paths(belief, model, h, n_samples, rng)
+    tree = _PrefixTree(belief, model, forest, paths, beta)
     stages = []
-    for i in range(len(joint)):
+    for i in range(n_agents):
         joint[i], *result = _search_stage(tree, i, joint, actions)
         stages.append(result)
     best_costs, incumbent_costs, evals = zip(*stages)
@@ -735,8 +812,7 @@ def sma_nbo_plan(
     Incumbent inclusion makes the joint objective non-increasing stage by
     stage, so the result is never worse than executing the intents.
     """
-    paths = _nominal_paths(belief, model, intents.shape[1])
-    return _sweep(belief, intents, actions, forest, model, paths, beta)
+    return _sweep(belief, intents, actions, forest, model, beta)
 
 
 def mcr_plan(
@@ -754,44 +830,7 @@ def mcr_plan(
     reused for every candidate (common random numbers), with observability
     and measurement covariance evaluated per sample.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    paths = _sample_target_paths(belief, model, intents.shape[1], n_samples, rng)
-    return _sweep(belief, intents, actions, forest, model, paths, None)
-
-
-def dec_pomdp_joint_count(n_actions: int, n_agents: int, h: int) -> int:
-    """Joint sequences each dec-pomdp agent enumerates, |A|^(n*h).
-
-    Raises BudgetExceededError when the count exceeds DEC_POMDP_BUDGET. The
-    power is built one factor at a time and stops past the budget, so a huge
-    exponent costs no more than a small one.
-    """
-    joint_count = 1
-    for _ in range(n_agents * h):
-        joint_count *= n_actions
-        if joint_count > DEC_POMDP_BUDGET:
-            raise BudgetExceededError(
-                f"joint optimization needs {n_actions}^{n_agents * h} rollouts per agent "
-                f"(|A|={n_actions}, n={n_agents}, h={h}), budget is {DEC_POMDP_BUDGET}"
-            )
-    return joint_count
-
-
-def mcr_memory(n_samples: int, n_tracks: int, h: int) -> int:
-    """Bytes that mcr_plan's kernel workspace may hold, plus its sampled paths.
-
-    Raises BudgetExceededError when they exceed MCR_MEMORY_BUDGET.
-    """
-    rows = max(SCAN_CHUNK, n_samples) * n_tracks
-    need = rows * (_DEPTH_FLOATS * h + _BLOCK_FLOATS) * 8 + n_samples * n_tracks * h * 16
-    if need > MCR_MEMORY_BUDGET:
-        raise BudgetExceededError(
-            f"{n_samples} samples of {n_tracks} targets at horizon {h} need "
-            f"{need / 2**30:.1f} GiB of rollout memory, budget is "
-            f"{MCR_MEMORY_BUDGET / 2**30:g} GiB"
-        )
-    return need
+    return _sweep(belief, intents, actions, forest, model, None, n_samples, rng)
 
 
 def dec_pomdp_plan(
@@ -813,7 +852,7 @@ def dec_pomdp_plan(
     """
     n_agents = len(belief.sensors)
     n_actions = len(actions)
-    joint_count = dec_pomdp_joint_count(n_actions, n_agents, h)
+    joint_count = plan_cost(n_actions, n_agents, len(belief.xi), h, joint=True)[0]
     # Joint choice c gives agent i action digits[c, i], agent 0 most significant.
     digits = np.indices((n_actions,) * n_agents).reshape(n_agents, -1).T
     place = n_actions ** np.arange(n_agents * h - 1, -1, -1)

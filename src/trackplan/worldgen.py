@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .metrics import ospa_bytes
+
 PLACEMENT_RETRY_BUDGET = 10_000
 
 # Levy step-length law: Pareto(shape, scale) truncated to [step_min, step_max].
@@ -26,6 +28,10 @@ LEVY_STEP_MAX = 40.0
 # with them and with the target count, so a trial may also hold at most
 # 4 x MAX_SENSE_STEPS target states: 10^6 steps of four targets, 32 MB each.
 MAX_SENSE_STEPS = 1_000_000
+
+# Most bytes one computation of a trial may hold at once: a plan's rollouts
+# (planning.plan_cost) or the trial's OSPA stack (metrics.ospa_bytes).
+MEMORY_BUDGET = 1 << 30
 
 # Largest integer field: an int64, numpy's type for array sizes and counts.
 MAX_INT = int(np.iinfo(np.int64).max)
@@ -217,6 +223,11 @@ class ScenarioConfig:
                 f"n_targets={self.n_targets} over {steps} sensing steps exceeds "
                 f"{4 * MAX_SENSE_STEPS} logged target states"
             )
+        if ospa_bytes(steps, self.n_targets, self.n_targets) > MEMORY_BUDGET:
+            raise ValueError(
+                f"n_targets={self.n_targets} over {steps} sensing steps exceeds the "
+                f"{MEMORY_BUDGET / 2**30:g} GiB memory budget of the OSPA stack"
+            )
         if round(epochs) * self.horizon > MAX_SENSE_STEPS:
             raise ValueError(
                 f"horizon={self.horizon} over {round(epochs)} epochs exceeds "
@@ -263,6 +274,11 @@ class ScenarioConfig:
             )
         if self.speed_max < self.speed_min:
             raise ValueError("speed interval must satisfy 0 <= min <= max")
+
+    @property
+    def n_actions(self) -> int:
+        """Size of planning.action_set: hover, and each heading at each speed."""
+        return 1 + self.n_headings * self.n_speeds
 
     @property
     def plan_ratio(self) -> int:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import trackplan
 from trackplan import OspaParams, ecdf, ospa
-from trackplan.metrics import _assign
+from trackplan.metrics import _assign, ospa_bytes
 
 from oracles import ospa_brute
 
@@ -146,6 +147,24 @@ class TestStackedOspa:
         for params in (P50, OspaParams(c=1.0, p=1.0)):
             expected = brute_series(x, y, params)
             np.testing.assert_allclose(ospa(x, y, params), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "k, nx, ny",
+        [(1, 1, 1), (3000, 1, 1), (300, 2, 2), (300, 4, 3), (300, 3, 4), (1000, 6, 6),
+         (2, 300, 300)],
+    )
+    def test_peak_stays_within_ospa_bytes(self, k, nx, ny):
+        # ScenarioConfig bounds a trial's OSPA stack by ospa_bytes
+        rng = np.random.default_rng(k + nx)
+        x = rng.uniform(0, 100, (k, nx, 2))
+        y = rng.uniform(0, 100, (k, ny, 2))
+        tracemalloc.start()
+        try:
+            ospa(x, y, P50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= ospa_bytes(k, nx, ny)
 
     def test_mismatched_stacks_rejected(self):
         with pytest.raises(ValueError, match="stacks"):

@@ -810,23 +810,122 @@ class TestMcr:
 
 
 def test_mcr_memory_is_bounded_before_planning():
-    # a workspace of 50 x 3 + 6 floats for each of the 4096 x 4 rows of a
-    # block, plus 50 x 4 x 3 sampled positions
-    want = 4096 * 4 * (50 * 3 + 6) * 8 + 50 * 4 * 3 * 16
-    assert planning.mcr_memory(50, 4, 3) == want
-    with pytest.raises(BudgetExceededError, match="1728.5 GiB .* budget is 1 GiB"):
-        planning.mcr_memory(10**9, 4, 1)
+    # a sweep stage of 9 actions at H3 scores 729 sequences; the joint
+    # search 9^(3 x 1) per agent
+    assert planning.plan_cost(9, 3, 4, 3, 50)[0] == 729
+    assert planning.plan_cost(9, 3, 4, 1, joint=True)[0] == 729
+    with pytest.raises(BudgetExceededError, match="1000000000 x 4 .* budget is 1 GiB"):
+        planning.plan_cost(9, 3, 4, 1, 10**9)
+    with pytest.raises(BudgetExceededError, match="scores 100017 sequences"):
+        planning.plan_cost(9, 3, 4, 1390)
+    # a huge horizon costs no more than a small one
+    with pytest.raises(BudgetExceededError, match=r"needs 9\^3000000000000 rollouts"):
+        planning.plan_cost(9, 3, 4, 10**12, joint=True)
 
 
-@pytest.mark.parametrize("n_samples, h", [(50, 3), (7, 3), (600, 2), (5000, 1), (50, 6)])
-def test_workspace_stays_within_mcr_memory(monkeypatch, n_samples, h):
+def _plan_peak(planner, belief, actions, forest, model, h, n_samples):
+    """tracemalloc peak of one plan of three agents by ``planner``."""
+    intents = extend_intent(None, h, 3)
+    calls = {
+        "mcr": lambda: mcr_plan(
+            belief, intents, actions, forest, model, n_samples, np.random.default_rng(1)
+        ),
+        "sma-nbo": lambda: sma_nbo_plan(belief, intents, actions, forest, model),
+        "sma-nbo-mwtp": lambda: sma_nbo_plan(belief, intents, actions, forest, model, 1.0),
+        "dec-pomdp": lambda: dec_pomdp_plan(belief, h, actions, forest, model),
+    }
+    forest.occludes(np.zeros((1, 2)))  # builds the forest's cached disk array
+    tracemalloc.start()
+    try:
+        calls[planner]()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "planner, n_samples, h",
+    [
+        ("mcr", 50, 3),
+        ("mcr", 600, 2),
+        ("mcr", 5000, 1),
+        ("mcr", 50, 6),
+        ("mcr", 7, 3),
+        ("sma-nbo", 1, 1),
+        ("sma-nbo", 1, 3),
+        ("sma-nbo", 1, 5),
+        ("sma-nbo", 1, 6),
+        ("sma-nbo-mwtp", 1, 3),
+        ("dec-pomdp", 1, 1),
+    ],
+)
+def test_plan_stays_within_plan_cost(monkeypatch, planner, n_samples, h):
+    # the tracemalloc peak of one plan on a fresh workspace: the workspace,
+    # the paths, the root and every transient of the kernel
     monkeypatch.setattr(planning, "_WORKSPACE", planning._Workspace())
     belief, _, actions, forest, model = TestBlocks._default_mcr_epoch()
-    intents = extend_intent(None, h, 3)
-    mcr_plan(belief, intents, actions, forest, model, n_samples, np.random.default_rng(1))
-    held = sum(b.nbytes for b in planning._WORKSPACE._buffers.values())
-    paths = n_samples * 4 * h * 16
-    assert 0 < held <= planning.mcr_memory(n_samples, 4, h) - paths
+    peak = _plan_peak(planner, belief, actions, forest, model, h, n_samples)
+    need = planning.plan_cost(len(actions), 3, 4, h, n_samples, planner == "dec-pomdp")[1]
+    assert 0 < peak <= need
+
+
+@pytest.mark.parametrize(
+    "planner, n_samples, n_tracks, h",
+    [
+        ("sma-nbo", 1, 40, 4),
+        ("sma-nbo-mwtp", 1, 200, 3),
+        ("mcr", 600, 10, 2),
+        ("dec-pomdp", 1, 200, 1),
+    ],
+)
+def test_plan_cost_is_tight_where_every_agent_sees_every_track(
+    monkeypatch, planner, n_samples, n_tracks, h
+):
+    # the case plan_cost bounds: no forest, and every agent sees every
+    # track at every step. Within 25 % of the peak, it refuses no plan
+    # that would fit the memory budget with room to spare.
+    monkeypatch.setattr(planning, "_WORKSPACE", planning._Workspace())
+    config = ScenarioConfig(horizon=h)
+    agents = [agent_at(*a.xy, fov_edge=1000.0) for a in start_agents(config)]
+    rng = np.random.default_rng(30)
+    tracks = [
+        track_at(t, *(agents[t % 3].xy + rng.uniform(-8, 8, 2)), *rng.uniform(-2, 2, 2))
+        for t in range(n_tracks)
+    ]
+    belief = belief_of(tracks=tracks, agents=agents)
+    actions = action_set(config.v_max, config.n_headings, config.n_speeds)
+    model = ncv_model(config.dt_plan, config.sigma_a)
+    peak = _plan_peak(planner, belief, actions, EMPTY, model, h, n_samples)
+    need = planning.plan_cost(len(actions), 3, n_tracks, h, n_samples, planner == "dec-pomdp")[1]
+    assert peak <= need <= 1.25 * peak
+
+
+def test_public_planners_are_bounded_before_they_allocate():
+    belief, _, actions, forest, model = TestBlocks._default_mcr_epoch()
+    many = belief_of(
+        tracks=[track_at(t, 10.0 + t % 100, 50.0) for t in range(100_000)],
+        agents=start_agents(ScenarioConfig()),
+    )
+    calls = [
+        # 59.6 GiB of sampled paths alone
+        lambda: mcr_plan(
+            belief, extend_intent(None, 1, 3), actions, forest, model, 10**9,
+            np.random.default_rng(1),
+        ),
+        # a beam stage of 9 + 1389 x 8 x 9 sequences
+        lambda: sma_nbo_plan(belief, extend_intent(None, 1390, 3), actions, forest, model),
+        # a 1.09 GiB leaf block of the kernel
+        lambda: sma_nbo_plan(many, extend_intent(None, 3, 3), actions, forest, model),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_workspace_holds_only_block_buffers(monkeypatch):
