@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most (point, point) distances ospa forms at once, 48 bytes each: it scores
+# a stack of steps a bounded number of steps at a time, each step's
+# assignment on its own, so a step's distance is the same in any chunk.
+OSPA_PAIRS = 1 << 20
+
 
 @dataclass(frozen=True)
 class OspaParams:
@@ -124,6 +129,16 @@ def ospa(x: np.ndarray, y: np.ndarray, params: OspaParams) -> float | np.ndarray
     else:
         x, y = x.reshape(1, -1, 2), y.reshape(1, -1, 2)
     n_k, nx, ny = x.shape[0], x.shape[1], y.shape[1]
+    step = max(1, OSPA_PAIRS // max(1, nx * ny))
+    dist = np.empty(n_k)
+    for lo in range(0, max(n_k, 1), step):  # one empty chunk of an empty stack
+        dist[lo : lo + step] = _ospa_steps(x[lo : lo + step], y[lo : lo + step], params)
+    return dist if stacked else float(dist[0])
+
+
+def _ospa_steps(x: np.ndarray, y: np.ndarray, params: OspaParams) -> np.ndarray:
+    """The (K,) OSPA distances of the (K, n, 2) and (K, m, 2) stacks."""
+    n_k, nx, ny = x.shape[0], x.shape[1], y.shape[1]
     with np.errstate(invalid="ignore"):  # inf - inf is reported just below
         d = np.linalg.norm(x[:, :, None, :] - y[:, None, :, :], axis=-1)
     if np.isnan(x).any() or np.isnan(y).any() or np.isnan(d).any():
@@ -144,15 +159,17 @@ def ospa(x: np.ndarray, y: np.ndarray, params: OspaParams) -> float | np.ndarray
         total = (paired.sum(axis=1) + params.c**params.p * (b - a)) / b
         # Scalar pow, not numpy's array power, which can differ in the last bit.
         dist = np.array([t ** (1.0 / params.p) for t in total.tolist()])
-    return dist if stacked else float(dist[0])
+    return dist
 
 
 def ospa_bytes(n_steps: int, n: int, m: int) -> int:
     """Most bytes ospa holds for stacks of n_steps pairs of n and m points,
-    as tracemalloc measures them: per step, 48 a (point, point) pair (the
-    offsets, a copy and their squares in np.linalg.norm) or, where more,
-    256 a point of the larger set (the assignment's state); and 64 KiB."""
-    return n_steps * max(48 * n * m, 256 * max(n, m)) + (64 << 10)
+    as tracemalloc measures them: per step of a chunk, 48 a (point, point)
+    pair (the offsets, a copy and their squares in np.linalg.norm) or,
+    where more, 256 a point of the larger set (the assignment's state); 8
+    a step (the distances); and 64 KiB."""
+    chunk = min(n_steps, max(1, OSPA_PAIRS // max(1, n * m)))
+    return chunk * max(48 * n * m, 256 * max(n, m)) + 8 * n_steps + (64 << 10)
 
 
 def ecdf(values) -> list[tuple[float, float]]:

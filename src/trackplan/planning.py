@@ -48,7 +48,7 @@ _EYE4 = np.eye(4)
 # Most (prefix, sample) rows one search step extends and scores at once: a
 # block holds max(1, SCAN_CHUNK // S) prefixes of S target samples, and a
 # level's parents are predicted a block at a time. plan_cost bounds what
-# the blocks, their workspace (_WORKSPACE) and the rest of a plan hold.
+# the blocks and the rest of a plan hold.
 SCAN_CHUNK = 4096
 
 # Largest joint sequence space dec_pomdp_plan will enumerate.
@@ -56,10 +56,9 @@ DEC_POMDP_BUDGET = 1_000_000
 
 # Most covariances one Joseph update takes at once: the distinct rows a
 # fixed agent sees at a level, and the rows a mover sees in a block, run
-# in slices of this many rows. A slice's temporaries are fresh arrays of
-# at most 64 KB (512 (4, 4) covariances), under glibc's default 128 KiB
-# mmap threshold, so they come from the heap without page faults and stay
-# in cache.
+# in slices of this many rows. A slice's temporaries are at most 64 KB
+# (512 (4, 4) covariances), under glibc's default 128 KiB mmap threshold,
+# so they come from the heap without page faults and stay in cache.
 JOSEPH_ROWS = 512
 
 # A sweep stage enumerates all |A|^h sequences while that count is at most
@@ -121,11 +120,12 @@ def plan_cost(
       * 18 a step (paths, occlusion mask), 136 (root), 33 a fixed agent
         and depth (its sights);
       * exhaustive: depth 0 loops over the f levels whose children fit a
-        block, to P = b^f parents, 320 P + 128 P / b (pool, scratch, R,
-        indices, traces); then it recurses once at each of the d = h - 1
-        - f later non-leaf levels, 128 P + 464 d B (a block of parents and
-        one of children a depth), or else keeps the level before P alive,
-        272 P / b + 136 P / b^2;
+        block, to P = b^f parents, 128 P / b + 416 P (their pool, which
+        holds their parents' rows and their own, its gathered copy, the
+        predicted pool, and the parents' and the level's indices and
+        traces); then it recurses once at each of the d = h - 1 - f later
+        non-leaf levels, 416 d B (the same for a block of parents, whose
+        predicted pool has room for a block of children);
       * a beam of W = BEAM_WIDTH: 392 a pool row each child block copies
         (its parents' rows and its own, three generations alive), 48 a
         child, 576 a parent and 144 a child of a block;
@@ -160,11 +160,7 @@ def plan_cost(
             fit += 1
         last, deeper = b**fit, h - 1 - fit
         leaves = min(block, _power(b, h, block))
-        rows = 320 * last + 128 * (last // b) + leaf * leaves
-        if deeper:
-            rows += 128 * last + (464 * block + sights) * deeper
-        else:
-            rows += 272 * (last // b) + 136 * (last // b // b)
+        rows = 128 * (last // b) + 416 * last + (416 * block + sights) * deeper + leaf * leaves
         held = last + deeper * block + leaves
         if joint:
             need += 40 * n_agents * b + 16 * n_agents * h * leaves
@@ -249,41 +245,6 @@ def mwtp_detailed(
 # ---------------------------------------------------------------------------
 # Level-wise search over the prefix tree of candidate sequences
 # ---------------------------------------------------------------------------
-
-
-class _Workspace:
-    """Buffers the rollout kernel reuses from plan to plan, one per key.
-
-    It holds only the arrays that grow with a block. A buffer grows to the
-    largest view asked of it and is never freed, so a warm plan allocates
-    no block and takes no page fault for one, and the heap does not trim
-    and regrow around every update. One process runs one plan at a time
-    (run_experiment's workers are processes), and each key has one owner
-    at a time: per search depth, ("pool", d) holds a level's distinct
-    parent rows, predicted and updated by the fixed agents, and after them
-    the rows a mover sees in the block of children being built; ("before",
-    d) is the predict's scratch and then those parent rows as the first
-    mover finds them; ("refs", d) holds the parents' indices into the
-    pool and ("kids", d) a children block's. "r" holds a fixed agent's R
-    for each row it updates and "delta" a mover's offsets to the targets
-    of a block. plan_cost bounds their bytes. Slice-sized temporaries
-    (JOSEPH_ROWS) are fresh arrays.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[object, np.ndarray] = {}
-
-    def __call__(self, key: object, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
-        """A C-contiguous view of the given shape on buffer ``key``, whose
-        elements are ``dtype``, 8 bytes each."""
-        size = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-
-_WORKSPACE = _Workspace()
 
 
 def _joseph_update_batch(p: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -421,7 +382,8 @@ class _PrefixTree:
     rollout of its whole sequence costs. A leaf adds the terminal penalty
     weighted by ``beta``, or none if ``beta`` is None. The tree holds only
     what is fixed for the plan; each search keeps its own state in a
-    _Search, and its covariance blocks in _WORKSPACE.
+    _Search, and every array of the kernel belongs to the call that makes
+    it, so plans running at once share nothing.
     """
 
     def __init__(
@@ -481,7 +443,7 @@ class _PrefixTree:
             np.zeros((1, n_samples)),
         )
         best, best_cost, best_rank, watched, lo = None, math.inf, 0, math.nan, 0
-        for paths, costs in self._expand(run, root, 0, keep, 0):
+        for paths, costs in self._expand(run, root, 0, keep):
             j = int(np.argmin(costs))
             r = lo + j
             if rank is not None:
@@ -496,16 +458,15 @@ class _PrefixTree:
             lo += len(costs)
         return _Found(best, best_cost, watched, run.scored)
 
-    def _expand(self, run: _Search, nodes: _Nodes, level: int, keep: int | None, depth: int):
+    def _expand(self, run: _Search, nodes: _Nodes, level: int, keep: int | None):
         """Leaf blocks (paths, costs) below ``nodes``, depth first. A beam level or
         one whose children fit one block is descended in a loop; only a level
-        that splits into several blocks recurses, once per block, one
-        ``depth`` further down, so each depth's workspace stays its own."""
+        that splits into several blocks recurses, once per block."""
         while level + 1 < self.h:
-            blocks = self._children(run, nodes, level, depth)
+            blocks = self._children(run, nodes, level)
             if keep is not None:
-                # each block's rows and pool are workspace views: copy them
-                # out, its rows shifted past the pools of the blocks before it
+                # a _Level's blocks share its pool: copy each block's out, its
+                # rows shifted past the pools of the blocks before it
                 kids, base = [], 0
                 for b in blocks:
                     kids.append(b._replace(rows=b.rows + base, pool=b.pool.copy()))
@@ -521,33 +482,36 @@ class _PrefixTree:
                 nodes = next(blocks)
             else:
                 for block in blocks:
-                    yield from self._expand(run, block, level + 1, keep, depth + 1)
+                    yield from self._expand(run, block, level + 1, keep)
                 return
             level += 1
-        for leaves in self._children(run, nodes, level, depth):
+        # free the level that made the parents: their own parents, and that
+        # _Level's scratch, row indices and traces
+        blocks = None
+        for leaves in self._children(run, nodes, level):
             run.scored += len(leaves.cost)
             yield leaves.paths, self._leaf_costs(run, leaves)
 
-    def _children(self, run: _Search, nodes: _Nodes, level: int, depth: int):
+    def _children(self, run: _Search, nodes: _Nodes, level: int):
         """Children of ``nodes`` after step ``level``, ``run.block`` prefixes
         (SCAN_CHUNK (prefix, sample) rows) at a time, from one _Level per
         ``run.block`` parents: one per block of parents, and several only
         for a beam's survivors, whose pool is their own. An inner block's
-        rows and pool are the workspace's ("kids", depth) and ("pool",
-        depth) views, valid until the next block."""
+        pool is a view of its _Level's pool, whose rows past the parents'
+        the next block of that _Level overwrites."""
         n_choices = len(run.step_xy)
         sights, steps = self._sightings(run, level)
         for first in range(0, len(nodes.cost), run.block):
             part = nodes.rows[first : first + run.block]
             total = len(part) * n_choices
             room = 0 if level + 1 == self.h else min(total, run.block) * part[0].size
-            shared = self._level(part, nodes.pool, sights, steps, depth, room)
+            shared = self._level(part, nodes.pool, sights, steps, room)
             for lo in range(0, total, run.block):
                 local, choice = np.divmod(np.arange(lo, min(lo + run.block, total)), n_choices)
                 parent = first + local
                 offset = nodes.offset[parent] + run.step_xy[choice]
                 rows, pool, traces = self._update(
-                    shared, local, self._agent_xy(run, offset, level), level, depth
+                    shared, local, self._agent_xy(run, offset, level), level
                 )
                 cost = nodes.cost[parent] + traces.sum(axis=2)
                 yield _Nodes(
@@ -587,7 +551,7 @@ class _PrefixTree:
         return sights, steps
 
     def _level(
-        self, rows: np.ndarray, pool: np.ndarray, sights: list, steps: list, depth: int, room: int
+        self, rows: np.ndarray, pool: np.ndarray, sights: list, steps: list, room: int
     ) -> _Level:
         """Predict the distinct rows of ``pool`` that the parents' ``rows``
         (N, S, T) refer to, once each, and apply every fixed agent's update
@@ -603,23 +567,19 @@ class _PrefixTree:
         """
         cell = np.full(len(pool), -1)  # each row's (sample, track), -1 where unused
         cell[rows] = np.arange(rows[0].size).reshape(rows.shape[1:])
-        refs = _WORKSPACE(("refs", depth), rows.shape, int)
         # A prefix's rows are distinct, so a pool as large as one prefix's
         # rows, as at the root, is all in use; a larger one is gathered into
-        # scratch without its unused rows, the rest numbered in order. pool
-        # may be a view of ("pool", depth), or now scratch: the predict
-        # reads it whole into p, and numpy buffers an overlap.
+        # scratch without its unused rows, the rest numbered in order. The
+        # predict reads scratch whole into p before it writes scratch.
         if len(pool) == rows[0].size:
-            np.copyto(refs, rows)
-            scratch = _WORKSPACE(("before", depth), pool.shape)
+            scratch = np.empty(pool.shape)
         else:
             kept = np.flatnonzero(cell >= 0)
             cell, index = cell[kept], cell
             index[kept] = np.arange(len(kept))
-            np.take(index, rows, out=refs, mode="clip")
-            scratch = _WORKSPACE(("before", depth), (len(kept), 4, 4))
-            pool = np.take(pool, kept, axis=0, out=scratch, mode="clip")
-        level_pool = _WORKSPACE(("pool", depth), (len(pool) + room, 4, 4))
+            rows, pool = index[rows], pool.take(kept, axis=0)
+            scratch = pool
+        level_pool = np.empty((len(pool) + room, 4, 4))
         p = level_pool[: len(pool)]
         np.matmul(self.model.F, pool, out=p)
         np.matmul(p, self.model.F.T, out=scratch)
@@ -630,14 +590,12 @@ class _PrefixTree:
                 before = scratch
                 np.copyto(before, p)
             seen = np.flatnonzero(vis.reshape(-1)[cell])
-            each = _WORKSPACE("r", (len(seen), 2, 2))
-            np.take(r.reshape(-1, 2, 2), cell[seen], axis=0, out=each, mode="clip")
-            _update_rows(p, seen, each)
-        traces = np.trace(p, axis1=1, axis2=2)[refs]
-        return _Level(refs, level_pool, len(p), before, traces, steps)
+            _update_rows(p, seen, r.reshape(-1, 2, 2).take(cell[seen], axis=0))
+        traces = np.trace(p, axis1=1, axis2=2)[rows]
+        return _Level(rows, level_pool, len(p), before, traces, steps)
 
     def _update(
-        self, shared: _Level, parent: np.ndarray, agent_xy: list[np.ndarray], level: int, depth: int
+        self, shared: _Level, parent: np.ndarray, agent_xy: list[np.ndarray], level: int
     ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
         """Step ``level``'s updates of the (child, sample, track) rows a mover
         sees, for the children of ``parent``: their (C, S, T) rows and pool
@@ -652,8 +610,7 @@ class _PrefixTree:
         traces = shared.traces[parent]
         rows = pool = None
         if level + 1 < self.h:
-            rows = _WORKSPACE(("kids", depth), traces.shape, int)
-            np.take(shared.rows, parent, axis=0, out=rows, mode="clip")
+            rows = shared.rows.take(parent, axis=0)
             pool = shared.pool[: shared.size]
         tp = self.target_paths[:, :, level, :]
         ft = self.free[:, :, level]
@@ -661,9 +618,7 @@ class _PrefixTree:
         for i in shared.steps:
             if isinstance(i, int):
                 sensor = self.belief.sensors[i]
-                delta = _WORKSPACE("delta", (len(parent),) + tp.shape)
-                delta[...] = tp  # then one broadcast operand: a smaller ufunc buffer
-                np.subtract(delta, agent_xy[i][:, None, None, :], out=delta)
+                delta = tp - agent_xy[i][:, None, None, :]
                 vis = in_fov(delta, sensor.half_width) & ft
                 if vis.any():
                     sights[i] = vis, _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)

@@ -398,9 +398,9 @@ class TestMain:
             "duration = 1\nn_targets = 100000000",
             # 10^8 + 1 actions, more than one exhaustive stage scores
             "duration = 1\nlambda = 5\nn_headings = 100000000",
-            # an OSPA stack of 10 x 5000 x 5000 offsets, 3.73 GiB
+            # one OSPA step of 5000 x 5000 offsets, 1.12 GiB
             "duration = 2\nn_targets = 5000",
-            # an OSPA stack of 5 x 20000 x 20000 offsets, 29.8 GiB
+            # one OSPA step of 20000 x 20000 offsets, 17.9 GiB
             "duration = 1\nn_targets = 20000",
         ],
     )
@@ -457,12 +457,12 @@ class TestMain:
 
     def test_what_runs_within_the_memory_budget_is_accepted(self):
         # 1000 tracks at H3 plan in about 1 s, and at H4 peak at 0.85 GB where
-        # every agent sees every track; 250 targets over the default 300
-        # sensing steps hold a 0.9 GB OSPA stack
+        # every agent sees every track; OSPA scores 300 targets over the
+        # default 300 sensing steps 11 steps, 48 MB of offsets, at a time
         for h in (3, 4):
             spec = cli.build_spec({"duration": 1.0, "n_targets": 1000}, {"horizons": (h,)})
             assert spec.base.n_targets == 1000
-        assert cli.build_spec({"n_targets": 250}, {}).base.n_targets == 250
+        assert cli.build_spec({"n_targets": 300}, {}).base.n_targets == 300
         # past the honest peak of its rollouts: 3000 samples of 10 tracks at H6
         with pytest.raises(ConfigError, match="mcr at horizon 6: .* budget is 1 GiB"):
             cli.build_spec(

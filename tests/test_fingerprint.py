@@ -15,8 +15,8 @@ def _fingerprint_module():
 
 def test_trial_lines_do_not_depend_on_what_ran_before():
     # one H1 trial per planner on one map, then the same trials in reverse
-    # order in the same process: the kernel's workspace carries nothing
-    # from one plan or trial to the next
+    # order in the same process: no plan or trial carries anything to the
+    # next
     fingerprint = _fingerprint_module()
     trials = [(planner, 1, 3) for planner in PLANNERS]
     first = list(fingerprint.trial_lines(trials, n_maps=1))

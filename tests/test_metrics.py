@@ -9,6 +9,7 @@ import pytest
 
 import trackplan
 from trackplan import OspaParams, ecdf, ospa
+from trackplan import metrics
 from trackplan.metrics import _assign, ospa_bytes
 
 from oracles import ospa_brute
@@ -165,6 +166,25 @@ class TestStackedOspa:
         finally:
             tracemalloc.stop()
         assert 0 < peak <= ospa_bytes(k, nx, ny)
+
+    @pytest.mark.parametrize("k, nx, ny", [(203, 3, 4), (60, 5, 7), (40, 0, 3), (0, 2, 2)])
+    def test_chunks_change_no_distance(self, monkeypatch, k, nx, ny):
+        # each step's assignment is its own: scored 5 steps, 1 step or every
+        # step at a time, a step's distance keeps its bits
+        rng = np.random.default_rng(k + nx)
+        x = rng.uniform(0, 100, (k, nx, 2))
+        y = rng.uniform(0, 100, (k, ny, 2))
+        whole = ospa(x, y, P50)
+        monkeypatch.setattr(metrics, "OSPA_PAIRS", 64)
+        tracemalloc.start()
+        try:
+            chunked = ospa(x, y, P50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunked.shape == (k,)
+        assert np.array_equal(chunked, whole)
+        assert peak <= ospa_bytes(k, nx, ny)
 
     def test_mismatched_stacks_rejected(self):
         with pytest.raises(ValueError, match="stacks"):

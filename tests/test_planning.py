@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -859,10 +860,9 @@ def _plan_peak(planner, belief, actions, forest, model, h, n_samples):
         ("dec-pomdp", 1, 1),
     ],
 )
-def test_plan_stays_within_plan_cost(monkeypatch, planner, n_samples, h):
-    # the tracemalloc peak of one plan on a fresh workspace: the workspace,
-    # the paths, the root and every transient of the kernel
-    monkeypatch.setattr(planning, "_WORKSPACE", planning._Workspace())
+def test_plan_stays_within_plan_cost(planner, n_samples, h):
+    # the tracemalloc peak of one plan: the paths, the root and every
+    # array of the kernel
     belief, _, actions, forest, model = TestBlocks._default_mcr_epoch()
     peak = _plan_peak(planner, belief, actions, forest, model, h, n_samples)
     need = planning.plan_cost(len(actions), 3, 4, h, n_samples, planner == "dec-pomdp")[1]
@@ -870,22 +870,23 @@ def test_plan_stays_within_plan_cost(monkeypatch, planner, n_samples, h):
 
 
 @pytest.mark.parametrize(
-    "planner, n_samples, n_tracks, h",
+    "planner, n_samples, n_tracks, h, n_headings",
     [
-        ("sma-nbo", 1, 40, 4),
-        ("sma-nbo-mwtp", 1, 200, 3),
-        ("mcr", 600, 10, 2),
-        ("dec-pomdp", 1, 200, 1),
+        pytest.param("sma-nbo", 1, 40, 4, 8, id="sma-nbo-1-40-4"),
+        pytest.param("sma-nbo-mwtp", 1, 200, 3, 8, id="sma-nbo-mwtp-1-200-3"),
+        pytest.param("mcr", 600, 10, 2, 8, id="mcr-600-10-2"),
+        pytest.param("dec-pomdp", 1, 200, 1, 8, id="dec-pomdp-1-200-1"),
+        # 2 actions: every non-leaf level one block, 2^10 parents of the leaves
+        pytest.param("sma-nbo", 1, 30, 11, 1, id="sma-nbo-1-30-11-2-actions"),
     ],
 )
 def test_plan_cost_is_tight_where_every_agent_sees_every_track(
-    monkeypatch, planner, n_samples, n_tracks, h
+    planner, n_samples, n_tracks, h, n_headings
 ):
     # the case plan_cost bounds: no forest, and every agent sees every
     # track at every step. Within 25 % of the peak, it refuses no plan
     # that would fit the memory budget with room to spare.
-    monkeypatch.setattr(planning, "_WORKSPACE", planning._Workspace())
-    config = ScenarioConfig(horizon=h)
+    config = ScenarioConfig(horizon=h, n_headings=n_headings)
     agents = [agent_at(*a.xy, fov_edge=1000.0) for a in start_agents(config)]
     rng = np.random.default_rng(30)
     tracks = [
@@ -928,20 +929,31 @@ def test_public_planners_are_bounded_before_they_allocate():
         assert peak < 1e6
 
 
-def test_workspace_holds_only_block_buffers(monkeypatch):
-    # slice-sized update temporaries are fresh arrays; the workspace keeps
-    # only the pool, predict scratch, row indices, R and mover offsets of a
-    # block
-    belief, _, actions, forest, model = TestBlocks._default_mcr_epoch()
-    dec_pomdp_plan(belief, 1, actions, forest, model)
-    monkeypatch.setattr(planning, "_WORKSPACE", planning._Workspace())
-    dec_pomdp_plan(belief, 1, actions, forest, model)
-    buffers = planning._WORKSPACE._buffers
-    assert buffers
-    assert all(
-        key in ("r", "delta") or key[0] in ("pool", "before", "refs", "kids") for key in buffers
-    )
-    assert sum(b.nbytes for b in buffers.values()) < 64 * 1024
+def test_plans_in_threads_match_plans_run_one_by_one():
+    # a plan shares no state with another: four threads planning shifted
+    # copies of the default epoch at once return exactly what the same
+    # calls return one by one
+    belief, intents, actions, forest, model = TestBlocks._default_mcr_epoch()
+
+    def plan(k):
+        xi = belief.xi.copy()
+        xi[:, :2] += 3.0 * k
+        return mcr_plan(
+            replace(belief, xi=xi), intents, actions, forest, model, 50, np.random.default_rng(k)
+        )
+
+    alone = [plan(k) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(plan, k % 4) for k in range(12)]
+            together = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, (joint, stats) in enumerate(together):
+        assert np.array_equal(joint, alone[k % 4][0])
+        assert stats == alone[k % 4][1]  # stage costs bit for bit
 
 
 class TestBlocks:
@@ -1055,29 +1067,19 @@ class TestBlocks:
             assert stats == want_stats
         assert max(batches) == 7
 
-    @pytest.mark.parametrize("planner", ["mcr", "sma-nbo"])
-    def test_warm_plan_allocates_no_block(self, planner):
-        # the kernel's blocks live in the workspace; a warm plan allocates
-        # only arrays of a few floats per row, under one block of covariances
+    def test_plan_keeps_no_memory_after_it_returns(self):
+        # every array of the kernel belongs to the plan that makes it
         belief, intents, actions, forest, model = self._default_mcr_epoch()
-        n_samples = 50 if planner == "mcr" else 1
-
-        def plan():
-            if planner == "mcr":
-                return mcr_plan(
-                    belief, intents, actions, forest, model, n_samples, np.random.default_rng(1)
-                )
-            return sma_nbo_plan(belief, extend_intent(None, 1, 3), actions, forest, model)
-
-        plan()
+        forest.occludes(np.zeros((1, 2)))  # builds the forest's cached disk array
         tracemalloc.start()
         try:
-            plan()
-            peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            plan = mcr_plan(belief, intents, actions, forest, model, 50, np.random.default_rng(1))
+            kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # 81 leaves of 50 samples: the mcr leaf block is 2.07 MB
-        assert peak < min(max(4096, n_samples), 81 * n_samples) * 4 * 128
+        assert plan[0].shape == (3, 3, 2)
+        assert kept < 64 * 1024
 
     def test_mcr_plan_streams_its_leaf_level(self):
         # one block of all 729 leaves of 50 samples would hold 18.7 MB of
