@@ -117,8 +117,8 @@ def plan_cost(
     The bytes bound tracemalloc's peak where every agent sees every track.
     A level has b choices (|A|, or |A|^n jointly), a block B = max(1,
     SCAN_CHUNK // S) prefixes and a prefix C = S x T rows. Per row of C:
-      * 18 a step (paths, occlusion mask), 136 (root), 33 a fixed agent
-        and depth (its sights);
+      * 34 a step (paths, their x and y planes, occlusion mask), 136
+        (root), 33 a fixed agent and depth (its sights);
       * exhaustive: depth 0 loops over the f levels whose children fit a
         block, to P = b^f parents, 128 P / b + 416 P (their pool, which
         holds their parents' rows and their own, its gathered copy, the
@@ -153,7 +153,7 @@ def plan_cost(
     b = n_actions**n_agents if joint else n_actions
     leaf = max(160, 96 + (24 + 12 * joint) * n_agents)
     sights = 0 if joint else 33 * (n_agents - 1)
-    need = (4 << 20) + cells * (18 * h + 136 + sights)
+    need = (4 << 20) + cells * (34 * h + 136 + sights)
     if exhaustive or joint:
         fit = h - 1 if b == 1 else 0  # f, in at most log2(SCAN_CHUNK) = 12 turns
         while fit < h - 1 and b ** (fit + 1) <= block:
@@ -212,33 +212,36 @@ def mwtp_detailed(
     pose covering the target. Returns the (L,) penalties and, per iteration,
     the (L,) arrays (target, sensor, distance, contributed, sensor position
     after); a leaf past its last uncovered target stays as it is.
-    _PrefixTree._leaf_costs calls it once per block of leaves.
+    _PrefixTree._leaf_costs calls it once per block of leaves. It holds the
+    sensors as (L, n) x and y planes, leaf l's sensor i at flat l * n + i.
     """
-    rows = np.arange(len(sensor_xy))
-    pos = np.array(sensor_xy, dtype=float)
-    d_acc = np.zeros(pos.shape[:2])
+    xy = np.asarray(sensor_xy, dtype=float)
+    px, py = xy[..., 0].copy(), xy[..., 1].copy()
+    rows = np.arange(len(xy))
+    d_acc = np.zeros(px.shape)
     penalty = np.zeros(len(rows))
     steps = []
     # covered targets sort last; the uncovered keep the order of a stable
     # argsort over them alone
-    order = np.argsort(np.where(uncovered, -traces, np.inf), axis=1, kind="stable")
-    for t in order.T:
-        active = uncovered[rows, t]
-        tp = target_xy[t]
-        delta = pos - tp[:, None, :]
-        dists = np.sqrt(delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1])
+    order = np.argsort(np.where(uncovered, -traces, np.inf), axis=1, kind="stable").T
+    columns = uncovered[rows, order], traces[rows, order], target_xy[order, 0], target_xy[order, 1]
+    for t, active, trace, tx, ty in zip(order, *columns):
+        dx, dy = px - tx[:, None], py - ty[:, None]
+        dists = np.sqrt(dx * dx + dy * dy)
         i = np.argmin(d_acc + dists, axis=1)
-        dist = dists[rows, i]
-        first = active & (d_acc[rows, i] == 0.0)
-        penalty[first] += beta * dist[first] * traces[rows, t][first]
-        d_acc[rows[active], i[active]] += dist[active]
-        before = pos[rows, i]
-        delta = tp - before
-        excess = np.abs(delta) - half_widths[i][:, None]
-        move = active[:, None] & (excess > 0)
-        after = np.where(move, before + np.copysign(excess, delta), before)
-        pos[rows, i] = after
-        steps.append((t, i, dist, first, after))
+        flat = rows * px.shape[1] + i
+        dist, acc = dists.take(flat), d_acc.take(flat)
+        first = active & (acc == 0.0)
+        np.add(penalty, beta * dist * trace, out=penalty, where=first)
+        d_acc.put(flat, np.add(acc, dist, out=acc, where=active))
+        bx, by = px.take(flat), py.take(flat)
+        dx, dy = tx - bx, ty - by
+        ex, ey = np.abs(dx) - half_widths[i], np.abs(dy) - half_widths[i]
+        ax = np.where(active & (ex > 0), bx + np.copysign(ex, dx), bx)
+        ay = np.where(active & (ey > 0), by + np.copysign(ey, dy), by)
+        px.put(flat, ax)
+        py.put(flat, ay)
+        steps.append((t, i, dist, first, np.column_stack((ax, ay))))
     return penalty, steps
 
 
@@ -379,11 +382,13 @@ class _PrefixTree:
     agent updates all the rows it sees in a block in one batch, over every
     track at once. A mover's position is its start plus the summed v*dt of
     its prefix, the sums np.cumsum forms, so each leaf costs exactly what a
-    rollout of its whole sequence costs. A leaf adds the terminal penalty
-    weighted by ``beta``, or none if ``beta`` is None. The tree holds only
-    what is fixed for the plan; each search keeps its own state in a
-    _Search, and every array of the kernel belongs to the call that makes
-    it, so plans running at once share nothing.
+    rollout of its whole sequence costs. Sight tests and R take x and y
+    planes: target positions (h, S, T) each, and offsets formed from them.
+    A leaf adds the terminal penalty weighted by ``beta``, or none if
+    ``beta`` is None. The tree holds only what is fixed for the plan; each
+    search keeps its own state in a _Search, and every array of the kernel
+    belongs to the call that makes it, so plans running at once share
+    nothing.
     """
 
     def __init__(
@@ -399,6 +404,8 @@ class _PrefixTree:
         self.belief, self.model, self.beta = belief, model, beta
         self.target_paths = target_paths
         self.h = target_paths.shape[2]
+        # the positions as contiguous (h, S, T) x and y planes
+        self.target_x, self.target_y = np.moveaxis(target_paths, (3, 2), (0, 1)).copy()
         # one call for all S x T x h positions: occludes bounds its own
         # temporaries by testing a few points at a time
         self.free = ~forest.occludes(target_paths)
@@ -518,11 +525,12 @@ class _PrefixTree:
                     np.column_stack((nodes.paths[parent], choice)), offset, rows, pool, traces, cost
                 )
 
-    def _agent_xy(self, run: _Search, offset: np.ndarray, level: int) -> list[np.ndarray]:
-        """Each agent's position after step ``level``: (1, 2) fixed, (N, 2) moving."""
-        pos = [f if f is None else f[:, level, :] for f in run.fixed]
+    def _agent_xy(self, run: _Search, offset: np.ndarray, level: int) -> list[tuple]:
+        """Each agent's x and y after step ``level``: (1,) fixed, (N,) moving."""
+        pos = [f if f is None else (f[:, level, 0], f[:, level, 1]) for f in run.fixed]
         for k, i in enumerate(run.movers):
-            pos[i] = self.belief.xy[i] + offset[:, k, :]
+            x, y = self.belief.xy[i]
+            pos[i] = x + offset[:, k, 0], y + offset[:, k, 1]
         return pos
 
     def _sightings(self, run: _Search, level: int) -> tuple[list, list]:
@@ -531,20 +539,19 @@ class _PrefixTree:
         agent order, its (S, T) visibility, its (S, T, 2, 2) R, zero where
         it sees nothing, and whether it comes after the first mover; and
         the _Level steps."""
-        tp = self.target_paths[:, :, level, :]
-        ft = self.free[:, :, level]
+        tx, ty, ft = self.target_x[level], self.target_y[level], self.free[:, :, level]
         first = run.movers[0] if run.movers else len(run.fixed)
         sights, steps = [], []
         for i, (sensor, f) in enumerate(zip(self.belief.sensors, run.fixed)):
             if f is None:
                 steps.append(i)
                 continue
-            delta = tp - f[0, level]
-            vis = in_fov(delta, sensor.half_width) & ft
+            dx, dy = tx - f[0, level, 0], ty - f[0, level, 1]
+            vis = in_fov(dx, dy, sensor.half_width) & ft
             if not vis.any():
                 continue
             r = np.zeros(vis.shape + (2, 2))
-            r[vis] = _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
+            r[vis] = _range_bearing_cov_batch(dx[vis], dy[vis], sensor.alpha, sensor.r0)
             sights.append((vis, r, i > first))
             if i > first:
                 steps.append((vis, r))
@@ -565,16 +572,21 @@ class _PrefixTree:
         does the predict, so one update of a shared row gives the bits that
         one update per prefix gives.
         """
-        cell = np.full(len(pool), -1)  # each row's (sample, track), -1 where unused
-        cell[rows] = np.arange(rows[0].size).reshape(rows.shape[1:])
-        # A prefix's rows are distinct, so a pool as large as one prefix's
-        # rows, as at the root, is all in use; a larger one is gathered into
-        # scratch without its unused rows, the rest numbered in order. The
-        # predict reads scratch whole into p before it writes scratch.
-        if len(pool) == rows[0].size:
+        # A prefix holds one row per (sample, track) cell, so a pool of one
+        # prefix's rows is all in use, in cell order as at the root (the
+        # gather below puts such rows in that order), and needs no cell. A
+        # larger pool is gathered into scratch without its unused rows, the
+        # rest numbered in order. The predict reads scratch whole into p
+        # before it writes scratch.
+        size, cell = rows[0].size, None  # cell: each row's (sample, track)
+        if len(pool) == size:
             scratch = np.empty(pool.shape)
         else:
+            cell = np.full(len(pool), -1)  # -1 where unused
+            cell[rows] = np.arange(size).reshape(rows.shape[1:])
             kept = np.flatnonzero(cell >= 0)
+            if len(kept) == size:  # every parent holds these rows: keep cell order
+                kept = rows[0].reshape(-1)
             cell, index = cell[kept], cell
             index[kept] = np.arange(len(kept))
             rows, pool = index[rows], pool.take(kept, axis=0)
@@ -589,8 +601,9 @@ class _PrefixTree:
             if later and before is p:  # keep the rows as the first mover finds them
                 before = scratch
                 np.copyto(before, p)
-            seen = np.flatnonzero(vis.reshape(-1)[cell])
-            _update_rows(p, seen, r.reshape(-1, 2, 2).take(cell[seen], axis=0))
+            seen = np.flatnonzero(vis if cell is None else vis.reshape(-1)[cell])
+            at = seen if cell is None else cell[seen]
+            _update_rows(p, seen, r.reshape(-1, 2, 2).take(at, axis=0))
         traces = np.trace(p, axis1=1, axis2=2)[rows]
         return _Level(rows, level_pool, len(p), before, traces, steps)
 
@@ -612,16 +625,17 @@ class _PrefixTree:
         if level + 1 < self.h:
             rows = shared.rows.take(parent, axis=0)
             pool = shared.pool[: shared.size]
-        tp = self.target_paths[:, :, level, :]
-        ft = self.free[:, :, level]
+        tx, ty, ft = self.target_x[level], self.target_y[level], self.free[:, :, level]
         sights = {}  # per mover that sees anything: its (C, S, T) visibility and their R
         for i in shared.steps:
             if isinstance(i, int):
                 sensor = self.belief.sensors[i]
-                delta = tp - agent_xy[i][:, None, None, :]
-                vis = in_fov(delta, sensor.half_width) & ft
+                x, y = agent_xy[i]
+                dx, dy = tx - x[:, None, None], ty - y[:, None, None]
+                vis = in_fov(dx, dy, sensor.half_width) & ft
                 if vis.any():
-                    sights[i] = vis, _range_bearing_cov_batch(delta[vis], sensor.alpha, sensor.r0)
+                    r = _range_bearing_cov_batch(dx[vis], dy[vis], sensor.alpha, sensor.r0)
+                    sights[i] = vis, r
         if not sights:
             return rows, pool, traces
         own = np.flatnonzero(np.logical_or.reduce([vis for vis, _ in sights.values()]))
@@ -659,18 +673,18 @@ class _PrefixTree:
         costs = leaves.cost.mean(axis=1)
         if self.beta is None:
             return costs
-        end_targets = self.target_paths[0, :, -1, :]
-        end_traces = leaves.traces[:, 0]
-        end_agent = np.stack(
-            [np.broadcast_to(a, (len(costs), 2)) for a in self._agent_xy(run, leaves.offset, -1)],
-            axis=1,
-        )
+        tx, ty = self.target_x[-1, 0], self.target_y[-1, 0]
         half_widths = np.array([s.half_width for s in self.belief.sensors])
-        offset = end_targets[None, None, :, :] - end_agent[:, :, None, :]
-        uncovered = ~in_fov(offset, half_widths[:, None]).any(1)
+        end_agent = np.empty((len(costs), len(half_widths), 2))
+        covered = np.zeros((len(costs), len(tx)), dtype=bool)
+        # a fixed agent's (1,) position covers a (1, T) row, once for every leaf
+        for i, (x, y) in enumerate(self._agent_xy(run, leaves.offset, -1)):
+            end_agent[:, i, 0], end_agent[:, i, 1] = x, y
+            covered |= in_fov(tx - x[:, None], ty - y[:, None], half_widths[i])
         # a leaf that covers every target adds a penalty of 0.0
         return costs + mwtp_detailed(
-            end_agent, half_widths, end_targets, end_traces, uncovered, self.beta
+            end_agent, half_widths, self.target_paths[0, :, -1, :], leaves.traces[:, 0],
+            ~covered, self.beta,
         )[0]
 
 

@@ -58,15 +58,14 @@ class Observations:
 _NO_OBSERVATIONS = Observations(np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros((0, 2, 2)))
 
 
-def in_fov(offset: np.ndarray, half_width: float | np.ndarray) -> np.ndarray:
-    """Mask over target-minus-agent offsets (..., 2) inside the closed square
-    of the given half width (broadcast against offset[..., 0]).
+def in_fov(dx: np.ndarray, dy: np.ndarray, half_width: float | np.ndarray) -> np.ndarray:
+    """Mask over target-minus-agent offsets, given as their x and y planes
+    dx and dy, inside the closed square of the given half width (all three
+    broadcast together).
 
     |x| <= h is tested as -h <= x <= h, the same test without a float
-    temporary the size of offset."""
-    half_width = np.asarray(half_width)[..., None]
-    inside = (offset <= half_width) & (offset >= -half_width)
-    return inside[..., 0] & inside[..., 1]
+    temporary the size of the offsets."""
+    return (dx <= half_width) & (dx >= -half_width) & (dy <= half_width) & (dy >= -half_width)
 
 
 def _covariances(delta: np.ndarray, sensors: Sequence[Sensor]) -> np.ndarray:
@@ -91,13 +90,13 @@ def _covariances(delta: np.ndarray, sensors: Sequence[Sensor]) -> np.ndarray:
     return np.array(alpha)[:, None, None] * (g @ core @ g.transpose(0, 2, 1))
 
 
-def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.ndarray:
-    """_covariances in closed form for sensor-to-target offsets (M, 2).
+def _range_bearing_cov_batch(dx: np.ndarray, dy: np.ndarray, alpha: float, r0: float) -> np.ndarray:
+    """_covariances in closed form, an (M, 2, 2) array, for sensor-to-target
+    offsets with x and y planes dx and dy (M,).
 
     The rollouts use this form and sense the scalar one. The two differ in
     the last bits, so switching sense would change every logged trial, and
     switching the rollouts would slow them."""
-    dx, dy = delta[:, 0], delta[:, 1]
     rng_true = np.hypot(dx, dy)
     r = np.maximum(rng_true, r0)
     safe = rng_true > 0.0
@@ -106,7 +105,7 @@ def _range_bearing_cov_batch(delta: np.ndarray, alpha: float, r0: float) -> np.n
     s = np.where(safe, dy / denom, 0.0)
     k = 0.1 * alpha * r
     pi = math.pi
-    out = np.empty((len(delta), 2, 2))
+    out = np.empty((len(dx), 2, 2))
     out[:, 0, 0] = k * (c * c + pi * s * s)
     out[:, 1, 1] = k * (s * s + pi * c * c)
     off = k * (1.0 - pi) * c * s
@@ -131,7 +130,7 @@ def sense(
     xy = np.asarray(xy, dtype=float).reshape(len(sensors), 2)
     pos = np.asarray(target_xy, dtype=float).reshape(len(target_ids), 2)
     half_widths = np.array([[s.half_width] for s in sensors])
-    visible = in_fov(pos - xy[:, None, :], half_widths)
+    visible = in_fov(pos[:, 0] - xy[:, :1], pos[:, 1] - xy[:, 1:], half_widths)
     if visible.any():
         visible &= ~forest.occludes(pos)
     seer, seen = np.nonzero(visible)  # agent-then-target order

@@ -1185,6 +1185,53 @@ class TestDenseSchedule:
             costs = np.concatenate(blocks)
             assert costs.tobytes() == dense_reference(tree, run)[0].tobytes()
 
+    def test_targets_on_fov_edges_match_dense_schedule_bit_for_bit(self, monkeypatch):
+        # Agents, moves and targets on an integer grid, so every offset is
+        # exact. Agent 0 at (0, 0) has half width 2, agent 1 at (10, 0) 3,
+        # agent 2 at (0, 10) 2; a mover steps 1 along an axis or hovers.
+        # Each target stands on the edge or corner of a square where its
+        # agent hovers or where a mover reaches, and -0.0 coordinates make
+        # offsets of -0.0 from an agent at +0.0, one of them at zero range.
+        searches = spy_searches(monkeypatch)
+        agents = (
+            agent_at(0.0, 0.0, fov_edge=4.0),
+            agent_at(10.0, 0.0, fov_edge=6.0, alpha=0.2),
+            agent_at(0.0, 10.0, fov_edge=4.0, r0=2.0),
+        )
+        nominal = [  # (T, h, 2): each track's position at steps 1 and 2
+            [(2.0, 2.0), (2.0, 3.0)],  # agent 0's corner, then its corner a move up
+            [(-0.0, -2.0), (-0.0, -0.0)],  # agent 0's lower edge at dx -0.0, then zero range
+            [(13.0, 3.0), (12.0, -5.0)],  # agent 1's corner, then its edge two moves down
+            [(7.0, -3.0), (-0.0, 12.0)],  # agent 1's corner, then agent 2's top edge
+            [(2.0, 8.0), (-3.0, 10.0)],  # agent 2's corner, then its edge a move left
+            [(-2.0, 0.0), (14.0, -0.0)],  # agent 0's left edge, agent 1's edge a move right
+        ]
+        nominal = np.array(nominal)
+        # three samples: the nominal one, mirrored in x (its -0.0 turns into
+        # +0.0), and shifted one step down the grid
+        mirrored = nominal * np.array([-1.0, 1.0])
+        paths = np.stack([nominal, mirrored, nominal - np.array([0.0, 1.0])])
+        assert np.signbit(paths[paths == 0.0]).any()
+        belief = belief_of(
+            tracks=[track_at(t, 0.0, 0.0, p_scale=1.0 + t / 4) for t in range(len(nominal))],
+            agents=agents,
+        )
+        monkeypatch.setattr(planning, "_nominal_paths", lambda belief, model, h: paths[:1])
+        monkeypatch.setattr(
+            planning, "_sample_target_paths", lambda belief, model, h, n, rng: paths[:n]
+        )
+        model = ncv_model(1.0, 1.0)
+        actions = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        intents = hover_plan(len(agents), 2)
+        sma_nbo_plan(belief, intents, actions, EMPTY, model)
+        sma_nbo_plan(belief, intents, actions, EMPTY, model, beta=0.8)
+        mcr_plan(belief, intents, actions, EMPTY, model, 3, np.random.default_rng(0))
+        dec_pomdp_plan(belief, 2, actions, EMPTY, model)
+        assert len(searches) == 3 + 3 + 3 + 1
+        for tree, run, blocks in searches:
+            costs = np.concatenate(blocks)
+            assert costs.tobytes() == dense_reference(tree, run)[0].tobytes()
+
     def test_fixed_agents_update_each_parent_once(self, monkeypatch):
         # every level of the default epoch's searches has one block of
         # parents, so the kernel's rows are the oracle's lineages

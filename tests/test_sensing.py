@@ -6,7 +6,7 @@ from trackplan import OcclusionForest, Sensor, in_fov, sense
 from trackplan.sensing import _covariances, _range_bearing_cov_batch
 
 from beliefs import agent_at
-from oracles import in_any_disk, in_square
+from oracles import in_any_disk, in_square, range_bearing_cov_batch
 
 EMPTY = OcclusionForest(disks=())
 
@@ -24,7 +24,8 @@ def sense_cov(agent, target_pos):
 
 
 def fov(point, agent):
-    return bool(in_fov(np.subtract(point, agent.xy), agent.sensor.half_width))
+    dx, dy = np.subtract(point, agent.xy)
+    return bool(in_fov(dx, dy, agent.sensor.half_width))
 
 
 def is_observable(point, agent, forest):
@@ -209,9 +210,15 @@ class TestSensorModelMatchesScalarRule:
             edges = _near([ax - hw, ax, ax + hw, ay - hw, ay, ay + hw])
             grid = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
             points = np.concatenate([grid, rng.uniform(-15, 15, (200, 2))])
-            mask = in_fov(points - np.array([ax, ay]), hw)
+            mask = in_fov(points[:, 0] - ax, points[:, 1] - ay, hw)
             assert mask.shape == (len(points),)
             assert mask.tolist() == [in_square(x, y, ax, ay, hw) for x, y in points]
+            # one row per half width, broadcast as sense and the planner do
+            widths = np.array([[hw], [2 * hw]])
+            rows = in_fov(points[:, 0] - ax, points[:, 1] - ay, widths)
+            assert rows.shape == (2, len(points))
+            assert rows[0].tolist() == mask.tolist()
+            assert rows[1].tolist() == [in_square(x, y, ax, ay, 2 * hw) for x, y in points]
 
     def test_occludes_on_disk_circles(self):
         disks = ((0.0, 0.0, 5.0), (20.0, 10.0, 2.5), (0.1, 30.3, 0.7))
@@ -238,8 +245,17 @@ class TestSensorModelMatchesScalarRule:
                                       rng.uniform(-60, 60, (100, 2))])
             agent = agent_at(*rng.uniform(-20, 20, 2), alpha=alpha, r0=r0)
             targets = agent.xy + offsets
-            batch = _range_bearing_cov_batch(targets - agent.xy, alpha, r0)
+            delta = targets - agent.xy
+            batch = _range_bearing_cov_batch(delta[:, 0], delta[:, 1], alpha, r0)
+            assert batch.tobytes() == range_bearing_cov_batch(delta, alpha, r0).tobytes()
             for target, r in zip(targets, batch):
                 scalar = sense_cov(agent, tuple(target))
                 scale = np.abs(scalar).max()
                 np.testing.assert_allclose(r, scalar, rtol=1e-12, atol=1e-14 * scale)
+            # zero range with each sign of zero, which targets - agent.xy cannot give
+            zero = np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+            at_zero = _range_bearing_cov_batch(zero[:, 0], zero[:, 1], alpha, r0)
+            assert at_zero.tobytes() == range_bearing_cov_batch(zero, alpha, r0).tobytes()
+            scalar = _covariances(zero, [agent.sensor] * len(zero))
+            scale = np.abs(scalar).max()
+            np.testing.assert_allclose(at_zero, scalar, rtol=1e-12, atol=1e-14 * scale)
